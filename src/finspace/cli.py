@@ -192,11 +192,10 @@ def _cmd_verify(args) -> int:
     cert = read_certificate(args.certificate)
     if isinstance(cert, SpaceMoveCertificate):
         res = verify_space_certificate(cert)
-        size = res.final.n if res.final is not None else None
     else:
         res = verify_simplicial_certificate(cert)
-        size = len(res.final) if res.final is not None else None
     if res.ok:
+        size = res.final.n if isinstance(res.final, FiniteSpace) else len(res.final)
         print(f"valid: {len(cert.moves)} moves replay; final object has size {size}")
         return 0
     print(f"invalid at move {res.step}: {res.reason}", file=sys.stderr)

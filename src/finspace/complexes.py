@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
+from .moves import ReplayResult, SearchResult, _budgeted_search
 from .spaces import _check_label
 
 __all__ = [
@@ -19,8 +20,6 @@ __all__ = [
     "SimplicialMap",
     "SimplicialMove",
     "SimplicialMoveCertificate",
-    "ComplexReplayResult",
-    "ComplexSearchResult",
     "from_facets",
     "cone",
     "is_contiguous",
@@ -28,9 +27,6 @@ __all__ = [
     "verify_simplicial_certificate",
     "collapse_sequence_search",
 ]
-
-Simplex = frozenset
-
 
 def _simplex(vertices: Iterable[str]) -> frozenset[str]:
     s = frozenset(vertices)
@@ -386,61 +382,36 @@ class SimplicialMoveCertificate:
         return len(self.moves)
 
 
-@dataclass(frozen=True)
-class ComplexReplayResult:
-    ok: bool
-    step: int | None = None
-    reason: str = ""
-    final: SimplicialComplex | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_simplicial_certificate(cert: SimplicialMoveCertificate) -> ComplexReplayResult:
+def verify_simplicial_certificate(cert: SimplicialMoveCertificate) -> ReplayResult:
     """Replay each move, rechecking freeness (or gluing legality) from scratch."""
     current = cert.start
     for k, move in enumerate(cert.moves):
         fs = frozenset(move.face)
         if move.direction == "remove":
             if fs not in current:
-                return ComplexReplayResult(False, k, f"{list(move.face)} is not a simplex")
+                return ReplayResult(False, k, f"{list(move.face)} is not a simplex")
             cof = current._proper_cofaces(fs)
             if len(cof) != 1 or cof[0] != fs | {move.apex}:
-                return ComplexReplayResult(
+                return ReplayResult(
                     False, k, f"{list(move.face)} is not free with apex {move.apex!r}"
                 )
             current = SimplicialComplex(current._set - {fs, fs | {move.apex}})
         else:
             problem = _expansion_problem(current._set, fs, fs | {move.apex})
             if problem is not None:
-                return ComplexReplayResult(False, k, problem)
+                return ReplayResult(False, k, problem)
             current = SimplicialComplex(current._set | {fs, fs | {move.apex}})
-    return ComplexReplayResult(True, None, "", current)
+    return ReplayResult(True, None, "", current)
 
 
 # -- collapse search ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComplexSearchResult:
-    certificate: SimplicialMoveCertificate | None
-    conclusive: bool
-    nodes: int
-
-    def __bool__(self) -> bool:
-        return self.certificate is not None
-
-
-def _complex_fingerprint(k: SimplicialComplex) -> tuple:
-    return (k.f_vector(), tuple(sorted(_vertex_signatures(k).values())))
 
 
 def collapse_sequence_search(
     k: SimplicialComplex,
     target: SimplicialComplex | None = None,
     budget: int = 100_000,
-) -> ComplexSearchResult:
+) -> SearchResult:
     """Depth-first search for a collapse sequence down to ``target``.
 
     None means a single vertex.  Free pairs are tried in canonical order;
@@ -450,40 +421,22 @@ def collapse_sequence_search(
     goal_len = 1 if target is None else len(target)
 
     def at_goal(c: SimplicialComplex) -> bool:
-        if len(c) != goal_len:
-            return False
-        if target is None:
-            return len(c.vertices) == 1
-        return complex_isomorphic(c, target) is not None
+        # a complex with a single simplex is a single vertex
+        return len(c) == goal_len and (
+            target is None or complex_isomorphic(c, target) is not None
+        )
 
-    nodes = 0
-    cut = False
-    seen: dict[tuple, list[SimplicialComplex]] = {}
+    def expand(c: SimplicialComplex):
+        if len(c) > goal_len:
+            for face, apex in c.free_pairs():
+                child, move = c.elementary_collapse(face, apex)
+                yield move, child
 
-    def visit(c: SimplicialComplex) -> bool:
-        bucket = seen.setdefault(_complex_fingerprint(c), [])
-        for old in bucket:
-            if complex_isomorphic(c, old) is not None:
-                return False
-        bucket.append(c)
-        return True
+    def fingerprint(c: SimplicialComplex) -> tuple:
+        return (c.f_vector(), tuple(sorted(_vertex_signatures(c).values())))
 
-    stack: list[tuple[SimplicialComplex, tuple[SimplicialMove, ...]]] = [(k, ())]
-    visit(k)
-    while stack:
-        current, path = stack.pop()
-        nodes += 1
-        if nodes > budget:
-            cut = True
-            break
-        if at_goal(current):
-            return ComplexSearchResult(SimplicialMoveCertificate(k, path), True, nodes)
-        if len(current) <= goal_len:
-            continue
-        children = []
-        for face, apex in current.free_pairs():
-            child, move = current.elementary_collapse(face, apex)
-            if visit(child):
-                children.append((child, path + (move,)))
-        stack.extend(reversed(children))
-    return ComplexSearchResult(None, not cut, nodes)
+    path, conclusive, nodes = _budgeted_search(
+        k, expand, at_goal, fingerprint, complex_isomorphic, budget
+    )
+    cert = None if path is None else SimplicialMoveCertificate(k, path)
+    return SearchResult(cert, conclusive, nodes)

@@ -34,7 +34,7 @@ from .complexes import (
     is_contiguous,
 )
 from .maps import ContinuousMap, is_distinguished, mapping_cylinder
-from .moves import SpaceMove, SpaceMoveCertificate, is_down_beat, is_up_beat, is_weak_point
+from .moves import SpaceMove, SpaceMoveCertificate, _strip_beats, is_weak_point
 from .spaces import FiniteSpace
 
 __all__ = [
@@ -83,23 +83,50 @@ def order_complex(space: FiniteSpace) -> SimplicialComplex:
     )
 
 
+def _inclusion_order(
+    sets: Sequence[frozenset], labels: Sequence[str], clash: str
+) -> np.ndarray:
+    """The matrix of s <= t over ``sets``, named by distinct ``labels``;
+    ``clash`` is the error raised when two labels coincide."""
+    if len(set(labels)) != len(labels):
+        raise ValueError(clash)
+    n = len(sets)
+    rel = np.zeros((n, n), dtype=bool)
+    for i, s in enumerate(sets):
+        for j, t in enumerate(sets):
+            if len(s) <= len(t) and s <= t:
+                rel[i, j] = True
+    return rel
+
+
 def face_poset(k: SimplicialComplex) -> FiniteSpace:
     """The simplices of ``k`` ordered by inclusion.
 
     Points are named by joining the sorted vertex names with dots, which is
     what makes the subdivision identities literal equalities.
     """
-    simps = k.simplices
-    labels = tuple(dotted_label(s) for s in simps)
-    if len(set(labels)) != len(labels):
-        raise ValueError("dotted simplex names collide; rename the vertices")
-    n = len(simps)
-    rel = np.zeros((n, n), dtype=bool)
-    for i, s in enumerate(simps):
-        for j, t in enumerate(simps):
-            if len(s) <= len(t) and s <= t:
-                rel[i, j] = True
+    labels = tuple(dotted_label(s) for s in k.simplices)
+    rel = _inclusion_order(
+        k.simplices, labels, "dotted simplex names collide; rename the vertices"
+    )
     return FiniteSpace(labels, rel)
+
+
+def _sorted_chains(space: FiniteSpace) -> list[tuple[int, ...]]:
+    """All nonempty chains, by size and then by their sorted labels."""
+    return sorted(
+        _chains(space),
+        key=lambda c: (len(c), tuple(sorted(space.labels[i] for i in c))),
+    )
+
+
+def _subdivision(space: FiniteSpace) -> tuple[FiniteSpace, tuple[int, ...]]:
+    """The subdivision and, for each of its points, the chain's maximum."""
+    chains = _sorted_chains(space)
+    sets = [frozenset(space.labels[i] for i in c) for c in chains]
+    labels = tuple(dotted_label(s) for s in sets)
+    rel = _inclusion_order(sets, labels, "dotted chain names collide; rename the points")
+    return FiniteSpace(labels, rel), tuple(c[-1] for c in chains)
 
 
 def space_subdivision(space: FiniteSpace) -> FiniteSpace:
@@ -107,31 +134,13 @@ def space_subdivision(space: FiniteSpace) -> FiniteSpace:
 
     Equals ``face_poset(order_complex(space))`` on the nose.
     """
-    sets = sorted(
-        (frozenset(space.labels[i] for i in c) for c in _chains(space)),
-        key=lambda s: (len(s), tuple(sorted(s))),
-    )
-    labels = tuple(dotted_label(s) for s in sets)
-    if len(set(labels)) != len(labels):
-        raise ValueError("dotted chain names collide; rename the points")
-    n = len(sets)
-    rel = np.zeros((n, n), dtype=bool)
-    for i, s in enumerate(sets):
-        for j, t in enumerate(sets):
-            if len(s) <= len(t) and s <= t:
-                rel[i, j] = True
-    return FiniteSpace(labels, rel)
+    return _subdivision(space)[0]
 
 
 def h_map(space: FiniteSpace) -> ContinuousMap:
     """The comparison map from the subdivision, sending a chain to its maximum."""
-    chains = _chains(space)
-    pairs = sorted(
-        ((frozenset(space.labels[i] for i in c), c[-1]) for c in chains),
-        key=lambda p: (len(p[0]), tuple(sorted(p[0]))),
-    )
-    dom = space_subdivision(space)
-    return ContinuousMap(dom, space, tuple(mx for _, mx in pairs))
+    dom, maxima = _subdivision(space)
+    return ContinuousMap(dom, space, maxima)
 
 
 def chain_label(labels: Sequence[str]) -> str:
@@ -194,23 +203,17 @@ class BridgeCertificates:
 
 
 def bridge_space(space: FiniteSpace) -> BridgeCertificates:
-    chains = sorted(
-        _chains(space),
-        key=lambda c: (len(c), tuple(sorted(space.labels[i] for i in c))),
-    )
+    chains = _sorted_chains(space)
     chain_sets = [frozenset(c) for c in chains]
     l_labels = ["L:" + chain_label([space.labels[i] for i in c]) for c in chains]
     r_labels = ["R:" + l for l in space.labels]
     labels = tuple(l_labels + r_labels)
-    if len(set(labels)) != len(labels):
-        raise ValueError("chain names collide; rename the points")
 
     nc, n = len(chains), space.n
     rel = np.zeros((nc + n, nc + n), dtype=bool)
-    for i, s in enumerate(chain_sets):
-        for j, t in enumerate(chain_sets):
-            if len(s) <= len(t) and s <= t:
-                rel[i, j] = True
+    rel[:nc, :nc] = _inclusion_order(
+        chain_sets, l_labels, "chain names collide; rename the points"
+    )
     for i, c in enumerate(chains):
         rel[i, nc:] = space.leq[c[-1], :]
     rel[nc:, nc:] = space.leq
@@ -340,30 +343,6 @@ def _cone_pair_moves(
     return tuple(moves)
 
 
-def _beat_dismantle(space: FiniteSpace) -> tuple[list[tuple[str, str]], str]:
-    """Remove beat points greedily until one point is left.
-
-    Returns the (point, witness) removal sequence and the survivor.  Only
-    works on contractible spaces; anything else raises.
-    """
-    removed: list[tuple[str, str]] = []
-    current = space
-    while current.n > 1:
-        for lab in current.labels:
-            w = is_down_beat(current, lab)
-            if w is None:
-                w = is_up_beat(current, lab)
-            if w is not None:
-                removed.append((lab, w))
-                current = current.delete(lab)
-                break
-        else:
-            raise ValueError("space does not dismantle to a point")
-    if current.n == 0:
-        raise ValueError("cannot dismantle the empty space")
-    return removed, current.labels[0]
-
-
 def _chains_through(
     space: FiniteSpace, members: Iterable[str], need: Iterable[str], avoid: Iterable[str]
 ) -> list[frozenset[str]]:
@@ -394,8 +373,11 @@ def translate_space_collapse(space: FiniteSpace, x: str) -> SimplicialMoveCertif
     work = space if side in ("down-weak", "both") else space.opposite()
 
     start = order_complex(space.delete(x))
-    punctured = work.minimal_open(x).without(x)
-    removed, survivor = _beat_dismantle(punctured.as_space())
+    # x is weak, so its punctured open set is contractible: stripping beat
+    # points in any order leaves a single survivor.
+    punctured = work.minimal_open(x).without(x).as_space()
+    rest, removed = _strip_beats(punctured, punctured.labels, floor=1)
+    (survivor,) = rest.labels
     cl = set(work.closure(x).labels)
 
     def grown(k: SimplicialComplex, stage: Sequence[SimplicialMove]) -> SimplicialComplex:
@@ -412,9 +394,9 @@ def translate_space_collapse(space: FiniteSpace, x: str) -> SimplicialMoveCertif
     moves.extend(stage)
     current = grown(current, stage)
     kept = {survivor}
-    for z, w in reversed(removed):
-        kept.add(z)
-        faces = _chains_through(work, cl | kept, need=[x, z], avoid=[w])
+    for move, w in reversed(removed):
+        kept.add(move.label)
+        faces = _chains_through(work, cl | kept, need=[x, move.label], avoid=[w])
         stage = _cone_pair_moves(current, [sorted(s) for s in faces], w)
         moves.extend(stage)
         current = grown(current, stage)

@@ -11,12 +11,15 @@ each move against the definitions from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .spaces import FiniteSpace, is_isomorphic
+
+if TYPE_CHECKING:
+    from .complexes import SimplicialComplex, SimplicialMoveCertificate
 
 __all__ = [
     "SpaceMove",
@@ -80,7 +83,7 @@ class ReplayResult:
     ok: bool
     step: int | None = None
     reason: str = ""
-    final: FiniteSpace | None = None
+    final: FiniteSpace | SimplicialComplex | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -88,7 +91,7 @@ class ReplayResult:
 
 @dataclass(frozen=True)
 class SearchResult:
-    certificate: SpaceMoveCertificate | None
+    certificate: SpaceMoveCertificate | SimplicialMoveCertificate | None
     conclusive: bool
     nodes: int
 
@@ -133,16 +136,41 @@ def is_down_beat(space: FiniteSpace, x: int | str) -> str | None:
     return None
 
 
+def _beat_side(space: FiniteSpace, i: int | str) -> tuple[str, str] | None:
+    """The beat side of point i with its witness, testing down before up."""
+    for side, test in (("beat-down", is_down_beat), ("beat-up", is_up_beat)):
+        witness = test(space, i)
+        if witness is not None:
+            return side, witness
+    return None
+
+
 def beat_points(space: FiniteSpace) -> list[str]:
     """Labels of all beat points, in index order."""
-    out = []
-    for i in range(space.n):
-        if is_down_beat(space, i) or is_up_beat(space, i):
-            out.append(space.labels[i])
-    return out
+    return [space.labels[i] for i in range(space.n) if _beat_side(space, i) is not None]
 
 
 # -- cores and contractibility --------------------------------------------
+
+
+def _strip_beats(
+    space: FiniteSpace, priority: Sequence[str], floor: int = 0
+) -> tuple[FiniteSpace, list[tuple[SpaceMove, str]]]:
+    """Remove the first beat point in ``priority`` until none is left or the
+    space is down to ``floor`` points; returns each removal with its witness."""
+    current = space
+    removed: list[tuple[SpaceMove, str]] = []
+    while current.n > floor:
+        for lab in priority:
+            if lab in current._index:
+                beat = _beat_side(current, lab)
+                if beat is not None:
+                    break
+        else:
+            break
+        removed.append((SpaceMove("remove", lab, beat[0]), beat[1]))
+        current = current.delete(lab)
+    return current, removed
 
 
 def core(
@@ -155,30 +183,13 @@ def core(
     The certificate records every removal; the core itself is unique up to
     isomorphism no matter the order.
     """
-    current = space
-    moves: list[SpaceMove] = []
-    priority = (
-        [space.labels[space.index(x)] for x in order]
-        if order is not None
-        else list(space.labels)
-    )
-    if order is not None and set(priority) != set(space.labels):
-        raise ValueError("order must mention every point exactly once")
-    while True:
-        found = None
-        for lab in priority:
-            if lab not in current._index:
-                continue
-            if is_down_beat(current, lab):
-                found = SpaceMove("remove", lab, "beat-down")
-                break
-            if is_up_beat(current, lab):
-                found = SpaceMove("remove", lab, "beat-up")
-                break
-        if found is None:
-            return current, SpaceMoveCertificate(space, tuple(moves))
-        moves.append(found)
-        current = current.delete(found.label)
+    priority = list(space.labels)
+    if order is not None:
+        priority = [space.labels[space.index(x)] for x in order]
+        if sorted(priority) != sorted(space.labels):
+            raise ValueError("order must mention every point exactly once")
+    current, removed = _strip_beats(space, priority)
+    return current, SpaceMoveCertificate(space, tuple(move for move, _ in removed))
 
 
 def is_contractible(space: FiniteSpace) -> bool:
@@ -223,16 +234,11 @@ def weak_points(space: FiniteSpace) -> list[tuple[str, str]]:
 
 def _classify_for_removal(space: FiniteSpace, i: int) -> str | None:
     """Strongest applicable side for removing point i, or None."""
-    if is_down_beat(space, i):
-        return "beat-down"
-    if is_up_beat(space, i):
-        return "beat-up"
+    beat = _beat_side(space, i)
+    if beat is not None:
+        return beat[0]
     side = is_weak_point(space, i)
-    if side == "both" or side == "down-weak":
-        return "down-weak"
-    if side == "up-weak":
-        return "up-weak"
-    return None
+    return "down-weak" if side == "both" else side
 
 
 def remove_weak_point(space: FiniteSpace, x: int | str) -> tuple[FiniteSpace, SpaceMove]:
@@ -343,20 +349,46 @@ def verify_space_certificate(cert: SpaceMoveCertificate) -> ReplayResult:
 
 def _candidate_moves(space: FiniteSpace) -> list[SpaceMove]:
     """Removal moves in deterministic preference order: beats, then weak."""
-    beats: list[SpaceMove] = []
-    weaks: list[SpaceMove] = []
+    moves = []
     for i in range(space.n):
-        if is_down_beat(space, i):
-            beats.append(SpaceMove("remove", space.labels[i], "beat-down"))
-        elif is_up_beat(space, i):
-            beats.append(SpaceMove("remove", space.labels[i], "beat-up"))
-        else:
-            side = is_weak_point(space, i)
-            if side == "both" or side == "down-weak":
-                weaks.append(SpaceMove("remove", space.labels[i], "down-weak"))
-            elif side == "up-weak":
-                weaks.append(SpaceMove("remove", space.labels[i], "up-weak"))
-    return beats + weaks
+        side = _classify_for_removal(space, i)
+        if side is not None:
+            moves.append(SpaceMove("remove", space.labels[i], side))
+    return sorted(moves, key=lambda m: not m.side.startswith("beat"))
+
+
+def _budgeted_search(start, expand, at_goal, fingerprint, isomorphic, budget):
+    """Depth-first search for a state passing ``at_goal``.
+
+    ``expand`` yields (move, child) pairs in preference order; a child that
+    ``isomorphic`` matches (not None) with a seen state of the same
+    ``fingerprint`` is pruned.  Returns (move path or None, whether the
+    search ended within ``budget`` nodes, nodes expanded).
+    """
+    seen: dict = {}
+
+    def visit(state) -> bool:
+        bucket = seen.setdefault(fingerprint(state), [])
+        if any(isomorphic(state, old) is not None for old in bucket):
+            return False
+        bucket.append(state)
+        return True
+
+    nodes = 0
+    stack = [(start, ())]
+    visit(start)
+    while stack:
+        current, path = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            return None, False, nodes
+        if at_goal(current):
+            return path, True, nodes
+        children = [
+            (child, path + (move,)) for move, child in expand(current) if visit(child)
+        ]
+        stack.extend(reversed(children))
+    return None, True, nodes
 
 
 def collapse_search(
@@ -376,44 +408,18 @@ def collapse_search(
         raise ValueError("target must be nonempty")
 
     def at_goal(s: FiniteSpace) -> bool:
-        if s.n != goal_n:
-            return False
-        if target is None:
-            return True
-        return is_isomorphic(s, target) is not None
+        return s.n == goal_n and (target is None or is_isomorphic(s, target) is not None)
 
-    nodes = 0
-    cut = False
-    seen: dict[tuple, list[FiniteSpace]] = {}
+    def expand(s: FiniteSpace):
+        if s.n > goal_n:
+            for move in _candidate_moves(s):
+                yield move, s.delete(move.label)
 
-    def visit(s: FiniteSpace) -> bool:
-        fp = s.fingerprint()
-        bucket = seen.setdefault(fp, [])
-        for old in bucket:
-            if is_isomorphic(s, old) is not None:
-                return False
-        bucket.append(s)
-        return True
-
-    stack: list[tuple[FiniteSpace, tuple[SpaceMove, ...]]] = [(space, ())]
-    visit(space)
-    while stack:
-        current, path = stack.pop()
-        nodes += 1
-        if nodes > budget:
-            cut = True
-            break
-        if at_goal(current):
-            return SearchResult(SpaceMoveCertificate(space, path), True, nodes)
-        if current.n <= goal_n:
-            continue
-        children = []
-        for move in _candidate_moves(current):
-            child = current.delete(move.label)
-            if visit(child):
-                children.append((child, path + (move,)))
-        stack.extend(reversed(children))
-    return SearchResult(None, not cut, nodes)
+    path, conclusive, nodes = _budgeted_search(
+        space, expand, at_goal, FiniteSpace.fingerprint, is_isomorphic, budget
+    )
+    cert = None if path is None else SpaceMoveCertificate(space, path)
+    return SearchResult(cert, conclusive, nodes)
 
 
 # -- homotopy equivalence -------------------------------------------------------

@@ -93,6 +93,8 @@ def test_core_is_idempotent_and_unique():
         rng.shuffle(order)
         c2, _ = core(s, order=order)
         assert is_isomorphic(c1, c2) is not None
+        with pytest.raises(ValueError, match="exactly once"):
+            core(s, order=list(s.labels) + [s.labels[0]])
 
 
 def test_contractible_iff_core_is_a_point():
