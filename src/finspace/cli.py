@@ -11,8 +11,9 @@ import sys
 
 from .complexes import (
     SimplicialComplex,
+    SimplicialMove,
     SimplicialMoveCertificate,
-    barycentric_subdivision,
+    complex_isomorphic,
     verify_simplicial_certificate,
 )
 from .corpus import CorpusError, entries, load
@@ -28,8 +29,10 @@ from .fileio import (
     read_complex,
     read_map,
     read_space,
+    read_space_or_complex,
 )
 from .functors import (
+    barycentric_subdivision,
     bridge_space,
     cylinder_certificates,
     face_poset,
@@ -50,7 +53,6 @@ from .moves import (
     weak_points,
 )
 from .spaces import FiniteSpace, is_isomorphic
-from .complexes import SimplicialMove, complex_isomorphic
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,20 +61,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(3, f"{self.prog}: error: {message}\n")
-
-
-def _read_auto(path: str):
-    """Read a space or a complex, deciding from the name."""
-    if path.startswith("example:"):
-        obj = load(path[8:])
-        if isinstance(obj, (FiniteSpace, SimplicialComplex)):
-            return obj
-        raise ParseError(path, None, "example is neither a space nor a complex")
-    if path.endswith(".poset"):
-        return read_space(path)
-    if path.endswith(".cplx"):
-        return read_complex(path)
-    raise ParseError(path, None, "cannot tell the kind; use .poset or .cplx")
 
 
 def _cmd_core(args) -> int:
@@ -117,7 +105,7 @@ def _cmd_x(args) -> int:
 
 
 def _cmd_subdivide(args) -> int:
-    obj = _read_auto(args.path)
+    obj = read_space_or_complex(args.path)
     if isinstance(obj, FiniteSpace):
         sys.stdout.write(format_space(space_subdivision(obj)))
     else:
@@ -203,7 +191,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    obj = _read_auto(args.path)
+    obj = read_space_or_complex(args.path)
     if isinstance(obj, FiniteSpace):
         report = homology_space(obj, reduced=args.reduced)
     else:
@@ -213,8 +201,8 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    a = _read_auto(args.a)
-    b = _read_auto(args.b)
+    a = read_space_or_complex(args.a)
+    b = read_space_or_complex(args.b)
     if isinstance(a, FiniteSpace) != isinstance(b, FiniteSpace):
         print("cannot compare a space with a complex", file=sys.stderr)
         return 3
@@ -232,7 +220,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    obj = _read_auto(args.path)
+    obj = read_space_or_complex(args.path)
     if isinstance(obj, FiniteSpace):
         sys.stdout.write(dot_space(obj))
     else:

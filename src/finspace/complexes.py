@@ -263,19 +263,20 @@ def is_contiguous(f: SimplicialMap, g: SimplicialMap) -> bool:
 
 
 def _vertex_signatures(k: SimplicialComplex) -> dict[str, tuple]:
-    base: dict[str, list[int]] = {v: [0] * (k.dim + 1) for v in k.vertices}
+    dim = k.dim
+    base: dict[str, list[int]] = {v: [0] * (dim + 1) for v in k.vertices}
     for s in k.simplices:
         for v in s:
             base[v][len(s) - 1] += 1
     sig = {v: tuple(c) for v, c in base.items()}
     # one refinement round over edge neighborhoods
-    out = {}
-    for v in k.vertices:
-        nbrs = sorted(
-            sig[w] for s in k.simplices if len(s) == 2 and v in s for w in s if w != v
-        )
-        out[v] = (sig[v], tuple(nbrs))
-    return out
+    nbrs: dict[str, list[tuple]] = {v: [] for v in k.vertices}
+    for s in k.simplices:
+        if len(s) == 2:
+            v, w = s
+            nbrs[v].append(sig[w])
+            nbrs[w].append(sig[v])
+    return {v: (sig[v], tuple(sorted(nbrs[v]))) for v in k.vertices}
 
 
 def complex_isomorphic(
@@ -296,62 +297,44 @@ def complex_isomorphic(
     used: set[str] = set()
     edges_a = {frozenset(s) for s in a.simplices if len(s) == 2}
     edges_b = {frozenset(s) for s in b.simplices if len(s) == 2}
-
-    def extend(k: int) -> bool:
+    # Iterative backtracking: pos[k] is the next candidate to try for order[k].
+    candidates = [buckets.get(sig_a[v], ()) for v in order]
+    pos = [0] * len(order)
+    k = 0
+    while k >= 0:
         if k == len(order):
-            mapped = {frozenset(image[v] for v in s) for s in a.simplices}
-            return mapped == b._set
+            if {frozenset(image[v] for v in s) for s in a.simplices} == b._set:
+                return dict(image)
+            k -= 1
+            continue
         v = order[k]
-        for w in buckets.get(sig_a[v], ()):
-            if w in used:
-                continue
-            if any(
+        if v in image:
+            used.discard(image.pop(v))
+        opts = candidates[k]
+        while pos[k] < len(opts):
+            w = opts[pos[k]]
+            pos[k] += 1
+            if w in used or any(
                 (frozenset((v, u)) in edges_a) != (frozenset((w, image[u])) in edges_b)
                 for u in image
             ):
                 continue
             image[v] = w
             used.add(w)
-            if extend(k + 1):
-                return True
-            del image[v]
-            used.discard(w)
-        return False
+            k += 1
+            break
+        else:
+            pos[k] = 0
+            k -= 1
+    return None
 
-    return dict(image) if extend(0) else None
 
-
-# -- subdivision --------------------------------------------------------------
+# -- simplex names ------------------------------------------------------------
 
 
 def dotted_label(s: Iterable[str]) -> str:
     """Canonical name of a simplex used when simplices become vertices."""
     return ".".join(sorted(s))
-
-
-def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
-    """First barycentric subdivision.
-
-    Vertices are the simplices of ``k`` (under their canonical dotted
-    names); simplices are the chains of simplices ordered by inclusion.
-    Built directly from the inclusion relation, not through the face poset,
-    so the functor route has an independent implementation to agree with.
-    """
-    elems = list(k.simplices)
-    if len({dotted_label(s) for s in elems}) != len(elems):
-        raise ValueError("dotted simplex names collide; rename the vertices")
-    fam: set[frozenset[str]] = set()
-
-    def grow(chain: list[tuple[str, ...]]) -> None:
-        fam.add(frozenset(dotted_label(s) for s in chain))
-        last = frozenset(chain[-1])
-        for s in elems:
-            if len(s) > len(chain[-1]) and last < frozenset(s):
-                grow(chain + [s])
-
-    for s in elems:
-        grow([s])
-    return SimplicialComplex(fam)
 
 
 # -- certificates ---------------------------------------------------------------
@@ -429,8 +412,9 @@ def collapse_sequence_search(
     def expand(c: SimplicialComplex):
         if len(c) > goal_len:
             for face, apex in c.free_pairs():
-                child, move = c.elementary_collapse(face, apex)
-                yield move, child
+                fs = frozenset(face)
+                child = SimplicialComplex(c._set - {fs, fs | {apex}})
+                yield SimplicialMove("remove", face, apex), child
 
     def fingerprint(c: SimplicialComplex) -> tuple:
         return (c.f_vector(), tuple(sorted(_vertex_signatures(c).values())))

@@ -57,7 +57,7 @@ def _wallet_guards(w: FiniteSpace) -> list[str]:
         bad.append("wallet must be minimal (no beat points)")
     if is_weak_point(w, "x") not in ("down-weak", "both"):
         bad.append("x must be a downward weak point")
-    punctured = w.minimal_open("x").without("x").as_space()
+    punctured = w.punctured_open("x")
     if punctured.n != 5 or not is_contractible(punctured):
         bad.append("punctured minimal open set of x must be 5 points and contractible")
     if not is_contractible(w.delete("x")):
@@ -67,7 +67,7 @@ def _wallet_guards(w: FiniteSpace) -> list[str]:
 
 def _wallet_open() -> FiniteSpace:
     w = _wallet()
-    return w.minimal_open("x").without("x").as_space()
+    return w.punctured_open("x")
 
 
 def _wallet_minus_x() -> FiniteSpace:
@@ -175,10 +175,6 @@ def _dunce_guards(k: SimplicialComplex) -> list[str]:
     if h.betti != (0, 0, 0) or any(h.torsion):
         bad.append("dunce must have trivial reduced homology")
     return bad
-
-
-def _no_guards(_: object) -> list[str]:
-    return []
 
 
 _ENTRIES = (

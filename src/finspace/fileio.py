@@ -32,6 +32,7 @@ __all__ = [
     "read_complex",
     "read_map",
     "read_certificate",
+    "read_space_or_complex",
     "parse_space",
     "parse_complex",
     "parse_certificate",
@@ -62,7 +63,7 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _example(name: str, want: type, source: str) -> object:
+def _example(name: str, want: tuple[type, ...], source: str) -> object:
     from .corpus import load
 
     try:
@@ -70,9 +71,8 @@ def _example(name: str, want: type, source: str) -> object:
     except KeyError as exc:
         raise ParseError(source, None, str(exc)) from exc
     if not isinstance(obj, want):
-        raise ParseError(
-            source, None, f"example {name!r} is not a {want.__name__.lower()}"
-        )
+        kinds = " or ".join(t.__name__ for t in want)
+        raise ParseError(source, None, f"example {name!r} is not a {kinds}")
     return obj
 
 
@@ -111,7 +111,7 @@ def parse_space(text: str, source: str = "<string>") -> FiniteSpace:
 
 def read_space(path: str) -> FiniteSpace:
     if path.startswith("example:"):
-        return _example(path[8:], FiniteSpace, path)
+        return _example(path[8:], (FiniteSpace,), path)
     with open(path, encoding="utf-8") as fh:
         return parse_space(fh.read(), path)
 
@@ -156,7 +156,7 @@ def parse_complex(text: str, source: str = "<string>") -> SimplicialComplex:
 
 def read_complex(path: str) -> SimplicialComplex:
     if path.startswith("example:"):
-        return _example(path[8:], SimplicialComplex, path)
+        return _example(path[8:], (SimplicialComplex,), path)
     with open(path, encoding="utf-8") as fh:
         return parse_complex(fh.read(), path)
 
@@ -166,6 +166,18 @@ def format_complex(k: SimplicialComplex) -> str:
     for f in k.facets():
         lines.append("facet: " + " ".join(f))
     return "\n".join(lines) + "\n"
+
+
+def read_space_or_complex(path: str) -> FiniteSpace | SimplicialComplex:
+    """Read a space or a complex, deciding by the ``.poset`` or ``.cplx``
+    suffix, or by the kind of an ``example:`` entry."""
+    if path.startswith("example:"):
+        return _example(path[8:], (FiniteSpace, SimplicialComplex), path)
+    if path.endswith(".poset"):
+        return read_space(path)
+    if path.endswith(".cplx"):
+        return read_complex(path)
+    raise ParseError(path, None, "cannot tell the kind; use .poset or .cplx")
 
 
 # -- maps ---------------------------------------------------------------------
@@ -179,7 +191,7 @@ def _resolve(path: str, base_dir: str) -> str:
 
 def read_map(path: str) -> ContinuousMap:
     if path.startswith("example:"):
-        return _example(path[8:], ContinuousMap, path)
+        return _example(path[8:], (ContinuousMap,), path)
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -259,30 +271,12 @@ def parse_certificate(
         raise ParseError(source, no, "certificate must begin with start:")
     payload = first[6:].strip()
 
-    kind: str | None = None
-    start: FiniteSpace | SimplicialComplex | None = None
     body = lines[1:]
     if payload:
-        path = _resolve(payload, base_dir)
-        if path.endswith(".poset"):
-            kind, start = "space", read_space(path)
-        elif path.endswith(".cplx"):
-            kind, start = "complex", read_complex(path)
-        elif path.startswith("example:"):
-            from .corpus import load
-
-            try:
-                obj = load(path[8:])
-            except KeyError as exc:
-                raise ParseError(source, no, str(exc)) from exc
-            if isinstance(obj, FiniteSpace):
-                kind, start = "space", obj
-            elif isinstance(obj, SimplicialComplex):
-                kind, start = "complex", obj
-            else:
-                raise ParseError(source, no, f"example {payload!r} is not a space or complex")
-        else:
-            raise ParseError(source, no, f"cannot tell what {payload!r} holds")
+        try:
+            start = read_space_or_complex(_resolve(payload, base_dir))
+        except ParseError as exc:
+            raise ParseError(source, no, f"start: {exc}") from exc
     else:
         block = []
         while body and body[0][1].split()[0] in (
@@ -298,9 +292,9 @@ def parse_certificate(
             prev = b_no
         block_text = "\n".join(pieces)
         if block[0][1].startswith("elements:"):
-            kind, start = "space", parse_space(block_text, source)
+            start = parse_space(block_text, source)
         else:
-            kind, start = "complex", parse_complex(block_text, source)
+            start = parse_complex(block_text, source)
 
     moves = []
     for no, line in body:
@@ -309,11 +303,11 @@ def parse_certificate(
         if direction not in ("remove", "add"):
             raise ParseError(source, no, f"unexpected line {line!r}")
         rest = parts[1] if len(parts) > 1 else ""
-        if kind == "space":
+        if isinstance(start, FiniteSpace):
             moves.append(_parse_space_move(rest, direction, source, no))
         else:
             moves.append(_parse_simplicial_move(rest, direction, source, no))
-    if kind == "space":
+    if isinstance(start, FiniteSpace):
         return SpaceMoveCertificate(start, tuple(moves))
     return SimplicialMoveCertificate(start, tuple(moves))
 

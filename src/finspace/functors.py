@@ -41,6 +41,7 @@ __all__ = [
     "order_complex",
     "face_poset",
     "space_subdivision",
+    "barycentric_subdivision",
     "h_map",
     "chain_label",
     "induced_simplicial",
@@ -135,6 +136,11 @@ def space_subdivision(space: FiniteSpace) -> FiniteSpace:
     Equals ``face_poset(order_complex(space))`` on the nose.
     """
     return _subdivision(space)[0]
+
+
+def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
+    """The first barycentric subdivision K(X(k)), vertices named by dotted simplices."""
+    return order_complex(face_poset(k))
 
 
 def h_map(space: FiniteSpace) -> ContinuousMap:
@@ -375,7 +381,7 @@ def translate_space_collapse(space: FiniteSpace, x: str) -> SimplicialMoveCertif
     start = order_complex(space.delete(x))
     # x is weak, so its punctured open set is contractible: stripping beat
     # points in any order leaves a single survivor.
-    punctured = work.minimal_open(x).without(x).as_space()
+    punctured = work.punctured_open(x)
     rest, removed = _strip_beats(punctured, punctured.labels, floor=1)
     (survivor,) = rest.labels
     cl = set(work.closure(x).labels)

@@ -208,11 +208,10 @@ def is_weak_point(space: FiniteSpace, x: int | str) -> str | None:
     Down-weak means the punctured minimal open set is contractible; up-weak
     is the dual condition on the punctured closure.
     """
-    i = space.index(x)
-    down = space.minimal_open(i).without(i)
-    up = space.closure(i).without(i)
-    d = len(down) > 0 and is_contractible(down.as_space())
-    u = len(up) > 0 and is_contractible(up.as_space())
+    down = space.punctured_open(x)
+    up = space.punctured_closure(x)
+    d = down.n > 0 and is_contractible(down)
+    u = up.n > 0 and is_contractible(up)
     if d and u:
         return "both"
     if d:
@@ -309,12 +308,10 @@ def _check_side(space: FiniteSpace, label: str, side: str) -> str | None:
             return "strict up-set has no minimum"
         return None
     if side == "down-weak":
-        part = space.minimal_open(i).without(i)
-        if len(part) == 0 or not is_contractible(part.as_space()):
+        if not is_contractible(space.punctured_open(i)):
             return "punctured minimal open set is not contractible"
         return None
-    part = space.closure(i).without(i)
-    if len(part) == 0 or not is_contractible(part.as_space()):
+    if not is_contractible(space.punctured_closure(i)):
         return "punctured closure is not contractible"
     return None
 

@@ -8,14 +8,12 @@ sets, closures and Hasse diagrams are all read off this matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "FiniteSpace",
-    "ElementSubset",
     "from_covers",
     "is_isomorphic",
 ]
@@ -108,42 +106,42 @@ class FiniteSpace:
         """Boolean mask of points >= x (the closure of x)."""
         return self.leq[self.index(x), :]
 
-    def comparable(self, x: int | str, y: int | str) -> bool:
-        i, j = self.index(x), self.index(y)
-        return bool(self.leq[i, j] or self.leq[j, i])
-
-    # -- subset-valued operations ----------------------------------------
-
-    def minimal_open(self, x: int | str) -> "ElementSubset":
-        """The smallest open set containing x: all points below it."""
-        return ElementSubset(self, frozenset(np.flatnonzero(self.below(x)).tolist()))
-
-    def closure(self, x: int | str) -> "ElementSubset":
-        """The closure of {x}: all points above it."""
-        return ElementSubset(self, frozenset(np.flatnonzero(self.above(x)).tolist()))
-
-    def subset(self, members: Iterable[int | str]) -> "ElementSubset":
-        return ElementSubset(self, frozenset(self.index(m) for m in members))
-
     # -- derived spaces ---------------------------------------------------
+
+    def _induced(self, idx: Sequence[int]) -> "FiniteSpace":
+        """Subspace on ascending indices ``idx``, with the induced order."""
+        return FiniteSpace(tuple(self.labels[i] for i in idx), self.leq[np.ix_(idx, idx)])
+
+    def minimal_open(self, x: int | str) -> "FiniteSpace":
+        """U_x, the smallest open set containing x: all points below it."""
+        return self._induced(np.flatnonzero(self.below(x)))
+
+    def closure(self, x: int | str) -> "FiniteSpace":
+        """F_x, the closure of {x}: all points above it."""
+        return self._induced(np.flatnonzero(self.above(x)))
+
+    def punctured_open(self, x: int | str) -> "FiniteSpace":
+        """U_x minus x: the points strictly below x."""
+        i = self.index(x)
+        idx = np.flatnonzero(self.leq[:, i])
+        return self._induced(idx[idx != i])
+
+    def punctured_closure(self, x: int | str) -> "FiniteSpace":
+        """F_x minus x: the points strictly above x."""
+        i = self.index(x)
+        idx = np.flatnonzero(self.leq[i, :])
+        return self._induced(idx[idx != i])
 
     def opposite(self) -> "FiniteSpace":
         """The same points with the order reversed (open and closed swap)."""
         return FiniteSpace(self.labels, self.leq.T)
 
-    def subspace(self, members: "ElementSubset | Iterable[int | str]") -> "FiniteSpace":
+    def subspace(self, members: Iterable[int | str]) -> "FiniteSpace":
         """Subspace on the given points, with the induced order.
 
         Point order and labels are inherited from this space.
         """
-        if isinstance(members, ElementSubset):
-            if members.space is not self:
-                raise ValueError("subset belongs to a different space")
-            idx = sorted(members.indices)
-        else:
-            idx = sorted({self.index(m) for m in members})
-        labels = tuple(self.labels[i] for i in idx)
-        return FiniteSpace(labels, self.leq[np.ix_(idx, idx)])
+        return self._induced(sorted({self.index(m) for m in members}))
 
     def delete(self, x: int | str) -> "FiniteSpace":
         """Subspace with one point removed."""
@@ -223,46 +221,6 @@ class FiniteSpace:
         return f"FiniteSpace({self.n} points)"
 
 
-@dataclass(frozen=True)
-class ElementSubset:
-    """A subset of the points of a particular space."""
-
-    space: FiniteSpace
-    indices: frozenset[int]
-
-    def __post_init__(self) -> None:
-        for i in self.indices:
-            if not 0 <= i < self.space.n:
-                raise ValueError(f"index {i} outside the parent space")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.indices))
-
-    def __contains__(self, x: object) -> bool:
-        try:
-            return self.space.index(x) in self.indices  # type: ignore[arg-type]
-        except KeyError:
-            return False
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.space.labels[i] for i in sorted(self.indices))
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.space.n, dtype=bool)
-        m[list(self.indices)] = True
-        return m
-
-    def without(self, x: int | str) -> "ElementSubset":
-        return ElementSubset(self.space, self.indices - {self.space.index(x)})
-
-    def as_space(self) -> FiniteSpace:
-        return self.space.subspace(self)
-
-
 def from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> FiniteSpace:
     """Build a space from cover pairs ``(x, y)`` meaning x < y.
 
@@ -334,12 +292,20 @@ def is_isomorphic(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
     assigned: list[int] = []
     image = [-1] * a.n
     used = [False] * b.n
-
-    def extend(k: int) -> bool:
-        if k == a.n:
-            return True
+    # Iterative backtracking: pos[k] is the next candidate to try for order[k].
+    candidates = [buckets.get(repr(sig_a[i]), ()) for i in order]
+    pos = [0] * a.n
+    k = 0
+    while 0 <= k < a.n:
         i = order[k]
-        for j in buckets.get(repr(sig_a[i]), ()):
+        if image[i] >= 0:
+            used[image[i]] = False
+            image[i] = -1
+            assigned.pop()
+        opts = candidates[k]
+        while pos[k] < len(opts):
+            j = opts[pos[k]]
+            pos[k] += 1
             if used[j]:
                 continue
             ok = True
@@ -353,13 +319,11 @@ def is_isomorphic(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
             image[i] = j
             used[j] = True
             assigned.append(i)
-            if extend(k + 1):
-                return True
-            assigned.pop()
-            used[j] = False
-            image[i] = -1
-        return False
-
-    if not extend(0):
+            k += 1
+            break
+        else:
+            pos[k] = 0
+            k -= 1
+    if k < 0:
         return None
     return {a.labels[i]: b.labels[image[i]] for i in range(a.n)}

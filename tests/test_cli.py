@@ -1,5 +1,8 @@
 """End-to-end runs of the command line interface, in process."""
 
+import inspect
+import sys
+
 import pytest
 
 from finspace.cli import main
@@ -160,6 +163,41 @@ def test_iso_between_relabeled_spaces(capsys, tmp_path):
     c.write_text("elements: p q\n")
     assert main(["iso", str(a), str(c)]) == 1
     assert "not isomorphic" in capsys.readouterr().err
+
+
+def test_iso_deeper_than_the_recursion_limit(capsys, tmp_path):
+    n = 300
+    a = tmp_path / "a.poset"
+    b = tmp_path / "b.poset"
+    a.write_text(f"elements: {' '.join(f'c{i}' for i in range(n))}\n")
+    b.write_text(f"elements: {' '.join(f'd{i}' for i in reversed(range(n)))}\n")
+    k = tmp_path / "k.cplx"
+    k.write_text(f"vertices: {' '.join(f'v{i}' for i in range(n))}\n")
+    old = sys.getrecursionlimit()
+    # A backtracker that recursed once per point would need n more frames.
+    sys.setrecursionlimit(len(inspect.stack(0)) + n // 2)
+    try:
+        assert main(["iso", str(a), str(b)]) == 0
+        space_out = capsys.readouterr().out
+        assert main(["iso", str(k), str(k)]) == 0
+        complex_out = capsys.readouterr().out
+    finally:
+        sys.setrecursionlimit(old)
+    # antichains: point i goes to the first unused candidate, index i of b
+    assert sorted(space_out.splitlines()) == sorted(f"c{i} -> d{n - 1 - i}" for i in range(n))
+    assert sorted(complex_out.splitlines()) == sorted(f"v{i} -> v{i}" for i in range(n))
+
+
+def test_unknown_suffix_exits_three_on_both_routes(capsys, tmp_path):
+    p = tmp_path / "s.txt"
+    p.write_text("elements: a b\ncover: a b\n")
+    assert main(["homology", str(p)]) == 3
+    assert "use .poset or .cplx" in capsys.readouterr().err
+    cert = tmp_path / "c.cert"
+    cert.write_text("# reference\nstart: s.txt\nremove b up-weak\n")
+    assert main(["verify", str(cert)]) == 3
+    err = capsys.readouterr().err
+    assert f"{cert}:2:" in err and "use .poset or .cplx" in err
 
 
 def test_iso_mixed_kinds_is_an_input_error(capsys, tmp_path):

@@ -7,7 +7,6 @@ from finspace.complexes import (
     SimplicialMap,
     SimplicialMove,
     SimplicialMoveCertificate,
-    barycentric_subdivision,
     collapse_sequence_search,
     complex_isomorphic,
     cone,
@@ -16,6 +15,7 @@ from finspace.complexes import (
     is_contiguous,
     verify_simplicial_certificate,
 )
+from finspace.functors import barycentric_subdivision
 
 from util import random_complex
 

@@ -111,7 +111,7 @@ def test_euler_poincare_on_random_complexes():
 
 
 def test_subdivision_preserves_homology():
-    from finspace.complexes import barycentric_subdivision
+    from finspace.functors import barycentric_subdivision
 
     for k in (CIRCLE, SPHERE, RP2):
         a, b = homology(k), homology(barycentric_subdivision(k))

@@ -7,7 +7,7 @@ import string
 
 import numpy as np
 
-from finspace.complexes import SimplicialComplex, from_facets
+from finspace.complexes import SimplicialComplex, dotted_label, from_facets
 from finspace.maps import ContinuousMap
 from finspace.spaces import FiniteSpace
 
@@ -79,3 +79,23 @@ def all_chains_brute(space: FiniteSpace) -> set[frozenset[str]]:
             ):
                 chains.add(frozenset(space.labels[i] for i in combo))
     return chains
+
+
+def barycentric_oracle(k: SimplicialComplex) -> SimplicialComplex:
+    """Independent first barycentric subdivision, built straight from the
+    inclusion relation rather than through the face poset: vertices are the
+    simplices of ``k`` under their dotted names, simplices are the chains."""
+    elems = list(k.simplices)
+    if len({dotted_label(s) for s in elems}) != len(elems):
+        raise ValueError("dotted simplex names collide; rename the vertices")
+    fam: set[frozenset[str]] = set()
+
+    def grow(chain: list[frozenset[str]]) -> None:
+        fam.add(frozenset(dotted_label(s) for s in chain))
+        for s in elems:
+            if len(s) > len(chain[-1]) and chain[-1] < s:
+                grow(chain + [s])
+
+    for s in elems:
+        grow([s])
+    return SimplicialComplex(fam)
