@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success or valid, 1 definite negative, 2 inconclusive
-(budget ran out), 3 malformed input.
+(budget ran out), 3 malformed input or input too large.
 """
 
 from __future__ import annotations
@@ -345,6 +345,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, KeyError) as exc:
         print(exc, file=sys.stderr)
+        return 3
+    except (MemoryError, RecursionError) as exc:
+        print(f"input too large: {type(exc).__name__}", file=sys.stderr)
         return 3
 
 

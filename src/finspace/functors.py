@@ -13,14 +13,15 @@ The two certificate translators live here as well:
 * ``translate_simplicial_collapse`` turns the removal of a free pair into
   exactly two weak point removals on the face poset.
 
-``bridge_space`` and ``cylinder_certificates`` produce the certified
-expand-then-collapse routes through a common bigger space.
+``cylinder_certificates`` produces the certified expand-then-collapse routes
+through the mapping cylinder of a map; ``bridge_space`` is the cylinder of the
+comparison map from the subdivision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -47,7 +48,6 @@ __all__ = [
     "induced_simplicial",
     "induced_continuous",
     "contiguity_fence",
-    "BridgeCertificates",
     "bridge_space",
     "CylinderCertificates",
     "cylinder_certificates",
@@ -113,20 +113,22 @@ def face_poset(k: SimplicialComplex) -> FiniteSpace:
     return FiniteSpace(labels, rel)
 
 
-def _sorted_chains(space: FiniteSpace) -> list[tuple[int, ...]]:
-    """All nonempty chains, by size and then by their sorted labels."""
-    return sorted(
+def _subdivision(
+    space: FiniteSpace, name: Callable[[Sequence[str]], str]
+) -> tuple[FiniteSpace, tuple[int, ...]]:
+    """The nonempty chains ordered by inclusion, and each chain's maximum.
+
+    Chains come by size and then by their sorted labels; ``name`` gets each
+    chain's labels in ascending order.
+    """
+    chains = sorted(
         _chains(space),
         key=lambda c: (len(c), tuple(sorted(space.labels[i] for i in c))),
     )
-
-
-def _subdivision(space: FiniteSpace) -> tuple[FiniteSpace, tuple[int, ...]]:
-    """The subdivision and, for each of its points, the chain's maximum."""
-    chains = _sorted_chains(space)
-    sets = [frozenset(space.labels[i] for i in c) for c in chains]
-    labels = tuple(dotted_label(s) for s in sets)
-    rel = _inclusion_order(sets, labels, "dotted chain names collide; rename the points")
+    labels = tuple(name([space.labels[i] for i in c]) for c in chains)
+    rel = _inclusion_order(
+        [frozenset(c) for c in chains], labels, "chain names collide; rename the points"
+    )
     return FiniteSpace(labels, rel), tuple(c[-1] for c in chains)
 
 
@@ -135,7 +137,7 @@ def space_subdivision(space: FiniteSpace) -> FiniteSpace:
 
     Equals ``face_poset(order_complex(space))`` on the nose.
     """
-    return _subdivision(space)[0]
+    return _subdivision(space, dotted_label)[0]
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
@@ -145,7 +147,7 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
 
 def h_map(space: FiniteSpace) -> ContinuousMap:
     """The comparison map from the subdivision, sending a chain to its maximum."""
-    dom, maxima = _subdivision(space)
+    dom, maxima = _subdivision(space, dotted_label)
     return ContinuousMap(dom, space, maxima)
 
 
@@ -191,62 +193,7 @@ def contiguity_fence(
     return (left, mid, right)
 
 
-# -- the bridge between a space and its subdivision ---------------------------
-
-
-@dataclass(frozen=True)
-class BridgeCertificates:
-    """A common bigger space with certified routes in and out.
-
-    ``expansion`` starts at the original space (R-labelled copy) and adds
-    every chain; ``collapse`` starts at the bridge and deletes the original
-    copy, ending on the subdivision (L-labelled copy).
-    """
-
-    space: FiniteSpace
-    expansion: SpaceMoveCertificate
-    collapse: SpaceMoveCertificate
-
-
-def bridge_space(space: FiniteSpace) -> BridgeCertificates:
-    chains = _sorted_chains(space)
-    chain_sets = [frozenset(c) for c in chains]
-    l_labels = ["L:" + chain_label([space.labels[i] for i in c]) for c in chains]
-    r_labels = ["R:" + l for l in space.labels]
-    labels = tuple(l_labels + r_labels)
-
-    nc, n = len(chains), space.n
-    rel = np.zeros((nc + n, nc + n), dtype=bool)
-    rel[:nc, :nc] = _inclusion_order(
-        chain_sets, l_labels, "chain names collide; rename the points"
-    )
-    for i, c in enumerate(chains):
-        rel[i, nc:] = space.leq[c[-1], :]
-    rel[nc:, nc:] = space.leq
-    bridge = FiniteSpace(labels, rel)
-
-    start = FiniteSpace(tuple(r_labels), space.leq.copy())
-    ext = bridge.subspace(range(nc)).linear_extension()
-    adds = []
-    for k in ext:
-        down = tuple(
-            sorted(l_labels[j] for j in range(nc) if chain_sets[j] < chain_sets[k])
-        )
-        up = tuple(
-            sorted(r_labels[x] for x in range(n) if space.leq[chains[k][-1], x])
-        )
-        adds.append(SpaceMove("add", l_labels[k], "up-weak", down=down, up=up))
-    expansion = SpaceMoveCertificate(start, tuple(adds))
-
-    removals = tuple(
-        SpaceMove("remove", r_labels[x], "down-weak")
-        for x in space.linear_extension()
-    )
-    collapse = SpaceMoveCertificate(bridge, removals)
-    return BridgeCertificates(bridge, expansion, collapse)
-
-
-# -- the mapping cylinder ------------------------------------------------------
+# -- the mapping cylinder and the bridge ---------------------------------------
 
 
 @dataclass(frozen=True)
@@ -265,7 +212,12 @@ class CylinderCertificates:
     refused_at: str | None
 
 
-def cylinder_certificates(f: ContinuousMap) -> CylinderCertificates:
+def _cylinder_routes(
+    f: ContinuousMap,
+) -> tuple[FiniteSpace, SpaceMoveCertificate, tuple[SpaceMove, ...]]:
+    """The cylinder, the expansion from its R-copy, and the removals of the
+    R-copy in ``cod.linear_extension()`` order, which replay exactly when f
+    is distinguished."""
     cyl = mapping_cylinder(f)
     dom, cod = f.dom, f.cod
     start = FiniteSpace(tuple("R:" + l for l in cod.labels), cod.leq.copy())
@@ -282,23 +234,32 @@ def cylinder_certificates(f: ContinuousMap) -> CylinderCertificates:
             )
         )
         adds.append(SpaceMove("add", "L:" + dom.labels[i], "up-weak", down=down, up=up))
-    expansion = SpaceMoveCertificate(start, tuple(adds))
+    removals = tuple(
+        SpaceMove("remove", "R:" + cod.labels[y], "down-weak")
+        for y in cod.linear_extension()
+    )
+    return cyl, SpaceMoveCertificate(start, tuple(adds)), removals
 
-    report = is_distinguished(f)
-    verdict = dict(report.per_point)
-    refused_at = None
-    collapse = None
-    order = cod.linear_extension()
-    for y in order:
-        if not verdict[cod.labels[y]]:
-            refused_at = cod.labels[y]
-            break
-    if refused_at is None:
-        removals = tuple(
-            SpaceMove("remove", "R:" + cod.labels[y], "down-weak") for y in order
-        )
-        collapse = SpaceMoveCertificate(cyl, removals)
+
+def cylinder_certificates(f: ContinuousMap) -> CylinderCertificates:
+    cyl, expansion, removals = _cylinder_routes(f)
+    verdict = dict(is_distinguished(f).per_point)
+    order = (f.cod.labels[y] for y in f.cod.linear_extension())
+    refused_at = next((y for y in order if not verdict[y]), None)
+    collapse = SpaceMoveCertificate(cyl, removals) if refused_at is None else None
     return CylinderCertificates(cyl, expansion, collapse, refused_at)
+
+
+def bridge_space(space: FiniteSpace) -> CylinderCertificates:
+    """The bridge B(X), the mapping cylinder of h, with chains named ``a<b<c``.
+
+    ``expansion`` starts at the space (R-copy) and adds every chain;
+    ``collapse`` starts at the bridge and deletes the R-copy, ending on the
+    subdivision (L-copy).  h is distinguished, so the collapse always exists.
+    """
+    dom, maxima = _subdivision(space, chain_label)
+    cyl, expansion, removals = _cylinder_routes(ContinuousMap(dom, space, maxima))
+    return CylinderCertificates(cyl, expansion, SpaceMoveCertificate(cyl, removals), None)
 
 
 # -- weak point removal as a simplicial collapse --------------------------------
@@ -313,13 +274,13 @@ def expand_cone_pairs(
     apex.  Faces are sorted by size; the run is simulated so an impossible
     family fails here rather than at replay time.
     """
-    return SimplicialMoveCertificate(base, _cone_pair_moves(base, faces, apex))
+    return SimplicialMoveCertificate(base, _cone_pair_moves(set(base._set), faces, apex))
 
 
 def _cone_pair_moves(
-    base: SimplicialComplex, faces: Iterable[Sequence[str]], apex: str
+    fam: set[frozenset[str]], faces: Iterable[Iterable[str]], apex: str
 ) -> tuple[SimplicialMove, ...]:
-    fam = {frozenset(s) for s in base.simplices}
+    """The moves adding each (S, S + apex); ``fam`` grows by the added simplices."""
     pairs = []
     seen = set()
     for s in faces:
@@ -386,26 +347,14 @@ def translate_space_collapse(space: FiniteSpace, x: str) -> SimplicialMoveCertif
     (survivor,) = rest.labels
     cl = set(work.closure(x).labels)
 
-    def grown(k: SimplicialComplex, stage: Sequence[SimplicialMove]) -> SimplicialComplex:
-        return SimplicialComplex(
-            list(k.simplices)
-            + [list(m.face) for m in stage]
-            + [list(m.face) + [m.apex] for m in stage]
-        )
-
-    current = start
-    moves: list[SimplicialMove] = []
+    fam = set(start._set)
     first = _chains_through(work, cl, need=[x], avoid=[])
-    stage = _cone_pair_moves(current, [sorted(s) for s in first], survivor)
-    moves.extend(stage)
-    current = grown(current, stage)
+    moves = list(_cone_pair_moves(fam, first, survivor))
     kept = {survivor}
     for move, w in reversed(removed):
         kept.add(move.label)
         faces = _chains_through(work, cl | kept, need=[x, move.label], avoid=[w])
-        stage = _cone_pair_moves(current, [sorted(s) for s in faces], w)
-        moves.extend(stage)
-        current = grown(current, stage)
+        moves.extend(_cone_pair_moves(fam, faces, w))
     return SimplicialMoveCertificate(start, tuple(moves))
 
 

@@ -250,26 +250,20 @@ def is_op_distinguished(f: ContinuousMap) -> DistinguishedReport:
 # -- non-Hausdorff mapping cylinder ----------------------------------------------
 
 
-def cylinder_labels(f: ContinuousMap) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    left = tuple("L:" + l for l in f.dom.labels)
-    right = tuple("R:" + l for l in f.cod.labels)
-    return left, right
-
-
 def mapping_cylinder(f: ContinuousMap) -> FiniteSpace:
     """The space on dom + cod where x <= y exactly when f(x) <= y.
 
     Domain points keep their order and sit below the codomain copy; both
     copies embed as subspaces (labels get L:/R: prefixes).
     """
-    left, right = cylinder_labels(f)
     n, m = f.dom.n, f.cod.n
     rel = np.zeros((n + m, n + m), dtype=bool)
     rel[:n, :n] = f.dom.leq
     rel[n:, n:] = f.cod.leq
     img = np.array(f.images, dtype=int)
     rel[:n, n:] = f.cod.leq[img, :]
-    return FiniteSpace(left + right, rel)
+    labels = tuple("L:" + l for l in f.dom.labels) + tuple("R:" + l for l in f.cod.labels)
+    return FiniteSpace(labels, rel)
 
 
 # -- membership evidence -----------------------------------------------------------

@@ -213,7 +213,7 @@ def test_criterion_05_bridge_exhaustive():
     for x in reps:
         bundle = bridge_space(x)
         up = verify_space_certificate(bundle.expansion)
-        assert up.ok and up.final == bundle.space
+        assert up.ok and up.final == bundle.cylinder
         down = verify_space_certificate(bundle.collapse)
         assert down.ok
         sub = space_subdivision(x)

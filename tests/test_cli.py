@@ -86,6 +86,18 @@ def test_malformed_input_exits_three(capsys, tmp_path):
     assert main(["core", str(p)]) == 3
 
 
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_exhaustion_exits_three(capsys, monkeypatch, error):
+    def blow_up(space):
+        raise error()
+
+    monkeypatch.setattr("finspace.cli.order_complex", blow_up)
+    assert main(["k", "example:vee"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("input too large")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_three():
     with pytest.raises(SystemExit) as e:
         main(["collapse"])  # missing positional

@@ -98,7 +98,7 @@ def test_bridge_certificates_replay():
         x = random_poset(rng, rng.randint(1, 4))
         bundle = bridge_space(x)
         up = verify_space_certificate(bundle.expansion)
-        assert up.ok and up.final == bundle.space
+        assert up.ok and up.final == bundle.cylinder
         down_res = verify_space_certificate(bundle.collapse)
         assert down_res.ok
         down = down_res.final
@@ -109,8 +109,14 @@ def test_bridge_certificates_replay():
 
 def test_bridge_rejects_ambiguous_labels():
     x = from_covers(["a", "b", "a<b"], [("a", "b")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^chain names collide; rename the points$"):
         bridge_space(x)
+
+
+def test_subdivision_rejects_ambiguous_labels():
+    x = from_covers(["a", "b", "a.b"], [("a", "b")])
+    with pytest.raises(ValueError, match="^chain names collide; rename the points$"):
+        space_subdivision(x)
 
 
 def test_cylinder_collapse_exists_iff_distinguished():
