@@ -35,8 +35,8 @@ from .complexes import (
     is_contiguous,
 )
 from .maps import ContinuousMap, is_distinguished, mapping_cylinder
-from .moves import SpaceMove, SpaceMoveCertificate, _strip_beats, is_weak_point
-from .spaces import FiniteSpace
+from .moves import SpaceMove, SpaceMoveCertificate, _strip_in, is_weak_point
+from .spaces import FiniteSpace, _members
 
 __all__ = [
     "order_complex",
@@ -57,10 +57,24 @@ __all__ = [
 ]
 
 
+MAX_CHAINS = 200_000
+
+
 def _chains(space: FiniteSpace) -> list[tuple[int, ...]]:
-    """All nonempty chains as index tuples, ascending in the order."""
-    lt = space.lt()
-    above = [np.flatnonzero(lt[i]).tolist() for i in range(space.n)]
+    """All nonempty chains as index tuples, ascending in the order.
+
+    The chains are counted first, and more than ``MAX_CHAINS`` of them is
+    refused with a ValueError rather than enumerated.
+    """
+    above = [list(_members(m)) for m in space.masks()[1]]
+    # starting[i]: chains whose least point is i.  A point strictly above i
+    # has a smaller up-set, so ascending up-set size visits it first.
+    starting = [0] * space.n
+    for i in sorted(range(space.n), key=lambda i: len(above[i])):
+        starting[i] = 1 + sum(starting[j] for j in above[i])
+    total = sum(starting)
+    if total > MAX_CHAINS:
+        raise ValueError(f"too many chains: {total} exceed the limit of {MAX_CHAINS}")
     out: list[tuple[int, ...]] = []
     chain: list[int] = []
 
@@ -342,19 +356,20 @@ def translate_space_collapse(space: FiniteSpace, x: str) -> SimplicialMoveCertif
     start = order_complex(space.delete(x))
     # x is weak, so its punctured open set is contractible: stripping beat
     # points in any order leaves a single survivor.
-    punctured = work.punctured_open(x)
-    rest, removed = _strip_beats(punctured, punctured.labels, floor=1)
-    (survivor,) = rest.labels
+    punctured = work.masks()[0][work.index(x)]
+    rest, removed = _strip_in(work, punctured, list(_members(punctured)), floor=1)
+    labels = work.labels
+    survivor = labels[rest.bit_length() - 1]
     cl = set(work.closure(x).labels)
 
     fam = set(start._set)
     first = _chains_through(work, cl, need=[x], avoid=[])
     moves = list(_cone_pair_moves(fam, first, survivor))
     kept = {survivor}
-    for move, w in reversed(removed):
-        kept.add(move.label)
-        faces = _chains_through(work, cl | kept, need=[x, move.label], avoid=[w])
-        moves.extend(_cone_pair_moves(fam, faces, w))
+    for p, _, w in reversed(removed):
+        kept.add(labels[p])
+        faces = _chains_through(work, cl | kept, need=[x, labels[p]], avoid=[labels[w]])
+        moves.extend(_cone_pair_moves(fam, faces, labels[w]))
     return SimplicialMoveCertificate(start, tuple(moves))
 
 

@@ -11,12 +11,13 @@ each move against the definitions from scratch.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .spaces import FiniteSpace, is_isomorphic
+from .spaces import FiniteSpace, _members, is_isomorphic
 
 if TYPE_CHECKING:
     from .complexes import SimplicialComplex, SimplicialMoveCertificate
@@ -136,13 +137,72 @@ def is_down_beat(space: FiniteSpace, x: int | str) -> str | None:
     return None
 
 
+def _beat_in(down: Sequence[int], up: Sequence[int], alive: int, i: int) -> tuple | None:
+    """The beat side of point i within the ``alive`` points, with the index of
+    its witness, testing down before up.
+
+    Climbs from any member of the strict down-set to a maximal one, which is
+    the maximum iff the whole set lies below it; dually for the up-set.
+    """
+    for side, toward, away in (("beat-down", up, down), ("beat-up", down, up)):
+        rest = away[i] & alive
+        if not rest:
+            continue
+        m = rest.bit_length() - 1
+        while further := toward[m] & rest:
+            m = further.bit_length() - 1
+        if not rest & ~away[m] & ~(1 << m):
+            return side, m
+    return None
+
+
+def _strip_in(
+    space: FiniteSpace, alive: int, priority: Sequence[int], floor: int = 0
+) -> tuple[int, list[tuple[int, str, int]]]:
+    """Remove the first beat point in ``priority``, which lists the ``alive``
+    points in order of preference, until none is left or ``floor`` remain.
+
+    Returns the surviving mask and each removal as (point, side, witness).
+    Removing x changes the strict down-set or up-set only of the points
+    comparable to x, so only those are tested again.
+    """
+    down, up = space.masks()
+    rank = {i: r for r, i in enumerate(priority)}
+    beats: dict[int, tuple[str, int]] = {}
+    queue: list[tuple[int, int]] = []  # (rank, point), stale once not in beats
+
+    def test(j: int) -> None:
+        beat = _beat_in(down, up, alive, j)
+        if beat is None:
+            beats.pop(j, None)
+        else:
+            if j not in beats:
+                heapq.heappush(queue, (rank[j], j))
+            beats[j] = beat
+
+    for i in priority:
+        test(i)
+    removed: list[tuple[int, str, int]] = []
+    while alive.bit_count() > floor and queue:
+        x = heapq.heappop(queue)[1]
+        if x in beats:
+            removed.append((x, *beats.pop(x)))
+            alive &= ~(1 << x)
+            for j in _members((down[x] | up[x]) & alive):
+                test(j)
+    return alive, removed
+
+
+def _contractible_in(space: FiniteSpace, alive: int) -> bool:
+    """True iff the subspace on the ``alive`` points has a one-point core."""
+    return _strip_in(space, alive, list(_members(alive)), floor=1)[0].bit_count() == 1
+
+
 def _beat_side(space: FiniteSpace, i: int | str) -> tuple[str, str] | None:
     """The beat side of point i with its witness, testing down before up."""
-    for side, test in (("beat-down", is_down_beat), ("beat-up", is_up_beat)):
-        witness = test(space, i)
-        if witness is not None:
-            return side, witness
-    return None
+    down, up = space.masks()
+    beat = _beat_in(down, up, (1 << space.n) - 1, space.index(i))
+    return None if beat is None else (beat[0], space.labels[beat[1]])
 
 
 def beat_points(space: FiniteSpace) -> list[str]:
@@ -158,19 +218,11 @@ def _strip_beats(
 ) -> tuple[FiniteSpace, list[tuple[SpaceMove, str]]]:
     """Remove the first beat point in ``priority`` until none is left or the
     space is down to ``floor`` points; returns each removal with its witness."""
-    current = space
-    removed: list[tuple[SpaceMove, str]] = []
-    while current.n > floor:
-        for lab in priority:
-            if lab in current._index:
-                beat = _beat_side(current, lab)
-                if beat is not None:
-                    break
-        else:
-            break
-        removed.append((SpaceMove("remove", lab, beat[0]), beat[1]))
-        current = current.delete(lab)
-    return current, removed
+    labels = space.labels
+    order = [space.index(l) for l in priority]
+    alive, removed = _strip_in(space, (1 << space.n) - 1, order, floor)
+    rest = space if not removed else space.subspace(_members(alive))
+    return rest, [(SpaceMove("remove", labels[x], side), labels[w]) for x, side, w in removed]
 
 
 def core(
@@ -194,9 +246,7 @@ def core(
 
 def is_contractible(space: FiniteSpace) -> bool:
     """True iff the core is a single point.  Exact, never a homology proxy."""
-    if space.n == 0:
-        return False
-    return core(space)[0].n == 1
+    return _contractible_in(space, (1 << space.n) - 1)
 
 
 # -- weak points -----------------------------------------------------------
@@ -208,10 +258,10 @@ def is_weak_point(space: FiniteSpace, x: int | str) -> str | None:
     Down-weak means the punctured minimal open set is contractible; up-weak
     is the dual condition on the punctured closure.
     """
-    down = space.punctured_open(x)
-    up = space.punctured_closure(x)
-    d = down.n > 0 and is_contractible(down)
-    u = up.n > 0 and is_contractible(up)
+    i = space.index(x)
+    down, up = space.masks()
+    d = _contractible_in(space, down[i])
+    u = _contractible_in(space, up[i])
     if d and u:
         return "both"
     if d:
@@ -296,8 +346,22 @@ def add_weak_point(
 # -- certificate replay ------------------------------------------------------
 
 
+def _literally_contractible(space: FiniteSpace) -> bool:
+    """Delete a beat point, found by the definitions, until none is left;
+    contractible iff one point remains."""
+    while True:
+        for i in range(space.n):
+            if is_down_beat(space, i) is not None or is_up_beat(space, i) is not None:
+                space = space.delete(i)
+                break
+        else:
+            return space.n == 1
+
+
 def _check_side(space: FiniteSpace, label: str, side: str) -> str | None:
-    """Recheck a declared side from the definitions; None means it holds."""
+    """Recheck a declared side from the definitions; None means it holds.
+
+    Shares no code with the bitmask kernel that produced the move."""
     i = space.index(label)
     if side == "beat-down":
         if is_down_beat(space, i) is None:
@@ -308,10 +372,10 @@ def _check_side(space: FiniteSpace, label: str, side: str) -> str | None:
             return "strict up-set has no minimum"
         return None
     if side == "down-weak":
-        if not is_contractible(space.punctured_open(i)):
+        if not _literally_contractible(space.punctured_open(i)):
             return "punctured minimal open set is not contractible"
         return None
-    if not is_contractible(space.punctured_closure(i)):
+    if not _literally_contractible(space.punctured_closure(i)):
         return "punctured closure is not contractible"
     return None
 

@@ -3,12 +3,14 @@
 A finite T0 space is stored as its specialization order: a reflexive,
 antisymmetric, transitive boolean matrix ``leq`` where ``leq[i, j]`` means
 point i lies in every open set containing point j (i below j).  Minimal open
-sets, closures and Hasse diagrams are all read off this matrix.
+sets, closures and Hasse diagrams are all read off this matrix.  Each space
+also caches its strict down-sets and up-sets as per-point int bitmasks
+(``masks``), which the beat, core and isomorphism kernels work on.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +40,21 @@ def _transitive_closure(rel: np.ndarray) -> np.ndarray:
         closed = step
 
 
+def _row_masks(rel: np.ndarray) -> tuple[int, ...]:
+    """Each row of a boolean matrix as an int whose bit j is column j."""
+    packed = np.packbits(rel, axis=1, bitorder="little")
+    raw, w = packed.tobytes(), packed.shape[1]
+    return tuple(int.from_bytes(raw[k * w : k * w + w], "little") for k in range(len(rel)))
+
+
+def _members(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class FiniteSpace:
     """A finite T0 topological space (equivalently, a finite poset).
 
@@ -52,7 +69,7 @@ class FiniteSpace:
         frozen.
     """
 
-    __slots__ = ("labels", "leq", "_index")
+    __slots__ = ("labels", "leq", "_index", "_masks")
 
     def __init__(self, labels: Sequence[str], leq: np.ndarray):
         labels = tuple(_check_label(l) for l in labels)
@@ -74,6 +91,7 @@ class FiniteSpace:
         self.labels = labels
         self.leq = leq
         self._index = {lab: i for i, lab in enumerate(labels)}
+        self._masks: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -97,6 +115,14 @@ class FiniteSpace:
         strict = self.leq & ~np.eye(self.n, dtype=bool)
         strict.setflags(write=False)
         return strict
+
+    def masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per-point int bitmasks ``(down, up)``: bit j of ``down[i]`` is set
+        iff j < i, and bit j of ``up[i]`` iff i < j.  Computed once."""
+        if self._masks is None:
+            strict = self.lt()
+            self._masks = (_row_masks(strict.T), _row_masks(strict))
+        return self._masks
 
     def below(self, x: int | str) -> np.ndarray:
         """Boolean mask of points <= x (the minimal open set of x)."""
@@ -250,20 +276,28 @@ def from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> Fin
     return FiniteSpace(labels, closed)
 
 
-def _refine_signatures(space: FiniteSpace, rounds: int = 2) -> list:
-    """Iterated neighborhood refinement on top of the base signatures."""
-    strict = space.lt()
-    sig: list = list(space.signatures())
+def _refined_colours(a: FiniteSpace, b: FiniteSpace, rounds: int = 2) -> tuple[list, list]:
+    """Iterated neighbourhood refinement of the base signatures of both spaces.
+
+    Each round gives every point the colour of (its colour, the sorted
+    colours strictly above it, the sorted colours strictly below it), taken
+    from one table shared by both spaces, so equal colours mean equal
+    refined signatures.
+    """
+    table: dict = {}
+    cols = [[table.setdefault(sig, len(table)) for sig in s.signatures()] for s in (a, b)]
     for _ in range(rounds):
-        sig = [
-            (
-                sig[i],
-                tuple(sorted(sig[j] for j in np.flatnonzero(strict[i, :]))),
-                tuple(sorted(sig[j] for j in np.flatnonzero(strict[:, i]))),
-            )
-            for i in range(space.n)
-        ]
-    return sig
+        table = {}
+        for k, s in enumerate((a, b)):
+            c, (down, up) = cols[k], s.masks()
+            cols[k] = [
+                table.setdefault(
+                    (c[i], *(tuple(sorted(c[j] for j in _members(m[i]))) for m in (up, down))),
+                    len(table),
+                )
+                for i in range(s.n)
+            ]
+    return cols[0], cols[1]
 
 
 def is_isomorphic(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
@@ -276,49 +310,56 @@ def is_isomorphic(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
     """
     if a.n != b.n:
         return None
-    if sorted(a.signatures()) != sorted(b.signatures()):
-        return None
-    sig_a = _refine_signatures(a)
-    sig_b = _refine_signatures(b)
-    if sorted(map(repr, sig_a)) != sorted(map(repr, sig_b)):
+    col_a, col_b = _refined_colours(a, b)
+    if sorted(col_a) != sorted(col_b):
         return None
 
-    buckets: dict[str, list[int]] = {}
+    buckets: dict[int, list[int]] = {}
     for j in range(b.n):
-        buckets.setdefault(repr(sig_b[j]), []).append(j)
-    rarity = {key: len(v) for key, v in buckets.items()}
-    order = sorted(range(a.n), key=lambda i: (rarity[repr(sig_a[i])], i))
+        buckets.setdefault(col_b[j], []).append(j)
+    order = sorted(range(a.n), key=lambda i: (len(buckets[col_a[i]]), i))
 
-    assigned: list[int] = []
+    # Relations to the points already placed, as bitmasks over search depth:
+    # bit d of rel_a[0][i] is set iff order[d] < i in a, of rel_a[1][i] iff
+    # i < order[d]; rel_b holds the same for the images placed so far in b.
+    depth = {i: d for d, i in enumerate(order)}
+    rel_a = tuple(
+        [sum(1 << depth[j] for j in _members(m[i])) for i in range(a.n)] for m in a.masks()
+    )
+    down_b, up_b = b.masks()
+    rel_b = ([0] * b.n, [0] * b.n)
+
+    def mark(j: int, bit: int) -> None:
+        # toggle ``bit`` on the points of b above and below j
+        for lo in _members(down_b[j]):
+            rel_b[1][lo] ^= bit
+        for hi in _members(up_b[j]):
+            rel_b[0][hi] ^= bit
+
     image = [-1] * a.n
     used = [False] * b.n
     # Iterative backtracking: pos[k] is the next candidate to try for order[k].
-    candidates = [buckets.get(repr(sig_a[i]), ()) for i in order]
+    candidates = [buckets[col_a[i]] for i in order]
     pos = [0] * a.n
     k = 0
     while 0 <= k < a.n:
         i = order[k]
         if image[i] >= 0:
             used[image[i]] = False
+            mark(image[i], 1 << k)
             image[i] = -1
-            assigned.pop()
+        placed = (1 << k) - 1
+        want_down = rel_a[0][i] & placed
+        want_up = rel_a[1][i] & placed
         opts = candidates[k]
         while pos[k] < len(opts):
             j = opts[pos[k]]
             pos[k] += 1
-            if used[j]:
-                continue
-            ok = True
-            for i2 in assigned:
-                j2 = image[i2]
-                if a.leq[i, i2] != b.leq[j, j2] or a.leq[i2, i] != b.leq[j2, j]:
-                    ok = False
-                    break
-            if not ok:
+            if used[j] or rel_b[0][j] ^ want_down or rel_b[1][j] ^ want_up:
                 continue
             image[i] = j
             used[j] = True
-            assigned.append(i)
+            mark(j, 1 << k)
             k += 1
             break
         else:

@@ -1,11 +1,16 @@
 """End-to-end runs of the command line interface, in process."""
 
 import inspect
+import random
 import sys
+import time
 
 import pytest
 
 from finspace.cli import main
+from finspace.fileio import format_space
+
+from util import random_poset
 
 WALLET_POSET = """elements: t1 t2 x t4 m1 m2 m3 m4 c1 c2 c3
 cover: m1 t1
@@ -96,6 +101,18 @@ def test_resource_exhaustion_exits_three(capsys, monkeypatch, error):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("input too large")
     assert "Traceback" not in err
+
+
+def test_order_complex_with_too_many_chains_exits_three(capsys, tmp_path):
+    # about 4.4e7 chains: counted and refused, never enumerated
+    p = tmp_path / "big.poset"
+    p.write_text(format_space(random_poset(random.Random(1), 200, 0.05)))
+    start = time.process_time()
+    assert main(["k", str(p)]) == 3
+    assert time.process_time() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("too many chains: ")
 
 
 def test_usage_error_exits_three():

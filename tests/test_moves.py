@@ -1,9 +1,12 @@
 """Beat points, weak points, cores and space-level certificates."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from finspace import moves
+from finspace.functors import bridge_space
 from finspace.moves import (
     SpaceMove,
     SpaceMoveCertificate,
@@ -20,7 +23,7 @@ from finspace.moves import (
     verify_space_certificate,
     weak_points,
 )
-from finspace.spaces import from_covers, is_isomorphic
+from finspace.spaces import FiniteSpace, from_covers, is_isomorphic
 
 from util import random_poset
 
@@ -192,3 +195,44 @@ def test_move_constructor_validation():
         SpaceMove("remove", "a", "diagonal")
     with pytest.raises(ValueError):
         SpaceMove("add", "a", "up-weak")  # missing attach data
+
+
+def test_verifier_does_not_use_the_bitmask_kernel(monkeypatch):
+    collapse = collapse_search(WALLET).certificate
+    expansion = bridge_space(SD3).expansion
+    assert any(m.direction == "add" for m in expansion.moves)
+    first = collapse.moves[0]
+    assert (first.label, first.side) == ("t2", "down-weak")
+    mutated = replace(collapse, moves=(replace(first, label="m1"),) + collapse.moves[1:])
+
+    def no_masks(self):
+        raise AssertionError("the verifier reached the bitmask kernel")
+
+    monkeypatch.setattr(FiniteSpace, "masks", no_masks)
+    assert verify_space_certificate(collapse).final.n == 1
+    assert verify_space_certificate(expansion).ok
+    res = verify_space_certificate(mutated)
+    assert (res.ok, res.step) == (False, 0)
+    assert res.reason == "'m1' is not down-weak: punctured minimal open set is not contractible"
+
+
+def test_core_retests_only_points_comparable_to_each_removal(monkeypatch):
+    space = random_poset(random.Random(1), 200, 0.05)
+    calls = 0
+    beat_in = moves._beat_in
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return beat_in(*args)
+
+    monkeypatch.setattr(moves, "_beat_in", counted)
+    smaller, cert = core(space)
+    alive = set(range(space.n))
+    bound = space.n
+    for move in cert.moves:
+        x = space.index(move.label)
+        alive.discard(x)
+        bound += sum(1 for j in alive if space.leq[x, j] or space.leq[j, x])
+    assert smaller.n < space.n
+    assert space.n <= calls <= bound

@@ -1,4 +1,11 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators and independent oracles shared across the test
+modules.
+
+The oracles are the earlier numpy implementations of the beat, core,
+weak-point and isomorphism routines: each builds a fresh ``FiniteSpace`` per
+removal or punctured set and compares refined signatures as nested tuples.
+The bitmask kernels in ``finspace`` must agree with them exactly.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +16,7 @@ import numpy as np
 
 from finspace.complexes import SimplicialComplex, dotted_label, from_facets
 from finspace.maps import ContinuousMap
+from finspace.moves import SpaceMove, is_down_beat, is_up_beat
 from finspace.spaces import FiniteSpace
 
 
@@ -99,3 +107,108 @@ def barycentric_oracle(k: SimplicialComplex) -> SimplicialComplex:
     for s in elems:
         grow([s])
     return SimplicialComplex(fam)
+
+
+def beat_side_oracle(space: FiniteSpace, i: int | str) -> tuple[str, str] | None:
+    """The beat side of point i with its witness, testing down before up."""
+    for side, test in (("beat-down", is_down_beat), ("beat-up", is_up_beat)):
+        witness = test(space, i)
+        if witness is not None:
+            return side, witness
+    return None
+
+
+def strip_beats_oracle(
+    space: FiniteSpace, priority, floor: int = 0
+) -> tuple[FiniteSpace, list[tuple[SpaceMove, str]]]:
+    """Rescan ``priority`` for the first beat point and delete it, until none
+    is left or the space is down to ``floor`` points."""
+    current = space
+    removed: list[tuple[SpaceMove, str]] = []
+    while current.n > floor:
+        for lab in priority:
+            if lab in current._index:
+                beat = beat_side_oracle(current, lab)
+                if beat is not None:
+                    break
+        else:
+            break
+        removed.append((SpaceMove("remove", lab, beat[0]), beat[1]))
+        current = current.delete(lab)
+    return current, removed
+
+
+def contractible_oracle(space: FiniteSpace) -> bool:
+    return space.n > 0 and strip_beats_oracle(space, space.labels)[0].n == 1
+
+
+def weak_point_oracle(space: FiniteSpace, x: int | str) -> str | None:
+    """'down-weak', 'up-weak', 'both' or None, from the punctured subspaces."""
+    d = contractible_oracle(space.punctured_open(x))
+    u = contractible_oracle(space.punctured_closure(x))
+    if d and u:
+        return "both"
+    if d:
+        return "down-weak"
+    if u:
+        return "up-weak"
+    return None
+
+
+def refine_signatures_oracle(space: FiniteSpace, rounds: int = 2) -> list:
+    """Iterated neighborhood refinement on top of the base signatures."""
+    strict = space.lt()
+    sig: list = list(space.signatures())
+    for _ in range(rounds):
+        sig = [
+            (
+                sig[i],
+                tuple(sorted(sig[j] for j in np.flatnonzero(strict[i, :]))),
+                tuple(sorted(sig[j] for j in np.flatnonzero(strict[:, i]))),
+            )
+            for i in range(space.n)
+        ]
+    return sig
+
+
+def isomorphic_oracle(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
+    """Backtracking over points ordered by refined-signature rarity, with
+    candidates in ascending index order and pairwise relation checks."""
+    if a.n != b.n:
+        return None
+    if sorted(a.signatures()) != sorted(b.signatures()):
+        return None
+    sig_a = refine_signatures_oracle(a)
+    sig_b = refine_signatures_oracle(b)
+    if sorted(map(repr, sig_a)) != sorted(map(repr, sig_b)):
+        return None
+
+    buckets: dict[str, list[int]] = {}
+    for j in range(b.n):
+        buckets.setdefault(repr(sig_b[j]), []).append(j)
+    order = sorted(range(a.n), key=lambda i: (len(buckets[repr(sig_a[i])]), i))
+
+    image = [-1] * a.n
+    used = [False] * b.n
+
+    def extend(k: int) -> bool:
+        if k == a.n:
+            return True
+        i = order[k]
+        for j in buckets[repr(sig_a[i])]:
+            if used[j]:
+                continue
+            if any(
+                a.leq[i, i2] != b.leq[j, image[i2]] or a.leq[i2, i] != b.leq[image[i2], j]
+                for i2 in order[:k]
+            ):
+                continue
+            image[i], used[j] = j, True
+            if extend(k + 1):
+                return True
+            image[i], used[j] = -1, False
+        return False
+
+    if not extend(0):
+        return None
+    return {a.labels[i]: b.labels[image[i]] for i in range(a.n)}
