@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .complexes import (
     SimplicialComplex,
     SimplicialMap,
@@ -36,7 +34,7 @@ from .complexes import (
 )
 from .maps import ContinuousMap, is_distinguished, mapping_cylinder
 from .moves import SpaceMove, SpaceMoveCertificate, _strip_in, is_weak_point
-from .spaces import FiniteSpace, _members
+from .spaces import FiniteSpace, _members, _trusted, _up_sets
 
 __all__ = [
     "order_complex",
@@ -98,20 +96,26 @@ def order_complex(space: FiniteSpace) -> SimplicialComplex:
     )
 
 
-def _inclusion_order(
-    sets: Sequence[frozenset], labels: Sequence[str], clash: str
-) -> np.ndarray:
-    """The matrix of s <= t over ``sets``, named by distinct ``labels``;
-    ``clash`` is the error raised when two labels coincide."""
+def _inclusion_poset(
+    sets: Sequence[frozenset], labels: tuple[str, ...], clash: str
+) -> FiniteSpace:
+    """``sets`` ordered by inclusion, named by distinct ``labels``; ``clash``
+    is the error raised when two labels coincide.
+
+    ``sets`` come in order of size and hold every nonempty one-smaller
+    subset of each member, so the sets below s are its one-smaller subsets
+    and the sets below those.
+    """
     if len(set(labels)) != len(labels):
         raise ValueError(clash)
-    n = len(sets)
-    rel = np.zeros((n, n), dtype=bool)
+    where = {s: i for i, s in enumerate(sets)}
+    down = [0] * len(sets)
     for i, s in enumerate(sets):
-        for j, t in enumerate(sets):
-            if len(s) <= len(t) and s <= t:
-                rel[i, j] = True
-    return rel
+        if len(s) > 1:
+            for v in s:
+                j = where[s - {v}]
+                down[i] |= down[j] | 1 << j
+    return _trusted(labels, down, _up_sets(down))
 
 
 def face_poset(k: SimplicialComplex) -> FiniteSpace:
@@ -121,10 +125,9 @@ def face_poset(k: SimplicialComplex) -> FiniteSpace:
     what makes the subdivision identities literal equalities.
     """
     labels = tuple(dotted_label(s) for s in k.simplices)
-    rel = _inclusion_order(
+    return _inclusion_poset(
         k.simplices, labels, "dotted simplex names collide; rename the vertices"
     )
-    return FiniteSpace(labels, rel)
 
 
 def _subdivision(
@@ -140,10 +143,10 @@ def _subdivision(
         key=lambda c: (len(c), tuple(sorted(space.labels[i] for i in c))),
     )
     labels = tuple(name([space.labels[i] for i in c]) for c in chains)
-    rel = _inclusion_order(
+    sub = _inclusion_poset(
         [frozenset(c) for c in chains], labels, "chain names collide; rename the points"
     )
-    return FiniteSpace(labels, rel), tuple(c[-1] for c in chains)
+    return sub, tuple(c[-1] for c in chains)
 
 
 def space_subdivision(space: FiniteSpace) -> FiniteSpace:
@@ -234,19 +237,13 @@ def _cylinder_routes(
     is distinguished."""
     cyl = mapping_cylinder(f)
     dom, cod = f.dom, f.cod
-    start = FiniteSpace(tuple("R:" + l for l in cod.labels), cod.leq.copy())
-    lt_dom = dom.lt()
+    start = FiniteSpace.from_masks(tuple("R:" + l for l in cod.labels), cod.masks()[0])
+    dom_down, cod_up = dom.masks()[0], cod.masks()[1]
     adds = []
     for i in dom.linear_extension():
-        down = tuple(
-            sorted("L:" + dom.labels[j] for j in np.flatnonzero(lt_dom[:, i]))
-        )
-        up = tuple(
-            sorted(
-                "R:" + cod.labels[y]
-                for y in np.flatnonzero(cod.leq[f.images[i], :])
-            )
-        )
+        y = f.images[i]
+        down = tuple(sorted("L:" + dom.labels[j] for j in _members(dom_down[i])))
+        up = tuple(sorted("R:" + cod.labels[z] for z in _members(cod_up[y] | 1 << y)))
         adds.append(SpaceMove("add", "L:" + dom.labels[i], "up-weak", down=down, up=up))
     removals = tuple(
         SpaceMove("remove", "R:" + cod.labels[y], "down-weak")

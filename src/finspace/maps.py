@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
-from .spaces import FiniteSpace
+from .spaces import FiniteSpace, _members, _trusted, _up_sets
 from .moves import is_contractible, is_weak_point
 
 __all__ = [
@@ -48,11 +46,13 @@ class ContinuousMap:
         for j in self.images:
             if not 0 <= j < self.cod.n:
                 raise ValueError(f"image index {j} outside the codomain")
-        img = np.array(self.images, dtype=int)
-        if self.dom.n and not np.all(
-            ~self.dom.leq | self.cod.leq[np.ix_(img, img)]
-        ):
-            raise ValueError("map does not preserve the order")
+        img = self.images
+        below = self.cod.masks()[0]
+        for i, d in enumerate(self.dom.masks()[0]):
+            # every point below i must land in the closed down-set of f(i)
+            allowed = below[img[i]] | 1 << img[i]
+            if any(not allowed >> img[k] & 1 for k in _members(d)):
+                raise ValueError("map does not preserve the order")
 
     @classmethod
     def from_labels(
@@ -91,7 +91,7 @@ class ContinuousMap:
     def preimage_of_open(self, y: int | str) -> FiniteSpace:
         """Subspace of the domain that maps into the minimal open set of y."""
         j = self.cod.index(y)
-        keep = [i for i in range(self.dom.n) if self.cod.leq[self.images[i], j]]
+        keep = [i for i in range(self.dom.n) if self.cod.is_leq(self.images[i], j)]
         return self.dom.subspace(keep)
 
 
@@ -99,7 +99,7 @@ def pointwise_leq(f: ContinuousMap, g: ContinuousMap) -> bool:
     """True when f(x) <= g(x) for every point x."""
     if f.dom != g.dom or f.cod != g.cod:
         raise ValueError("maps must share domain and codomain")
-    return all(f.cod.leq[i, j] for i, j in zip(f.images, g.images))
+    return all(f.cod.is_leq(i, j) for i, j in zip(f.images, g.images))
 
 
 # -- fences -----------------------------------------------------------------
@@ -130,7 +130,8 @@ def is_valid_fence(fence: Iterable[ContinuousMap]) -> bool:
 def _all_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> list[tuple[int, ...]]:
     """Every continuous map, enumerated deterministically."""
     order = dom.linear_extension()
-    below = [np.flatnonzero(dom.lt()[:, i]).tolist() for i in range(dom.n)]
+    below = [list(_members(d)) for d in dom.masks()[0]]
+    closed_up = [u | 1 << j for j, u in enumerate(cod.masks()[1])]
     out: list[tuple[int, ...]] = []
     assign = [-1] * dom.n
 
@@ -139,11 +140,14 @@ def _all_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> list[tuple[int, 
             out.append(tuple(assign))
             return
         i = order[k]
-        for j in range(cod.n):
-            if all(cod.leq[assign[p], j] for p in below[i] if assign[p] >= 0):
-                assign[i] = j
-                place(k + 1)
-                assign[i] = -1
+        # the points below i come earlier in the linear extension
+        allowed = (1 << cod.n) - 1
+        for p in below[i]:
+            allowed &= closed_up[assign[p]]
+        for j in _members(allowed):
+            assign[i] = j
+            place(k + 1)
+            assign[i] = -1
 
     place(0)
     return out
@@ -170,14 +174,14 @@ def fence_homotopic(
 
     maps = _all_continuous_maps(f.dom, f.cod)
     index = {m: i for i, m in enumerate(maps)}
-    leq_c = f.cod.leq
+    closed_up = [u | 1 << j for j, u in enumerate(f.cod.masks()[1])]
 
     def comparable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
         up = down = True
         for i, j in zip(a, b):
-            if not leq_c[i, j]:
+            if not closed_up[i] >> j & 1:
                 up = False
-            if not leq_c[j, i]:
+            if not closed_up[j] >> i & 1:
                 down = False
             if not (up or down):
                 return False
@@ -256,14 +260,15 @@ def mapping_cylinder(f: ContinuousMap) -> FiniteSpace:
     Domain points keep their order and sit below the codomain copy; both
     copies embed as subspaces (labels get L:/R: prefixes).
     """
-    n, m = f.dom.n, f.cod.n
-    rel = np.zeros((n + m, n + m), dtype=bool)
-    rel[:n, :n] = f.dom.leq
-    rel[n:, n:] = f.cod.leq
-    img = np.array(f.images, dtype=int)
-    rel[:n, n:] = f.cod.leq[img, :]
+    n = f.dom.n
+    cod_down, cod_up = f.cod.masks()
+    down = list(f.dom.masks()[0]) + [d << n for d in cod_down]
+    for x, y in enumerate(f.images):
+        for z in _members(cod_up[y] | 1 << y):
+            down[n + z] |= 1 << x
     labels = tuple("L:" + l for l in f.dom.labels) + tuple("R:" + l for l in f.cod.labels)
-    return FiniteSpace(labels, rel)
+    # f preserves the order, so this is an order on distinct valid labels
+    return _trusted(labels, down, _up_sets(down))
 
 
 # -- membership evidence -----------------------------------------------------------

@@ -15,8 +15,6 @@ import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
 from .spaces import FiniteSpace, _members, is_isomorphic
 
 if TYPE_CHECKING:
@@ -116,25 +114,15 @@ class SpaceEquivalence:
 def is_up_beat(space: FiniteSpace, x: int | str) -> str | None:
     """If the strict up-set of x has a minimum, return that witness label."""
     i = space.index(x)
-    up = space.above(i).copy()
-    up[i] = False
-    members = np.flatnonzero(up)
-    for j in members:
-        if np.all(space.leq[j, up]):
-            return space.labels[int(j)]
-    return None
+    up = [j for j in range(space.n) if j != i and space.is_leq(i, j)]
+    return next((space.labels[j] for j in up if all(space.is_leq(j, k) for k in up)), None)
 
 
 def is_down_beat(space: FiniteSpace, x: int | str) -> str | None:
     """If the strict down-set of x has a maximum, return that witness label."""
     i = space.index(x)
-    down = space.below(i).copy()
-    down[i] = False
-    members = np.flatnonzero(down)
-    for j in members:
-        if np.all(space.leq[down, j]):
-            return space.labels[int(j)]
-    return None
+    down = [j for j in range(space.n) if j != i and space.is_leq(j, i)]
+    return next((space.labels[j] for j in down if all(space.is_leq(k, j) for k in down)), None)
 
 
 def _beat_in(down: Sequence[int], up: Sequence[int], alive: int, i: int) -> tuple | None:
@@ -317,14 +305,11 @@ def _attach(
     if set(down_idx) & set(up_idx):
         raise ValueError("attaching sets overlap")
     n = space.n
-    rel = np.zeros((n + 1, n + 1), dtype=bool)
-    rel[:n, :n] = space.leq
-    rel[n, n] = True
-    for d in down_idx:
-        rel[d, n] = True
-    for u in up_idx:
-        rel[n, u] = True
-    return FiniteSpace(space.labels + (label,), rel)
+    down = list(space.masks()[0])
+    down.append(sum(1 << d for d in set(down_idx)))
+    for u in set(up_idx):
+        down[u] |= 1 << n
+    return FiniteSpace.from_masks(space.labels + (label,), down)
 
 
 def add_weak_point(
@@ -361,7 +346,8 @@ def _literally_contractible(space: FiniteSpace) -> bool:
 def _check_side(space: FiniteSpace, label: str, side: str) -> str | None:
     """Recheck a declared side from the definitions; None means it holds.
 
-    Shares no code with the bitmask kernel that produced the move."""
+    Reads the order only through ``is_leq`` and shares no code with the
+    bitmask kernel that produced the move."""
     i = space.index(label)
     if side == "beat-down":
         if is_down_beat(space, i) is None:
@@ -371,11 +357,14 @@ def _check_side(space: FiniteSpace, label: str, side: str) -> str | None:
         if is_up_beat(space, i) is None:
             return "strict up-set has no minimum"
         return None
+    others = [j for j in range(space.n) if j != i]
     if side == "down-weak":
-        if not _literally_contractible(space.punctured_open(i)):
+        below = space.subspace(j for j in others if space.is_leq(j, i))
+        if not _literally_contractible(below):
             return "punctured minimal open set is not contractible"
         return None
-    if not _literally_contractible(space.punctured_closure(i)):
+    above = space.subspace(j for j in others if space.is_leq(i, j))
+    if not _literally_contractible(above):
         return "punctured closure is not contractible"
     return None
 

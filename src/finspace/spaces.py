@@ -1,18 +1,22 @@
 """Finite topological spaces as posets.
 
-A finite T0 space is stored as its specialization order: a reflexive,
-antisymmetric, transitive boolean matrix ``leq`` where ``leq[i, j]`` means
-point i lies in every open set containing point j (i below j).  Minimal open
-sets, closures and Hasse diagrams are all read off this matrix.  Each space
-also caches its strict down-sets and up-sets as per-point int bitmasks
-(``masks``), which the beat, core and isomorphism kernels work on.
+A finite T0 space is stored as its specialization order, given by two
+tuples of per-point int bitmasks ``(down, up)``: bit j of ``down[i]`` is set
+iff j < i (point j lies in every open set containing point i), and bit j of
+``up[i]`` iff i < j.  Removing a point drops one bit position from every
+mask.  Minimal open sets, closures and Hasse diagrams are read off the
+masks, and the beat, core and isomorphism kernels work on them directly;
+``is_leq(x, y)`` is the plain accessor for code that reads the order one
+pair at a time.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
+import operator
+import re
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 __all__ = [
     "FiniteSpace",
@@ -20,31 +24,22 @@ __all__ = [
     "is_isomorphic",
 ]
 
-_LABEL_BAD_CHARS = set("{}#")
+_LABEL_BAD_CHARS = re.compile(r"[\s{}#]")  # \s is exactly str.isspace
 
 
 def _check_label(label: str) -> str:
     if not isinstance(label, str) or not label:
         raise ValueError("labels must be nonempty strings")
-    if any(ch.isspace() for ch in label) or _LABEL_BAD_CHARS & set(label):
+    if _LABEL_BAD_CHARS.search(label):
         raise ValueError(f"label {label!r} contains whitespace or one of {{ }} #")
     return label
 
 
-def _transitive_closure(rel: np.ndarray) -> np.ndarray:
-    closed = rel.copy()
-    while True:
-        step = closed | (closed @ closed)
-        if np.array_equal(step, closed):
-            return closed
-        closed = step
-
-
-def _row_masks(rel: np.ndarray) -> tuple[int, ...]:
-    """Each row of a boolean matrix as an int whose bit j is column j."""
-    packed = np.packbits(rel, axis=1, bitorder="little")
-    raw, w = packed.tobytes(), packed.shape[1]
-    return tuple(int.from_bytes(raw[k * w : k * w + w], "little") for k in range(len(rel)))
+def _checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
+    labels = tuple(_check_label(l) for l in labels)
+    if len(set(labels)) != len(labels):
+        raise ValueError("duplicate labels")
+    return labels
 
 
 def _members(mask: int) -> Iterator[int]:
@@ -53,6 +48,59 @@ def _members(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _up_sets(down: Sequence[int]) -> list[int]:
+    """The strict up-set masks of a relation given by its down-set masks."""
+    up = [0] * len(down)
+    for i, d in enumerate(down):
+        for j in _members(d):
+            up[j] |= 1 << i
+    return up
+
+
+def _checked_up_sets(down: Sequence[int]) -> list[int]:
+    """``_up_sets(down)`` after checking that ``down`` is a strict order:
+    irreflexive, antisymmetric, and down[j] ⊆ down[i] whenever j < i."""
+    for i, d in enumerate(down):
+        if not isinstance(d, int) or d < 0 or d >> len(down):
+            raise ValueError(f"down-set mask of point {i} is not a set of the {len(down)} points")
+        if d >> i & 1:
+            raise ValueError("relation is not irreflexive")
+    up = _up_sets(down)
+    if any(d & u for d, u in zip(down, up)):
+        raise ValueError("relation is not antisymmetric")
+    if any(down[j] & ~d for d in down for j in _members(d)):
+        raise ValueError("relation is not transitive")
+    return up
+
+
+def _kahn(down: Sequence[int], up: Sequence[int]) -> list[int]:
+    """Topological order of an acyclic relation, lowest available index
+    first; shorter than ``down`` when the relation has a cycle."""
+    pending = [d.bit_count() for d in down]
+    ready = [i for i, p in enumerate(pending) if not p]
+    out: list[int] = []
+    while ready:
+        i = heapq.heappop(ready)
+        out.append(i)
+        for j in _members(up[i]):
+            pending[j] -= 1
+            if not pending[j]:
+                heapq.heappush(ready, j)
+    return out
+
+
+def _cached(method):
+    """Compute a method's value once per (immutable) space."""
+
+    @functools.wraps(method)
+    def get(self):
+        if method not in self._memo:
+            self._memo[method] = method(self)
+        return self._memo[method]
+
+    return get
 
 
 class FiniteSpace:
@@ -64,34 +112,41 @@ class FiniteSpace:
         Distinct point names, one per point.  Index order is the ambient
         element order used for all deterministic tie-breaking.
     leq:
-        Boolean matrix; ``leq[i, j]`` iff point ``i <= j``.  Must be
-        reflexive, antisymmetric and transitive.  A copy is stored and
-        frozen.
+        Boolean n×n matrix, as a 2-D array or a sequence of rows;
+        ``leq[i][j]`` iff point ``i <= j``.  Must be reflexive,
+        antisymmetric and transitive.  Only the strict down-sets and
+        up-sets are kept; ``from_masks`` builds a space from those directly.
     """
 
-    __slots__ = ("labels", "leq", "_index", "_masks")
+    __slots__ = ("labels", "_index", "_down", "_up", "_memo")
 
-    def __init__(self, labels: Sequence[str], leq: np.ndarray):
-        labels = tuple(_check_label(l) for l in labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate labels")
+    def __init__(self, labels: Sequence[str], leq):
+        labels = _checked_labels(labels)
         n = len(labels)
-        leq = np.array(leq, dtype=bool)
-        if leq.shape != (n, n):
-            raise ValueError(f"relation shape {leq.shape} does not match {n} labels")
-        if n:
-            if not leq.diagonal().all():
-                raise ValueError("relation is not reflexive")
-            sym = leq & leq.T
-            if sym.sum() != n:
-                raise ValueError("relation is not antisymmetric")
-            if ((leq @ leq) & ~leq).any():
-                raise ValueError("relation is not transitive")
-        leq.setflags(write=False)
+        shape = tuple(getattr(leq, "shape", ())) or (len(leq), *{len(row) for row in leq})
+        if shape != (n, n):
+            raise ValueError(f"relation shape {shape} does not match {n} labels")
+        rows = [list(row) for row in leq]
+        if not all(rows[i][i] for i in range(n)):
+            raise ValueError("relation is not reflexive")
+        down = [sum(1 << i for i in range(n) if rows[i][j] and i != j) for j in range(n)]
+        self._set(labels, down, _checked_up_sets(down))
+
+    def _set(self, labels: tuple[str, ...], down: Sequence[int], up: Sequence[int]) -> None:
         self.labels = labels
-        self.leq = leq
         self._index = {lab: i for i, lab in enumerate(labels)}
-        self._masks: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._down = tuple(down)
+        self._up = tuple(up)
+        self._memo: dict = {}
+
+    @classmethod
+    def from_masks(cls, labels: Sequence[str], down: Sequence[int]) -> "FiniteSpace":
+        """The space whose point i has strict down-set mask ``down[i]``,
+        validated as in the matrix constructor."""
+        labels = _checked_labels(labels)
+        if len(down) != len(labels):
+            raise ValueError(f"{len(down)} down-set masks do not match {len(labels)} labels")
+        return _trusted(labels, down, _checked_up_sets(down))
 
     # -- basic queries ---------------------------------------------------
 
@@ -101,66 +156,66 @@ class FiniteSpace:
 
     def index(self, x: int | str) -> int:
         """Normalize a point given by index or label to its index."""
-        if isinstance(x, (int, np.integer)):
-            i = int(x)
-            if not 0 <= i < self.n:
-                raise KeyError(f"point index {i} out of range")
-            return i
         try:
-            return self._index[x]
-        except KeyError:
+            i = self._index[x] if isinstance(x, str) else operator.index(x)
+        except (KeyError, TypeError):
             raise KeyError(f"no point labeled {x!r}") from None
+        if not 0 <= i < len(self.labels):
+            raise KeyError(f"point index {i} out of range")
+        return i
 
-    def lt(self) -> np.ndarray:
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        strict.setflags(write=False)
-        return strict
+    def is_leq(self, x: int | str, y: int | str) -> bool:
+        """True iff x <= y: x lies in every open set containing y."""
+        i, j = self.index(x), self.index(y)
+        return i == j or bool(self._up[i] >> j & 1)
 
     def masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per-point int bitmasks ``(down, up)``: bit j of ``down[i]`` is set
-        iff j < i, and bit j of ``up[i]`` iff i < j.  Computed once."""
-        if self._masks is None:
-            strict = self.lt()
-            self._masks = (_row_masks(strict.T), _row_masks(strict))
-        return self._masks
-
-    def below(self, x: int | str) -> np.ndarray:
-        """Boolean mask of points <= x (the minimal open set of x)."""
-        return self.leq[:, self.index(x)]
-
-    def above(self, x: int | str) -> np.ndarray:
-        """Boolean mask of points >= x (the closure of x)."""
-        return self.leq[self.index(x), :]
+        iff j < i, and bit j of ``up[i]`` iff i < j."""
+        return self._down, self._up
 
     # -- derived spaces ---------------------------------------------------
 
     def _induced(self, idx: Sequence[int]) -> "FiniteSpace":
-        """Subspace on ascending indices ``idx``, with the induced order."""
-        return FiniteSpace(tuple(self.labels[i] for i in idx), self.leq[np.ix_(idx, idx)])
+        """Subspace on ascending indices ``idx``, with the induced order: each
+        mask is cut run by run of consecutive indices, and nothing re-checked."""
+        runs: list[list[int]] = []  # [first old index, first new index, width]
+        for k, i in enumerate(idx):
+            if runs and runs[-1][0] + runs[-1][2] == i:
+                runs[-1][2] += 1
+            else:
+                runs.append([i, k, 1])
+
+        def cut(mask: int) -> int:
+            return sum((mask >> a & (1 << w) - 1) << o for a, o, w in runs)
+
+        return _trusted(
+            tuple(self.labels[i] for i in idx),
+            [cut(self._down[i]) for i in idx],
+            [cut(self._up[i]) for i in idx],
+        )
 
     def minimal_open(self, x: int | str) -> "FiniteSpace":
         """U_x, the smallest open set containing x: all points below it."""
-        return self._induced(np.flatnonzero(self.below(x)))
+        i = self.index(x)
+        return self._induced(list(_members(self._down[i] | 1 << i)))
 
     def closure(self, x: int | str) -> "FiniteSpace":
         """F_x, the closure of {x}: all points above it."""
-        return self._induced(np.flatnonzero(self.above(x)))
+        i = self.index(x)
+        return self._induced(list(_members(self._up[i] | 1 << i)))
 
     def punctured_open(self, x: int | str) -> "FiniteSpace":
         """U_x minus x: the points strictly below x."""
-        i = self.index(x)
-        idx = np.flatnonzero(self.leq[:, i])
-        return self._induced(idx[idx != i])
+        return self._induced(list(_members(self._down[self.index(x)])))
 
     def punctured_closure(self, x: int | str) -> "FiniteSpace":
         """F_x minus x: the points strictly above x."""
-        i = self.index(x)
-        idx = np.flatnonzero(self.leq[i, :])
-        return self._induced(idx[idx != i])
+        return self._induced(list(_members(self._up[self.index(x)])))
 
     def opposite(self) -> "FiniteSpace":
         """The same points with the order reversed (open and closed swap)."""
-        return FiniteSpace(self.labels, self.leq.T)
+        return _trusted(self.labels, self._up, self._down)
 
     def subspace(self, members: Iterable[int | str]) -> "FiniteSpace":
         """Subspace on the given points, with the induced order.
@@ -172,59 +227,51 @@ class FiniteSpace:
     def delete(self, x: int | str) -> "FiniteSpace":
         """Subspace with one point removed."""
         i = self.index(x)
-        keep = [j for j in range(self.n) if j != i]
-        return self.subspace(keep)
+        return self._induced([j for j in range(self.n) if j != i])
 
     # -- structure --------------------------------------------------------
 
-    def covers(self) -> np.ndarray:
-        """Cover matrix: ``covers[i, j]`` iff j covers i (i < j, nothing between)."""
-        strict = self.lt()
-        return strict & ~(strict @ strict)
+    def covers(self) -> list[tuple[int, int]]:
+        """Cover pairs ``(i, j)``, j covering i (i < j, nothing between),
+        sorted by index pairs."""
+        up = self._up
+        out = []
+        for i, u in enumerate(up):
+            above = 0
+            for j in _members(u):
+                above |= up[j]
+            out.extend((i, j) for j in _members(u & ~above))
+        return out
 
     def hasse_edges(self) -> list[tuple[str, str]]:
         """Cover pairs ``(x, y)`` with x < y, sorted by index pairs."""
-        cov = self.covers()
-        return [
-            (self.labels[i], self.labels[j])
-            for i, j in zip(*np.nonzero(cov))
-        ]
+        return [(self.labels[i], self.labels[j]) for i, j in self.covers()]
 
+    @_cached
     def heights(self) -> tuple[int, ...]:
         """Length of the longest chain strictly below each point."""
-        strict = self.lt()
-        order = np.argsort(strict.sum(axis=0), kind="stable")
         h = [0] * self.n
-        for j in order:
-            lower = np.flatnonzero(strict[:, j])
-            h[j] = 1 + max((h[i] for i in lower), default=-1)
+        for j in self.linear_extension():
+            h[j] = 1 + max((h[i] for i in _members(self._down[j])), default=-1)
         return tuple(h)
 
+    @_cached
     def signatures(self) -> tuple[tuple[int, int, int], ...]:
         """Per-point isomorphism invariant (height, up-degree, down-degree)."""
-        strict = self.lt()
-        up = strict.sum(axis=1)
-        down = strict.sum(axis=0)
-        hs = self.heights()
-        return tuple((hs[i], int(up[i]), int(down[i])) for i in range(self.n))
+        return tuple(
+            (h, u.bit_count(), d.bit_count())
+            for h, u, d in zip(self.heights(), self._up, self._down)
+        )
 
+    @_cached
     def fingerprint(self) -> tuple:
         """Isomorphism-invariant key used to bucket spaces in search."""
         return (self.n, tuple(sorted(self.signatures())))
 
-    def linear_extension(self) -> list[int]:
+    @_cached
+    def linear_extension(self) -> tuple[int, ...]:
         """Deterministic topological order: lowest available index first."""
-        strict = self.lt()
-        remaining = set(range(self.n))
-        pending = strict.sum(axis=0).tolist()
-        out: list[int] = []
-        while remaining:
-            i = min(j for j in remaining if pending[j] == 0)
-            out.append(i)
-            remaining.discard(i)
-            for j in np.flatnonzero(strict[i, :]):
-                pending[j] -= 1
-        return out
+        return tuple(_kahn(self._down, self._up))
 
     # -- comparisons -------------------------------------------------------
 
@@ -239,7 +286,10 @@ class FiniteSpace:
         if set(self.labels) != set(other.labels):
             return False
         perm = [other._index[l] for l in self.labels]
-        return np.array_equal(self.leq, other.leq[np.ix_(perm, perm)])
+        return all(
+            sum(1 << perm[j] for j in _members(d)) == other._down[perm[i]]
+            for i, d in enumerate(self._down)
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -247,11 +297,18 @@ class FiniteSpace:
         return f"FiniteSpace({self.n} points)"
 
 
+def _trusted(labels: tuple[str, ...], down: Sequence[int], up: Sequence[int]) -> FiniteSpace:
+    """A space from masks already known to be a valid order on valid labels."""
+    space = FiniteSpace.__new__(FiniteSpace)
+    space._set(labels, down, up)
+    return space
+
+
 def from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> FiniteSpace:
     """Build a space from cover pairs ``(x, y)`` meaning x < y.
 
-    The reflexive transitive closure is taken; cycles are rejected because
-    they break antisymmetry.
+    The transitive closure ORs the down-sets of the lower covers along a
+    topological order; cycles are rejected because they break antisymmetry.
     """
     labels = tuple(labels)
     index = {}
@@ -261,7 +318,7 @@ def from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> Fin
             raise ValueError(f"duplicate label {lab!r}")
         index[lab] = i
     n = len(labels)
-    rel = np.eye(n, dtype=bool)
+    lower = [0] * n  # bit i of lower[j]: (i, j) is a cover pair
     for lo, hi in covers:
         if lo not in index:
             raise ValueError(f"unknown label {lo!r} in cover pair")
@@ -269,11 +326,15 @@ def from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> Fin
             raise ValueError(f"unknown label {hi!r} in cover pair")
         if lo == hi:
             raise ValueError(f"cover pair ({lo!r}, {hi!r}) relates a point to itself")
-        rel[index[lo], index[hi]] = True
-    closed = _transitive_closure(rel)
-    if (closed & closed.T).sum() != n:
+        lower[index[hi]] |= 1 << index[lo]
+    order = _kahn(lower, _up_sets(lower))
+    if len(order) != n:
         raise ValueError("cover pairs contain a cycle")
-    return FiniteSpace(labels, closed)
+    down = list(lower)
+    for j in order:
+        for i in _members(lower[j]):
+            down[j] |= down[i]
+    return _trusted(labels, down, _up_sets(down))
 
 
 def _refined_colours(a: FiniteSpace, b: FiniteSpace, rounds: int = 2) -> tuple[list, list]:

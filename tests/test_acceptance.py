@@ -217,7 +217,7 @@ def test_criterion_05_bridge_exhaustive():
         down = verify_space_certificate(bundle.collapse)
         assert down.ok
         sub = space_subdivision(x)
-        prefixed = FiniteSpace(tuple("L:" + l for l in sub.labels), sub.leq)
+        prefixed = FiniteSpace.from_masks(tuple("L:" + l for l in sub.labels), sub.masks()[0])
         assert is_isomorphic(down.final, prefixed) is not None
     took = time.monotonic() - t0
     assert took <= 60.0, f"enumeration took {took:.1f}s"

@@ -1,9 +1,13 @@
 """End-to-end runs of the command line interface, in process."""
 
 import inspect
+import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -249,3 +253,49 @@ def test_example_listing_and_rendering(capsys):
     assert main(["example", "wallet"]) == 0
     assert "elements:" in capsys.readouterr().out
     assert main(["example", "no_such_example"]) == 3
+
+
+NO_NUMPY_RUN = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+sys.modules["numpy"] = None  # any import of numpy now fails
+import finspace, finspace.cli
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = finspace.cli.main(argv)
+    runs.append([code, out.getvalue()])
+assert sys.modules.pop("numpy") is None
+assert not [m for m in sys.modules if m.split(".")[0] == "numpy"]
+print(json.dumps(runs))
+"""
+
+
+def test_runtime_does_not_import_numpy():
+    argvs = [
+        ["core", "example:wallet"],
+        ["iso", "example:wallet-open", "example:wallet-open"],
+        ["iso", "example:sd3", "example:four-point"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RUN, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    wallet = (
+        "elements: t1 t2 x t4 m1 m2 m3 m4 c1 c2 c3\n"
+        "cover: m1 t1\ncover: m1 t2\ncover: m2 t1\ncover: m2 x\n"
+        "cover: m3 t2\ncover: m3 t4\ncover: m4 x\ncover: m4 t4\n"
+        "cover: c1 m1\ncover: c1 m2\ncover: c2 m1\ncover: c2 m2\n"
+        "cover: c2 m3\ncover: c2 m4\ncover: c3 m3\ncover: c3 m4\n"
+    )
+    assert json.loads(done.stdout) == [
+        [0, wallet],
+        [0, "c1 -> c1\nc2 -> c2\nc3 -> c3\nm2 -> m2\nm4 -> m4\n"],
+        [1, ""],
+    ]

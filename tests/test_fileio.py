@@ -41,7 +41,7 @@ cover: a c
 """
     x = parse_space(text)
     assert x.labels == ("a", "b", "c")
-    assert x.leq[x.index("a"), x.index("b")]
+    assert x.is_leq("a", "b")
     p = tmp_path / "v.poset"
     p.write_text(text)
     assert read_space(str(p)) == x

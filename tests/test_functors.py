@@ -42,9 +42,9 @@ def test_face_poset_is_inclusion_order():
     k = from_facets([("a", "b", "c")])
     xk = face_poset(k)
     assert xk.n == 7
-    assert xk.leq[xk.index("a"), xk.index("a.b")]
-    assert xk.leq[xk.index("a.b"), xk.index("a.b.c")]
-    assert not xk.leq[xk.index("a.b"), xk.index("b.c")]
+    assert xk.is_leq("a", "a.b")
+    assert xk.is_leq("a.b", "a.b.c")
+    assert not xk.is_leq("a.b", "b.c")
 
 
 def test_face_poset_rejects_label_collisions():
@@ -103,7 +103,7 @@ def test_bridge_certificates_replay():
         assert down_res.ok
         down = down_res.final
         sub = space_subdivision(x)
-        prefixed = FiniteSpace(["L:" + l for l in sub.labels], sub.leq)
+        prefixed = FiniteSpace.from_masks(["L:" + l for l in sub.labels], sub.masks()[0])
         assert is_isomorphic(down, prefixed) is not None
 
 
@@ -134,7 +134,7 @@ def test_cylinder_collapse_exists_iff_distinguished():
             assert bundle.refused_at is None
             res = verify_space_certificate(bundle.collapse)
             assert res.ok
-            prefixed = FiniteSpace(["L:" + l for l in dom.labels], dom.leq)
+            prefixed = FiniteSpace.from_masks(["L:" + l for l in dom.labels], dom.masks()[0])
             assert is_isomorphic(res.final, prefixed) is not None
         else:
             seen_no += 1

@@ -141,12 +141,12 @@ def test_inclusion_of_weak_point_complement_is_distinguished():
 def test_mapping_cylinder_structure():
     cyl = mapping_cylinder(COUNTEREXAMPLE)
     assert cyl.n == 5
-    assert cyl.leq[cyl.index("L:b"), cyl.index("R:0")]
-    assert not cyl.leq[cyl.index("R:0"), cyl.index("L:b")]
-    assert not cyl.leq[cyl.index("L:a"), cyl.index("R:0")]
+    assert cyl.is_leq("L:b", "R:0")
+    assert not cyl.is_leq("R:0", "L:b")
+    assert not cyl.is_leq("L:a", "R:0")
     # both halves embed with their own order
     left = cyl.subspace([cyl.index("L:" + l) for l in VEE.labels])
-    assert left.leq[left.index("L:b"), left.index("L:a")]
+    assert left.is_leq("L:b", "L:a")
 
 
 def test_membership_evidence_homeomorphism():

@@ -1,21 +1,34 @@
 """Property-based tests: punctured sets, the barycentric subdivision, and
-the bitmask kernels against their numpy oracles."""
+the bitmask poset and its kernels against their numpy oracles."""
+
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from finspace.complexes import from_facets
-from finspace.functors import barycentric_subdivision
+from finspace.complexes import dotted_label, from_facets
+from finspace.functors import barycentric_subdivision, face_poset, space_subdivision
+from finspace.maps import ContinuousMap, _all_continuous_maps
 from finspace.moves import _beat_side, _strip_beats, is_contractible, is_weak_point
 from finspace.spaces import FiniteSpace, from_covers, is_isomorphic
 
 from util import (
+    all_chains_brute,
     barycentric_oracle,
     beat_side_oracle,
+    check_order_oracle,
+    continuous_maps_oracle,
     contractible_oracle,
+    covers_oracle,
+    equal_oracle,
+    from_covers_oracle,
+    heights_oracle,
+    inclusion_order,
     isomorphic_oracle,
+    leq_matrix,
+    linear_extension_oracle,
     random_complex,
     random_poset,
     strip_beats_oracle,
@@ -28,12 +41,12 @@ def _shuffled_poset(rng, data, n: int) -> FiniteSpace:
     automorphisms), whose label order and index order differ and whose
     index order need not extend the partial order."""
     if n >= 2 and data.draw(st.booleans()):
-        half = random_poset(rng, n // 2, rng.random()).leq
+        half = leq_matrix(random_poset(rng, n // 2, rng.random()))
         leq = np.eye(n, dtype=bool)
         leq[: n // 2, : n // 2] = half
         leq[n // 2 : 2 * (n // 2), n // 2 : 2 * (n // 2)] = half
     else:
-        leq = random_poset(rng, n, rng.random()).leq
+        leq = leq_matrix(random_poset(rng, n, rng.random()))
     perm = data.draw(st.permutations(range(n)))
     labels = data.draw(st.permutations([f"p{i}" for i in range(n)]))
     return FiniteSpace(tuple(labels), leq[np.ix_(perm, perm)])
@@ -46,8 +59,8 @@ def test_punctured_sets_are_the_strict_down_and_up_sets(rng, n, data):
     space = _shuffled_poset(rng, data, n)
     x = data.draw(st.sampled_from(space.labels))
     i = space.index(x)
-    below = [space.labels[j] for j in range(space.n) if space.leq[j, i] and j != i]
-    above = [space.labels[j] for j in range(space.n) if space.leq[i, j] and j != i]
+    below = [space.labels[j] for j in range(space.n) if space.is_leq(j, i) and j != i]
+    above = [space.labels[j] for j in range(space.n) if space.is_leq(i, j) and j != i]
     assert space.punctured_open(x) == space.subspace(below)
     assert space.punctured_closure(x) == space.subspace(above)
     assert space.punctured_open(x).labels == tuple(below)
@@ -92,8 +105,8 @@ def test_beat_stripping_matches_the_oracle(rng, n, data):
 def _perturbed(rng, space: FiniteSpace) -> FiniteSpace:
     """The space with one cover relation removed, or one relation between
     incomparable points added together with its transitive closure."""
-    leq = space.leq.copy()
-    covers = list(zip(*np.nonzero(space.covers())))
+    leq = leq_matrix(space)
+    covers = space.covers()
     pairs = [(i, j) for i in range(space.n) for j in range(space.n) if not leq[i, j] | leq[j, i]]
     if covers and (not pairs or rng.random() < 0.5):
         i, j = rng.choice(covers)
@@ -113,7 +126,7 @@ def test_isomorphism_matches_the_oracle(rng, n, perturb, data):
     perm = data.draw(st.permutations(range(n)))
     b = FiniteSpace(
         tuple(f"b{k}" for k in data.draw(st.permutations(range(n)))),
-        a.leq[np.ix_(perm, perm)],
+        leq_matrix(a)[np.ix_(perm, perm)],
     )
     if perturb:
         b = _perturbed(rng, b)
@@ -125,7 +138,7 @@ def test_isomorphism_matches_the_oracle(rng, n, perturb, data):
         return
     assert list(got.items()) == list(want.items())
     image = [b.index(got[lab]) for lab in a.labels]
-    assert np.array_equal(a.leq, b.leq[np.ix_(image, image)])
+    assert np.array_equal(leq_matrix(a), leq_matrix(b)[np.ix_(image, image)])
 
 
 def test_isomorphism_candidate_order_follows_two_refinement_rounds():
@@ -145,3 +158,130 @@ def test_isomorphism_candidate_order_follows_two_refinement_rounds():
             "p4": "b5", "p5": "b7", "p6": "b4", "p7": "b2"}
     assert isomorphic_oracle(a, b) == want
     assert list(is_isomorphic(a, b).items()) == list(want.items())
+
+
+def _strict_down(leq: np.ndarray) -> list[int]:
+    """The strict down-set masks of a boolean matrix."""
+    n = len(leq)
+    return [sum(1 << i for i in range(n) if leq[i, j] and i != j) for j in range(n)]
+
+
+def _same(got: FiniteSpace, want: FiniteSpace) -> bool:
+    return got.labels == want.labels and got.masks() == want.masks()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 9), st.data())
+def test_from_covers_matches_the_closure_oracle(rng, n, data):
+    # the covers of a shuffled poset, sometimes with redundant or
+    # cycle-closing pairs added, in any order
+    space = _shuffled_poset(rng, data, n)
+    pairs = space.hasse_edges()
+    if n >= 2:
+        pairs += data.draw(
+            st.lists(st.permutations(space.labels).map(lambda p: tuple(p[:2])), max_size=3)
+        )
+    pairs = data.draw(st.permutations(pairs))
+    try:
+        want = from_covers_oracle(space.labels, pairs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            from_covers(space.labels, pairs)
+        return
+    assert _same(from_covers(space.labels, pairs), want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.randoms(use_true_random=False), st.integers(1, 6), st.integers(1, 5),
+    st.integers(1, 7), st.data(),
+)
+def test_inclusion_posets_match_the_pairwise_oracle(rng, n_vertices, n_facets, n, data):
+    k = random_complex(rng, n_vertices, n_facets, max_simplices=20)
+    want = FiniteSpace(tuple(dotted_label(s) for s in k.simplices), inclusion_order(k.simplices))
+    assert _same(face_poset(k), want)
+
+    space = _shuffled_poset(rng, data, n)
+    chains = sorted(all_chains_brute(space), key=lambda c: (len(c), tuple(sorted(c))))
+    want = FiniteSpace(tuple(dotted_label(c) for c in chains), inclusion_order(chains))
+    assert _same(space_subdivision(space), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 10), st.data())
+def test_structure_matches_the_matrix_oracles(rng, n, data):
+    a = _shuffled_poset(rng, data, n)
+    assert a.covers() == covers_oracle(a)
+    assert a.hasse_edges() == [(a.labels[i], a.labels[j]) for i, j in covers_oracle(a)]
+    assert a.heights() == heights_oracle(a)
+    assert a.linear_extension() == tuple(linear_extension_oracle(a))
+    # the same labels in another index order, then possibly perturbed
+    perm = data.draw(st.permutations(range(n)))
+    b = FiniteSpace(tuple(a.labels[i] for i in perm), leq_matrix(a)[np.ix_(perm, perm)])
+    assert a == b and equal_oracle(a, b)
+    c = _perturbed(rng, b)
+    assert (a == c) == equal_oracle(a, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 10), st.data())
+def test_restrictions_match_the_validating_constructor(rng, n, data):
+    space = _shuffled_poset(rng, data, n)
+    leq = leq_matrix(space)
+    keep = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    want = FiniteSpace([space.labels[i] for i in keep], leq[np.ix_(keep, keep)])
+    assert _same(space.subspace(keep), want)
+    x = data.draw(st.integers(0, n - 1))
+    rest = [i for i in range(n) if i != x]
+    want = FiniteSpace([space.labels[i] for i in rest], leq[np.ix_(rest, rest)])
+    assert _same(space.delete(x), want)
+    assert _same(space.opposite(), FiniteSpace(space.labels, leq.T))
+    assert _same(FiniteSpace.from_masks(space.labels, space.masks()[0]), space)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.randoms(use_true_random=False), st.integers(3, 9),
+    st.sampled_from(["diagonal", "symmetric", "transitivity"]), st.data(),
+)
+def test_broken_orders_are_rejected_with_the_oracle_message(rng, n, kind, data):
+    space = random_poset(rng, n, 0.6)
+    leq = leq_matrix(space)
+    lt = [(i, j) for i in range(n) for j in range(n) if i != j and leq[i, j]]
+    if kind == "diagonal":
+        i = data.draw(st.integers(0, n - 1))
+        leq[i, i] = False
+    elif kind == "symmetric":
+        assume(lt)
+        i, j = data.draw(st.sampled_from(lt))
+        leq[j, i] = True
+    else:
+        # drop i < k while some j lies between them
+        through = [(i, k) for i, j in lt for k in range(n) if (j, k) in lt]
+        assume(through)
+        i, k = data.draw(st.sampled_from(through))
+        leq[i, k] = False
+    with pytest.raises(ValueError) as want:
+        check_order_oracle(leq)
+    message = f"^{want.value}$"
+    with pytest.raises(ValueError, match=message):
+        FiniteSpace(space.labels, leq)
+    if kind != "diagonal":
+        with pytest.raises(ValueError, match=message):
+            FiniteSpace.from_masks(space.labels, _strict_down(leq))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_continuous_maps_match_the_matrix_oracle(rng, n, m, data):
+    dom = _shuffled_poset(rng, data, n)
+    cod = _shuffled_poset(rng, data, m)
+    want = continuous_maps_oracle(dom, cod)
+    assert _all_continuous_maps(dom, cod) == want
+    for images in product(range(m), repeat=n):
+        try:
+            ContinuousMap(dom, cod, images)
+        except ValueError:
+            assert images not in want
+        else:
+            assert images in want

@@ -1,10 +1,12 @@
 """Seeded random generators and independent oracles shared across the test
 modules.
 
-The oracles are the earlier numpy implementations of the beat, core,
-weak-point and isomorphism routines: each builds a fresh ``FiniteSpace`` per
-removal or punctured set and compares refined signatures as nested tuples.
-The bitmask kernels in ``finspace`` must agree with them exactly.
+The oracles are the earlier numpy implementations of the poset routines:
+the boolean-matrix closure, constructor checks, pairwise inclusion order,
+covers, heights and linear extension, and the beat, core, weak-point and
+isomorphism routines, which build a fresh ``FiniteSpace`` per removal or
+punctured set and compare refined signatures as nested tuples.  The bitmask
+code in ``finspace`` must agree with them exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +22,123 @@ from finspace.moves import SpaceMove, is_down_beat, is_up_beat
 from finspace.spaces import FiniteSpace
 
 
+def leq_matrix(space: FiniteSpace) -> np.ndarray:
+    """The order as a boolean matrix, ``m[i, j]`` iff point i <= j, read
+    pair by pair through ``is_leq``."""
+    n = space.n
+    m = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            m[i, j] = space.is_leq(i, j)
+    return m
+
+
+def transitive_closure(rel: np.ndarray) -> np.ndarray:
+    """Square the relation until it stops growing."""
+    closed = rel.copy()
+    while True:
+        step = closed | (closed @ closed)
+        if np.array_equal(step, closed):
+            return closed
+        closed = step
+
+
+def check_order_oracle(leq: np.ndarray) -> None:
+    """The matrix constructor's order checks, with its error texts."""
+    n = len(leq)
+    if n:
+        if not leq.diagonal().all():
+            raise ValueError("relation is not reflexive")
+        if (leq & leq.T).sum() != n:
+            raise ValueError("relation is not antisymmetric")
+        if ((leq @ leq) & ~leq).any():
+            raise ValueError("relation is not transitive")
+
+
+def from_covers_oracle(labels, covers) -> FiniteSpace:
+    """Cover pairs closed by matrix squaring, cycles found on the closure."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    rel = np.eye(len(labels), dtype=bool)
+    for lo, hi in covers:
+        rel[index[lo], index[hi]] = True
+    closed = transitive_closure(rel)
+    if (closed & closed.T).sum() != len(labels):
+        raise ValueError("cover pairs contain a cycle")
+    return FiniteSpace(labels, closed)
+
+
+def inclusion_order(sets) -> np.ndarray:
+    """The matrix of s <= t over ``sets``, by testing every pair."""
+    n = len(sets)
+    rel = np.zeros((n, n), dtype=bool)
+    for i, s in enumerate(sets):
+        for j, t in enumerate(sets):
+            rel[i, j] = s <= t
+    return rel
+
+
+def covers_oracle(space: FiniteSpace) -> list[tuple[int, int]]:
+    """Cover pairs (i, j) in row-major order: strict minus strict squared."""
+    strict = leq_matrix(space) & ~np.eye(space.n, dtype=bool)
+    cov = strict & ~(strict @ strict)
+    return [(int(i), int(j)) for i, j in zip(*np.nonzero(cov))]
+
+
+def heights_oracle(space: FiniteSpace) -> tuple[int, ...]:
+    """Longest chain below each point, points taken by down-degree."""
+    strict = leq_matrix(space) & ~np.eye(space.n, dtype=bool)
+    h = [0] * space.n
+    for j in np.argsort(strict.sum(axis=0), kind="stable"):
+        h[j] = 1 + max((h[i] for i in np.flatnonzero(strict[:, j])), default=-1)
+    return tuple(h)
+
+
+def linear_extension_oracle(space: FiniteSpace) -> list[int]:
+    """Repeatedly take the lowest index with nothing left below it."""
+    strict = leq_matrix(space) & ~np.eye(space.n, dtype=bool)
+    remaining = set(range(space.n))
+    pending = strict.sum(axis=0).tolist()
+    out: list[int] = []
+    while remaining:
+        i = min(j for j in remaining if pending[j] == 0)
+        out.append(i)
+        remaining.discard(i)
+        for j in np.flatnonzero(strict[i, :]):
+            pending[j] -= 1
+    return out
+
+
+def equal_oracle(a: FiniteSpace, b: FiniteSpace) -> bool:
+    """Labelled equality through the matrices, permuted by label."""
+    if set(a.labels) != set(b.labels):
+        return False
+    perm = [b.index(l) for l in a.labels]
+    return np.array_equal(leq_matrix(a), leq_matrix(b)[np.ix_(perm, perm)])
+
+
+def continuous_maps_oracle(dom: FiniteSpace, cod: FiniteSpace) -> list[tuple[int, ...]]:
+    """Every order-preserving map, assigned along the linear extension with
+    images tried in ascending index order."""
+    ld, lc = leq_matrix(dom), leq_matrix(cod)
+    order = linear_extension_oracle(dom)
+    out: list[tuple[int, ...]] = []
+    assign = [-1] * dom.n
+
+    def place(k: int) -> None:
+        if k == dom.n:
+            out.append(tuple(assign))
+            return
+        i = order[k]
+        for j in range(cod.n):
+            if all(lc[assign[p], j] for p in range(dom.n) if ld[p, i] and p != i):
+                assign[i] = j
+                place(k + 1)
+                assign[i] = -1
+
+    place(0)
+    return out
+
+
 def random_poset(rng: random.Random, n: int, p: float = 0.3) -> FiniteSpace:
     """Random order: edges on the upper triangle, then transitive closure."""
     rel = np.eye(n, dtype=bool)
@@ -27,12 +146,7 @@ def random_poset(rng: random.Random, n: int, p: float = 0.3) -> FiniteSpace:
         for j in range(i + 1, n):
             if rng.random() < p:
                 rel[i, j] = True
-    while True:
-        closed = rel | (rel @ rel)
-        if np.array_equal(closed, rel):
-            break
-        rel = closed
-    return FiniteSpace(tuple(f"p{i}" for i in range(n)), rel)
+    return FiniteSpace(tuple(f"p{i}" for i in range(n)), transitive_closure(rel))
 
 
 def random_complex(
@@ -54,14 +168,15 @@ def random_monotone_map(
     rng: random.Random, dom: FiniteSpace, cod: FiniteSpace
 ) -> ContinuousMap:
     """Random order-preserving map, built along a linear extension."""
-    lt = dom.lt()
     for _ in range(40):
         images = [-1] * dom.n
         ok = True
         for i in dom.linear_extension():
-            lower = [images[j] for j in np.flatnonzero(lt[:, i]) if images[j] >= 0]
+            lower = [
+                images[j] for j in range(dom.n) if j != i and dom.is_leq(j, i) and images[j] >= 0
+            ]
             options = [
-                j for j in range(cod.n) if all(cod.leq[l, j] for l in lower)
+                j for j in range(cod.n) if all(cod.is_leq(l, j) for l in lower)
             ]
             if not options:
                 ok = False
@@ -82,7 +197,7 @@ def all_chains_brute(space: FiniteSpace) -> set[frozenset[str]]:
     for r in range(1, space.n + 1):
         for combo in combinations(idx, r):
             if all(
-                space.leq[a, b] or space.leq[b, a]
+                space.is_leq(a, b) or space.is_leq(b, a)
                 for a, b in combinations(combo, 2)
             ):
                 chains.add(frozenset(space.labels[i] for i in combo))
@@ -157,7 +272,7 @@ def weak_point_oracle(space: FiniteSpace, x: int | str) -> str | None:
 
 def refine_signatures_oracle(space: FiniteSpace, rounds: int = 2) -> list:
     """Iterated neighborhood refinement on top of the base signatures."""
-    strict = space.lt()
+    strict = leq_matrix(space) & ~np.eye(space.n, dtype=bool)
     sig: list = list(space.signatures())
     for _ in range(rounds):
         sig = [
@@ -188,6 +303,7 @@ def isomorphic_oracle(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
         buckets.setdefault(repr(sig_b[j]), []).append(j)
     order = sorted(range(a.n), key=lambda i: (len(buckets[repr(sig_a[i])]), i))
 
+    leq_a, leq_b = leq_matrix(a), leq_matrix(b)
     image = [-1] * a.n
     used = [False] * b.n
 
@@ -199,7 +315,7 @@ def isomorphic_oracle(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
             if used[j]:
                 continue
             if any(
-                a.leq[i, i2] != b.leq[j, image[i2]] or a.leq[i2, i] != b.leq[image[i2], j]
+                leq_a[i, i2] != leq_b[j, image[i2]] or leq_a[i2, i] != leq_b[image[i2], j]
                 for i2 in order[:k]
             ):
                 continue
