@@ -4,6 +4,9 @@ Every simplex is materialized (not only facets), because face posets, free
 pair detection and move replay all need the full family.  An elementary
 collapse removes a free pair: a simplex S whose only proper coface is
 S + {a}, which is then necessarily maximal and one dimension higher.
+Facets and free pairs come from a cofacet index, built once, that maps S to
+each a with S + {a} a simplex: facets are missing from it, and S is free when
+it has exactly one such a.  The certificate verifier rescans the family.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ def _key(s: frozenset[str]) -> tuple[int, tuple[str, ...]]:
 class SimplicialComplex:
     """A finite abstract simplicial complex over string vertex labels."""
 
-    __slots__ = ("_set", "simplices", "vertices")
+    __slots__ = ("_set", "simplices", "vertices", "_cofacets")
 
     def __init__(self, simplices: Iterable[Iterable[str]]):
         fam = frozenset(_simplex(s) for s in simplices)
@@ -55,9 +58,29 @@ class SimplicialComplex:
                         raise ValueError(
                             f"not closed under faces: {sorted(s)} present, {list(f)} missing"
                         )
+        self._fill(fam)
+
+    @classmethod
+    def _trusted(cls, family: frozenset[frozenset[str]]) -> "SimplicialComplex":
+        """A complex from a face-closed family of valid simplices, unchecked."""
+        k = cls.__new__(cls)
+        k._fill(family)
+        return k
+
+    def _fill(self, fam: frozenset[frozenset[str]]) -> None:
         self._set = fam
         self.simplices = tuple(sorted(fam, key=_key))
         self.vertices = tuple(sorted({v for s in fam for v in s}))
+        self._cofacets: dict[frozenset[str], list[str]] | None = None
+
+    def _cofacet_index(self) -> dict[frozenset[str], list[str]]:
+        """Each face of codimension one (the empty one too) and its apexes."""
+        if self._cofacets is None:
+            self._cofacets = {}
+            for t in self._set:
+                for v in t:
+                    self._cofacets.setdefault(t - {v}, []).append(v)
+        return self._cofacets
 
     # -- queries ---------------------------------------------------------
 
@@ -95,8 +118,8 @@ class SimplicialComplex:
 
     def facets(self) -> tuple[tuple[str, ...], ...]:
         """Maximal simplices in canonical order."""
-        out = [s for s in self._set if not self._proper_cofaces(s)]
-        return tuple(tuple(sorted(s)) for s in sorted(out, key=_key))
+        index = self._cofacet_index()
+        return tuple(tuple(sorted(s)) for s in self.simplices if s not in index)
 
     def _proper_cofaces(self, s: frozenset[str]) -> list[frozenset[str]]:
         return [t for t in self._set if s < t]
@@ -114,15 +137,13 @@ class SimplicialComplex:
 
         Uniqueness forces S + {a} to be maximal and one dimension higher, so
         these are exactly the legal elementary collapses, in canonical order.
+        One apex a suffices: every proper coface contains some S + {b}, and
+        S + {a, b} would make S + {b} a second.
         """
-        out = []
-        for s in self.simplices:
-            fs = frozenset(s)
-            cof = self._proper_cofaces(fs)
-            if len(cof) == 1:
-                (apex,) = cof[0] - fs
-                out.append((tuple(sorted(s)), apex))
-        return out
+        index = self._cofacet_index()
+        return [
+            (tuple(sorted(s)), a[0]) for s in self.simplices if len(a := index.get(s, ())) == 1
+        ]
 
     def elementary_collapse(
         self, face: Iterable[str], apex: str | None = None
@@ -413,7 +434,7 @@ def collapse_sequence_search(
         if len(c) > goal_len:
             for face, apex in c.free_pairs():
                 fs = frozenset(face)
-                child = SimplicialComplex(c._set - {fs, fs | {apex}})
+                child = SimplicialComplex._trusted(c._set - {fs, fs | {apex}})
                 yield SimplicialMove("remove", face, apex), child
 
     def fingerprint(c: SimplicialComplex) -> tuple:

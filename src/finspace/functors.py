@@ -89,10 +89,11 @@ def _chains(space: FiniteSpace) -> list[tuple[int, ...]]:
 
 
 def order_complex(space: FiniteSpace) -> SimplicialComplex:
-    """The complex whose simplices are the nonempty chains of the space."""
+    """The complex whose simplices are the nonempty chains of the space;
+    they are closed under faces and carry checked labels, so none is rechecked."""
     labels = space.labels
-    return SimplicialComplex(
-        [[labels[i] for i in c] for c in _chains(space)]
+    return SimplicialComplex._trusted(
+        frozenset(frozenset([labels[i] for i in c]) for c in _chains(space))
     )
 
 

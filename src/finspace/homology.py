@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
+from .moves import core
 
 __all__ = [
     "HomologyReport",
@@ -227,7 +228,14 @@ def reduced_homology(k: SimplicialComplex) -> HomologyReport:
 
 
 def homology_space(space, reduced: bool = False) -> HomologyReport:
-    """Homology of a finite space: the homology of its order complex."""
+    """Homology of the order complex K(X), computed on the core of X.
+
+    Beat point removals are collapses (Stong, Trans. AMS 123, 1966), and a
+    collapse X ↘ Y induces a simplicial collapse K(X) ↘ K(Y) (Barmak and
+    Minian, arXiv:math/0611158), so both have the same homology; the report
+    is padded with trivial groups to the height(X) + 1 dimensions of K(X)."""
     from .functors import order_complex
 
-    return homology(order_complex(space), reduced=reduced)
+    report = homology(order_complex(core(space)[0]), reduced=reduced)
+    pad = max(space.heights(), default=-1) + 1 - len(report.betti)
+    return HomologyReport(report.betti + (0,) * pad, report.torsion + ((),) * pad, reduced)

@@ -13,6 +13,7 @@ import pytest
 
 from finspace.cli import main
 from finspace.fileio import format_space
+from finspace.spaces import from_covers
 
 from util import random_poset
 
@@ -182,6 +183,26 @@ def test_homology_of_example(capsys):
     assert "H_0 = Z" in out
     assert main(["homology", "example:dunce", "--reduced"]) == 0
     assert "0" in capsys.readouterr().out
+
+
+def test_homology_of_a_space_beyond_the_chain_cap(capsys, tmp_path):
+    # an 18-point chain has 2**18 - 1 chains, over the cap, but its core is
+    # one point
+    chain = tmp_path / "chain.poset"
+    chain.write_text(format_space(from_covers(
+        [f"c{i}" for i in range(18)], [(f"c{i}", f"c{i + 1}") for i in range(17)]
+    )))
+    assert main(["homology", str(chain)]) == 0
+    assert capsys.readouterr().out == "H_0 = Z\n" + "".join(
+        f"H_{d} = 0\n" for d in range(1, 18)
+    )
+    # the core of this one still has about 2.5e6 chains
+    big = tmp_path / "big.poset"
+    big.write_text(format_space(random_poset(random.Random(1), 200, 0.05)))
+    assert main(["homology", str(big)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.startswith("too many chains: ")
 
 
 def test_iso_between_relabeled_spaces(capsys, tmp_path):

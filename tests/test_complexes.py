@@ -15,7 +15,8 @@ from finspace.complexes import (
     is_contiguous,
     verify_simplicial_certificate,
 )
-from finspace.functors import barycentric_subdivision
+from finspace.corpus import load
+from finspace.functors import barycentric_subdivision, order_complex, translate_space_collapse
 
 from util import random_complex
 
@@ -91,6 +92,31 @@ def test_certificate_replay_and_tampering():
     res = verify_simplicial_certificate(tampered)
     assert not res.ok
     assert res.step == 0
+
+
+def test_verifier_rescans_cofaces_and_revalidates(monkeypatch):
+    # the fast paths the verifier checks: the cofacet index behind facets and
+    # free pairs, and the unchecked construction of search children
+    collapse = collapse_sequence_search(FULL_TRIANGLE).certificate
+    wallet = load("wallet")
+    translated = translate_space_collapse(wallet, "x")
+    full = order_complex(wallet)
+
+    def refuse(*args):
+        raise AssertionError("the verifier used a fast path")
+
+    monkeypatch.setattr(SimplicialComplex, "_cofacet_index", refuse)
+    monkeypatch.setattr(SimplicialComplex, "_trusted", refuse)
+    res = verify_simplicial_certificate(collapse)
+    assert res.ok and len(res.final) == 1
+    res = verify_simplicial_certificate(translated)
+    assert res.ok and res.final == full
+    mutated = SimplicialMoveCertificate(
+        FULL_TRIANGLE, (SimplicialMove("remove", ("a",), "b"),) + collapse.moves[1:]
+    )
+    res = verify_simplicial_certificate(mutated)
+    assert not res.ok and res.step == 0
+    assert res.reason == "['a'] is not free with apex 'b'"
 
 
 def test_collapse_sequence_search_full_triangle():

@@ -1,5 +1,7 @@
-"""Property-based tests: punctured sets, the barycentric subdivision, and
-the bitmask poset and its kernels against their numpy oracles."""
+"""Property-based tests: punctured sets, the barycentric subdivision, the
+bitmask poset and its kernels against their numpy oracles, and the complex
+side (facets, free pairs, order complexes, homology through the core)
+against pairwise scans and the validating constructor."""
 
 from itertools import product
 
@@ -8,8 +10,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from finspace.complexes import dotted_label, from_facets
-from finspace.functors import barycentric_subdivision, face_poset, space_subdivision
+from finspace.complexes import SimplicialComplex, dotted_label, from_facets
+from finspace.functors import (
+    _chains,
+    barycentric_subdivision,
+    face_poset,
+    order_complex,
+    space_subdivision,
+)
+from finspace.homology import homology, homology_space
 from finspace.maps import ContinuousMap, _all_continuous_maps
 from finspace.moves import _beat_side, _strip_beats, is_contractible, is_weak_point
 from finspace.spaces import FiniteSpace, from_covers, is_isomorphic
@@ -23,6 +32,8 @@ from util import (
     contractible_oracle,
     covers_oracle,
     equal_oracle,
+    facets_oracle,
+    free_pairs_oracle,
     from_covers_oracle,
     heights_oracle,
     inclusion_order,
@@ -285,3 +296,72 @@ def test_continuous_maps_match_the_matrix_oracle(rng, n, m, data):
             assert images not in want
         else:
             assert images in want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.randoms(use_true_random=False), st.integers(1, 6), st.integers(1, 5),
+    st.integers(0, 7), st.data(),
+)
+def test_facets_and_free_pairs_match_the_pairwise_scans(rng, n_vertices, n_facets, n, data):
+    k = random_complex(rng, n_vertices, n_facets, max_simplices=20)
+    chains = order_complex(_shuffled_poset(rng, data, n))
+    for c in (k, chains):
+        assert c.facets() == facets_oracle(c)
+        assert c.free_pairs() == free_pairs_oracle(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 8), st.data())
+def test_order_complex_matches_the_validating_constructor(rng, n, data):
+    space = _shuffled_poset(rng, data, n)
+    got = order_complex(space)
+    want = SimplicialComplex([[space.labels[i] for i in c] for c in _chains(space)])
+    assert got == want
+    assert got.simplices == want.simplices and got.vertices == want.vertices
+
+
+def _with_beat_points(rng, space: FiniteSpace, count: int) -> FiniteSpace:
+    """The space with ``count`` points added, each a beat point of the space
+    it joins: just above some x (its punctured open set has maximum x), or
+    just below it (its punctured closure has minimum x)."""
+    labels = list(space.labels)
+    down = list(space.masks()[0])
+    for _ in range(count if labels else 0):
+        n = len(labels)
+        up = [sum(1 << j for j in range(n) if down[j] >> i & 1) for i in range(n)]
+        x = rng.randrange(n)
+        if rng.random() < 0.5:
+            # above x, below an up-closed part of x's strict up-set
+            above = 0
+            for z in range(n):
+                if up[x] >> z & 1 and rng.random() < 0.5:
+                    above |= 1 << z | up[z]
+            down.append(down[x] | 1 << x)
+        else:
+            # below x and everything above it, above a down-closed part of
+            # x's strict down-set
+            above = up[x] | 1 << x
+            down.append(0)
+            for z in range(n):
+                if down[x] >> z & 1 and rng.random() < 0.5:
+                    down[n] |= 1 << z | down[z]
+        for z in range(n):
+            if above >> z & 1:
+                down[z] |= 1 << n
+        labels.append(f"q{n}")
+    return FiniteSpace.from_masks(labels, down)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 8), st.integers(0, 4), st.data())
+def test_homology_through_the_core_matches_the_full_order_complex(rng, n, beats, data):
+    space = _with_beat_points(rng, _shuffled_poset(rng, data, n), beats)
+    for reduced in (False, True):
+        try:
+            want = homology(order_complex(space), reduced=reduced).format()
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                homology_space(space, reduced=reduced)
+        else:
+            assert homology_space(space, reduced=reduced).format() == want

@@ -6,7 +6,8 @@ the boolean-matrix closure, constructor checks, pairwise inclusion order,
 covers, heights and linear extension, and the beat, core, weak-point and
 isomorphism routines, which build a fresh ``FiniteSpace`` per removal or
 punctured set and compare refined signatures as nested tuples.  The bitmask
-code in ``finspace`` must agree with them exactly.
+code in ``finspace`` must agree with them exactly.  Facets and free pairs of
+a complex have pairwise coface scans as oracles.
 """
 
 from __future__ import annotations
@@ -222,6 +223,28 @@ def barycentric_oracle(k: SimplicialComplex) -> SimplicialComplex:
     for s in elems:
         grow([s])
     return SimplicialComplex(fam)
+
+
+def _canonical(simplices) -> list[frozenset[str]]:
+    return sorted(simplices, key=lambda s: (len(s), sorted(s)))
+
+
+def facets_oracle(k: SimplicialComplex) -> tuple[tuple[str, ...], ...]:
+    """Maximal simplices in canonical order, each tested against every other."""
+    fam = _canonical(k._set)
+    return tuple(tuple(sorted(s)) for s in fam if not any(s < t for t in fam))
+
+
+def free_pairs_oracle(k: SimplicialComplex) -> list[tuple[tuple[str, ...], str]]:
+    """(S, a) in canonical order with S + {a} the only proper coface of S,
+    the cofaces found by testing every simplex."""
+    out = []
+    for s in _canonical(k._set):
+        cof = [t for t in k._set if s < t]
+        if len(cof) == 1:
+            (apex,) = cof[0] - s
+            out.append((tuple(sorted(s)), apex))
+    return out
 
 
 def beat_side_oracle(space: FiniteSpace, i: int | str) -> tuple[str, str] | None:
