@@ -1,7 +1,10 @@
 """Continuous (order-preserving) maps between finite spaces.
 
 Homotopy between maps is certified by comparability fences: a sequence of
-maps in which consecutive entries are pointwise comparable.  A map is
+maps in which consecutive entries are pointwise comparable.  Fence search
+numbers the continuous maps and keeps, per domain point and codomain point,
+int bitsets of the maps that send it above or below there; the maps
+comparable with u are then one AND per domain point.  A map is
 distinguished when every minimal open set pulls back to a contractible
 subspace; these are the maps whose non-Hausdorff mapping cylinder collapses
 back onto the domain.
@@ -162,6 +165,12 @@ def fence_homotopic(
     whole mapping space is enumerable (|cod| ** |dom| small enough) a
     breadth-first search decides fence-connectedness, so absence is
     conclusive there; otherwise absence is reported inconclusive.
+
+    Bit v of ``geq[i][y]`` (``leq[i][y]``) is set when the v-th enumerated
+    map sends i to or above (below) y, so the unseen maps above u are the
+    AND of ``geq[i][u[i]]`` over i with the unseen set.  Each level's new
+    maps are taken in ascending v, the order of a scan over all maps, so
+    the BFS parents, hence the fence, are those of that scan.
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise ValueError("maps must share domain and codomain")
@@ -173,22 +182,28 @@ def fence_homotopic(
         return FenceResult(None, False)
 
     maps = _all_continuous_maps(f.dom, f.cod)
-    index = {m: i for i, m in enumerate(maps)}
-    closed_up = [u | 1 << j for j, u in enumerate(f.cod.masks()[1])]
+    # at[i][y]: bit v set iff maps[v] sends point i to y, filled byte by byte
+    at = [[bytearray(len(maps) + 7 >> 3) for _ in range(f.cod.n)] for _ in range(f.dom.n)]
+    for v, images in enumerate(maps):
+        byte, bit = v >> 3, 1 << (v & 7)
+        for rows, y in zip(at, images):
+            rows[y][byte] |= bit
+    at = [[int.from_bytes(row, "little") for row in rows] for rows in at]
 
-    def comparable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        up = down = True
-        for i, j in zip(a, b):
-            if not closed_up[i] >> j & 1:
-                up = False
-            if not closed_up[j] >> i & 1:
-                down = False
-            if not (up or down):
-                return False
-        return up or down
+    def union(rows: list[int], sets: tuple[int, ...]) -> list[int]:
+        out = [0] * len(rows)
+        for y, s in enumerate(sets):
+            for z in _members(s | 1 << y):
+                out[y] |= rows[z]
+        return out
 
-    start, goal = index[f.images], index[g.images]
+    down, up = f.cod.masks()
+    geq = [union(rows, up) for rows in at]
+    leq = [union(rows, down) for rows in at]
+
+    start, goal = maps.index(f.images), maps.index(g.images)
     parent = {start: -1}
+    unseen = (1 << len(maps)) - 1 ^ 1 << start
     frontier = [start]
     depth = 0
     cut = False
@@ -199,11 +214,20 @@ def fence_homotopic(
             break
         nxt = []
         for u in frontier:
-            mu = maps[u]
-            for v, mv in enumerate(maps):
-                if v not in parent and comparable(mu, mv):
-                    parent[v] = u
-                    nxt.append(v)
+            above = below = unseen
+            for i, y in enumerate(maps[u]):
+                above &= geq[i][y]
+                below &= leq[i][y]
+            new = above | below
+            unseen ^= new
+            # bit v is character v of the reversed binary string, so the maps
+            # are met in ascending v, as a scan over every map would meet them
+            bits = bin(new)[:1:-1]
+            v = bits.find("1")
+            while v >= 0:
+                parent[v] = u
+                nxt.append(v)
+                v = bits.find("1", v + 1)
         frontier = nxt
     if goal not in parent:
         return FenceResult(None, not cut)
@@ -352,7 +376,7 @@ def verify_membership_evidence(ev: MembershipEvidence) -> tuple[bool, str]:
             fence = tuple(fence)
             if not is_valid_fence(fence):
                 return False, "fence does not replay"
-            if fence[0].images != ends[0].images or fence[-1].images != ends[1].images:
+            if fence[0] != ends[0] or fence[-1] != ends[1]:
                 return False, "fence endpoints do not match"
         return True, ""
     # composite

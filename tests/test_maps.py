@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -17,7 +18,7 @@ from finspace.maps import (
 from finspace.moves import is_weak_point
 from finspace.spaces import from_covers
 
-from util import random_monotone_map, random_poset
+from util import fence_oracle, random_monotone_map, random_poset
 
 SIERP = from_covers(["0", "1"], [("0", "1")])
 VEE = from_covers(["b", "c", "a"], [("b", "a"), ("c", "a")])
@@ -105,6 +106,47 @@ def test_fence_inconclusive_when_space_too_big():
         f, ContinuousMap(big, big, tuple(images)), budget=1
     )
     assert res.conclusive  # equal maps short-circuit even at tiny budget
+
+
+def test_fence_inconclusive_beyond_the_exhaustive_limit():
+    # 12 ** 12 maps are too many to enumerate, so absence is not conclusive
+    anti = from_covers([f"p{i}" for i in range(12)], [])
+    ident = ContinuousMap.identity(anti)
+    const = ContinuousMap.constant(anti, anti, "p0")
+    assert not pointwise_leq(ident, const) and not pointwise_leq(const, ident)
+    res = fence_homotopic(ident, const)
+    assert res.fence is None and not res.conclusive
+
+
+def test_fence_inconclusive_when_longer_than_the_budget():
+    # maps from a point into the zigzag a0 < b0 > a1 < b1 > a2: the only
+    # fence from a0 to a2 walks the whole zigzag, four steps
+    zigzag = from_covers(
+        ["a0", "b0", "a1", "b1", "a2"],
+        [("a0", "b0"), ("a1", "b0"), ("a1", "b1"), ("a2", "b1")],
+    )
+    pt = from_covers(["z"], [])
+    f = ContinuousMap.from_labels(pt, zigzag, {"z": "a0"})
+    g = ContinuousMap.from_labels(pt, zigzag, {"z": "a2"})
+    for budget in (2, 3):
+        res = fence_homotopic(f, g, budget=budget)
+        assert res.fence is None and not res.conclusive
+    res = fence_homotopic(f, g, budget=4)
+    assert [m("z") for m in res.fence] == ["a0", "b0", "a1", "b1", "a2"]
+    assert res == fence_oracle(f, g, budget=4) and res.conclusive
+
+
+def test_fence_antichain6_into_chain6_stays_within_a_second():
+    anti = from_covers([f"a{i}" for i in range(6)], [])
+    chain = from_covers([f"c{i}" for i in range(6)], [(f"c{i}", f"c{i + 1}") for i in range(5)])
+    f = ContinuousMap(anti, chain, (0, 1, 2, 3, 4, 5))
+    g = ContinuousMap(anti, chain, (5, 4, 3, 2, 1, 0))
+    start = time.process_time()
+    res = fence_homotopic(f, g)
+    assert time.process_time() - start < 1.0
+    # the fence of the pairwise scan in fence_oracle, which takes seconds on this input
+    assert [m.images for m in res.fence] == [(0, 1, 2, 3, 4, 5), (0,) * 6, (5, 4, 3, 2, 1, 0)]
+    assert res.conclusive
 
 
 def test_is_valid_fence_rejects_gaps():
@@ -199,6 +241,26 @@ def test_membership_evidence_homotopy_equivalence():
         MembershipEvidence("homotopy-equivalence", f, (g, fence_dom, fence_cod))
     )
     assert ok, why
+
+
+def test_membership_evidence_rejects_fences_over_other_spaces():
+    # f: {a, b} -> point and g = (z -> b) are no homotopy equivalence, yet a
+    # fence between other maps with the same image tuples replays
+    disc = from_covers(["a", "b"], [])
+    pt = from_covers(["z"], [])
+    f = ContinuousMap.constant(disc, pt, "z")
+    g = ContinuousMap.from_labels(pt, disc, {"z": "b"})
+    res = fence_homotopic(g.compose(f), ContinuousMap.identity(disc))
+    assert res.fence is None and res.conclusive
+    other_dom = from_covers(["p", "q"], [])
+    other_cod = from_covers(["u", "v"], [("v", "u")])
+    fence_dom = tuple(ContinuousMap(other_dom, other_cod, im) for im in ((1, 1), (0, 1)))
+    assert is_valid_fence(fence_dom)
+    fence_cod = (ContinuousMap.identity(pt),)
+    ok, why = verify_membership_evidence(
+        MembershipEvidence("homotopy-equivalence", f, (g, fence_dom, fence_cod))
+    )
+    assert not ok and why == "fence endpoints do not match"
 
 
 def test_membership_evidence_composite():

@@ -1,7 +1,8 @@
 """Property-based tests: punctured sets, the barycentric subdivision, the
 bitmask poset and its kernels against their numpy oracles, and the complex
 side (facets, free pairs, order complexes, homology through the core)
-against pairwise scans and the validating constructor."""
+against pairwise scans and the validating constructor, and fence search
+against the scan that compares every pair of maps."""
 
 from itertools import product
 
@@ -19,7 +20,7 @@ from finspace.functors import (
     space_subdivision,
 )
 from finspace.homology import homology, homology_space
-from finspace.maps import ContinuousMap, _all_continuous_maps
+from finspace.maps import ContinuousMap, _all_continuous_maps, fence_homotopic
 from finspace.moves import _beat_side, _strip_beats, is_contractible, is_weak_point
 from finspace.spaces import FiniteSpace, from_covers, is_isomorphic
 
@@ -33,6 +34,7 @@ from util import (
     covers_oracle,
     equal_oracle,
     facets_oracle,
+    fence_oracle,
     free_pairs_oracle,
     from_covers_oracle,
     heights_oracle,
@@ -365,3 +367,25 @@ def test_homology_through_the_core_matches_the_full_order_complex(rng, n, beats,
                 homology_space(space, reduced=reduced)
         else:
             assert homology_space(space, reduced=reduced).format() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.randoms(use_true_random=False), st.integers(0, 5), st.integers(1, 6),
+    st.sampled_from([1, 2, 3, 16]), st.data(),
+)
+def test_fence_search_matches_the_pairwise_scan(rng, n, m, budget, data):
+    # a codomain of two disjoint copies has maps with no fence between them;
+    # g is incomparable with f where it can be, so that the search runs
+    dom = _shuffled_poset(rng, data, n)
+    cod = _shuffled_poset(rng, data, m)
+    maps = _all_continuous_maps(dom, cod)
+    f = data.draw(st.sampled_from(maps))
+    below = lambda a, b: all(cod.is_leq(x, y) for x, y in zip(a, b))
+    apart = [h for h in maps if not below(f, h) and not below(h, f)]
+    g = data.draw(st.sampled_from(apart or maps))
+    f, g = (ContinuousMap(dom, cod, images) for images in (f, g))
+    got, want = fence_homotopic(f, g, budget), fence_oracle(f, g, budget)
+    images = lambda res: None if res.fence is None else [h.images for h in res.fence]
+    assert images(got) == images(want)
+    assert got.conclusive == want.conclusive

@@ -7,7 +7,8 @@ covers, heights and linear extension, and the beat, core, weak-point and
 isomorphism routines, which build a fresh ``FiniteSpace`` per removal or
 punctured set and compare refined signatures as nested tuples.  The bitmask
 code in ``finspace`` must agree with them exactly.  Facets and free pairs of
-a complex have pairwise coface scans as oracles.
+a complex have pairwise coface scans as oracles, and fence search the
+breadth-first scan that compares every frontier map with every map.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ import string
 import numpy as np
 
 from finspace.complexes import SimplicialComplex, dotted_label, from_facets
-from finspace.maps import ContinuousMap
+from finspace.maps import (
+    EXHAUSTIVE_LIMIT,
+    ContinuousMap,
+    FenceResult,
+    _all_continuous_maps,
+    pointwise_leq,
+)
 from finspace.moves import SpaceMove, is_down_beat, is_up_beat
 from finspace.spaces import FiniteSpace
 
@@ -138,6 +145,61 @@ def continuous_maps_oracle(dom: FiniteSpace, cod: FiniteSpace) -> list[tuple[int
 
     place(0)
     return out
+
+
+def fence_oracle(f: ContinuousMap, g: ContinuousMap, budget: int = 16) -> FenceResult:
+    """Breadth-first fence search that compares each frontier map with every
+    continuous map, in enumeration order, coordinate by coordinate."""
+    if f.dom != g.dom or f.cod != g.cod:
+        raise ValueError("maps must share domain and codomain")
+    if f.images == g.images:
+        return FenceResult((f,), True)
+    if pointwise_leq(f, g) or pointwise_leq(g, f):
+        return FenceResult((f, g), True)
+    if budget < 2 or f.cod.n ** max(f.dom.n, 1) > EXHAUSTIVE_LIMIT:
+        return FenceResult(None, False)
+
+    maps = _all_continuous_maps(f.dom, f.cod)
+    index = {m: i for i, m in enumerate(maps)}
+    closed_up = [u | 1 << j for j, u in enumerate(f.cod.masks()[1])]
+
+    def comparable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+        up = down = True
+        for i, j in zip(a, b):
+            if not closed_up[i] >> j & 1:
+                up = False
+            if not closed_up[j] >> i & 1:
+                down = False
+            if not (up or down):
+                return False
+        return up or down
+
+    start, goal = index[f.images], index[g.images]
+    parent = {start: -1}
+    frontier = [start]
+    depth = 0
+    cut = False
+    while frontier and goal not in parent:
+        depth += 1
+        if depth > budget:
+            cut = True
+            break
+        nxt = []
+        for u in frontier:
+            mu = maps[u]
+            for v, mv in enumerate(maps):
+                if v not in parent and comparable(mu, mv):
+                    parent[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    if goal not in parent:
+        return FenceResult(None, not cut)
+    chain = []
+    v = goal
+    while v != -1:
+        chain.append(v)
+        v = parent[v]
+    return FenceResult(tuple(ContinuousMap(f.dom, f.cod, maps[v]) for v in reversed(chain)), True)
 
 
 def random_poset(rng: random.Random, n: int, p: float = 0.3) -> FiniteSpace:
