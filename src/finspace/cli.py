@@ -7,6 +7,7 @@ Exit codes: 0 success or valid, 1 definite negative, 2 inconclusive
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .complexes import (
@@ -249,7 +250,9 @@ def _cmd_example(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """Built on the first call and kept: parsing never changes the parser."""
     parser = _Parser(prog="finspace", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -330,8 +333,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -43,6 +43,13 @@ class ContinuousMap:
     cod: FiniteSpace
     images: tuple[int, ...]
 
+    def __eq__(self, other: object) -> bool:
+        """Labelled equality: equal spaces and the same label map."""
+        if not isinstance(other, ContinuousMap):
+            return NotImplemented
+        return (self.dom == other.dom and self.cod == other.cod
+                and _images_in(self, other) == self.images)
+
     def __post_init__(self) -> None:
         if len(self.images) != self.dom.n:
             raise ValueError("one image per domain point is required")
@@ -98,11 +105,16 @@ class ContinuousMap:
         return self.dom.subspace(keep)
 
 
+def _images_in(f: ContinuousMap, g: ContinuousMap) -> tuple[int, ...]:
+    """g's images in the index frames of f's (label-equal) spaces, by label."""
+    return tuple(f.cod.index(g(l)) for l in f.dom.labels)
+
+
 def pointwise_leq(f: ContinuousMap, g: ContinuousMap) -> bool:
     """True when f(x) <= g(x) for every point x."""
     if f.dom != g.dom or f.cod != g.cod:
         raise ValueError("maps must share domain and codomain")
-    return all(f.cod.is_leq(i, j) for i, j in zip(f.images, g.images))
+    return all(f.cod.is_leq(i, j) for i, j in zip(f.images, _images_in(f, g)))
 
 
 # -- fences -----------------------------------------------------------------
@@ -174,7 +186,8 @@ def fence_homotopic(
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise ValueError("maps must share domain and codomain")
-    if f.images == g.images:
+    target = _images_in(f, g)
+    if f.images == target:
         return FenceResult((f,), True)
     if pointwise_leq(f, g) or pointwise_leq(g, f):
         return FenceResult((f, g), True)
@@ -190,18 +203,17 @@ def fence_homotopic(
             rows[y][byte] |= bit
     at = [[int.from_bytes(row, "little") for row in rows] for rows in at]
 
-    def union(rows: list[int], sets: tuple[int, ...]) -> list[int]:
-        out = [0] * len(rows)
-        for y, s in enumerate(sets):
-            for z in _members(s | 1 << y):
-                out[y] |= rows[z]
-        return out
+    # each cover y < z ORs geq[i][z] into geq[i][y] down a linear extension; leq dually, up it
+    pos = {y: k for k, y in enumerate(f.cod.linear_extension())}
+    covers = sorted(f.cod.covers(), key=lambda c: pos[c[0]])
+    geq, leq = at, [list(rows) for rows in at]
+    for above, below in zip(geq, leq):
+        for y, z in reversed(covers):
+            above[y] |= above[z]
+        for y, z in covers:
+            below[z] |= below[y]
 
-    down, up = f.cod.masks()
-    geq = [union(rows, up) for rows in at]
-    leq = [union(rows, down) for rows in at]
-
-    start, goal = maps.index(f.images), maps.index(g.images)
+    start, goal = maps.index(f.images), maps.index(target)
     parent = {start: -1}
     unseen = (1 << len(maps)) - 1 ^ 1 << start
     frontier = [start]
@@ -336,9 +348,9 @@ def verify_membership_evidence(ev: MembershipEvidence) -> tuple[bool, str]:
         g = ev.witnesses[0]
         if g.dom != f.cod or g.cod != f.dom:
             return False, "witness does not invert the right spaces"
-        if g.compose(f).images != ContinuousMap.identity(f.dom).images:
+        if g.compose(f) != ContinuousMap.identity(f.dom):
             return False, "witness is not a left inverse"
-        if f.compose(g).images != ContinuousMap.identity(f.cod).images:
+        if f.compose(g) != ContinuousMap.identity(f.cod):
             return False, "witness is not a right inverse"
         return True, ""
     if ev.kind == "distinguished":
@@ -390,6 +402,6 @@ def verify_membership_evidence(ev: MembershipEvidence) -> tuple[bool, str]:
     composed = parts[0].subject
     for part in parts[1:]:
         composed = part.subject.compose(composed)
-    if composed.dom != f.dom or composed.cod != f.cod or composed.images != f.images:
+    if composed != f:
         return False, "factors do not compose to the subject"
     return True, ""

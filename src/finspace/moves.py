@@ -15,7 +15,7 @@ import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .spaces import FiniteSpace, _members, is_isomorphic
+from .spaces import FiniteSpace, _check_label, _checked_up_sets, _members, _trusted, is_isomorphic
 
 if TYPE_CHECKING:
     from .complexes import SimplicialComplex, SimplicialMoveCertificate
@@ -300,6 +300,7 @@ def _attach(
     """
     if label in space._index:
         raise ValueError(f"label {label!r} already present")
+    _check_label(label)  # the other labels are those of a valid space
     down_idx = [space.index(d) for d in down]
     up_idx = [space.index(u) for u in up]
     if set(down_idx) & set(up_idx):
@@ -309,7 +310,7 @@ def _attach(
     down.append(sum(1 << d for d in set(down_idx)))
     for u in set(up_idx):
         down[u] |= 1 << n
-    return FiniteSpace.from_masks(space.labels + (label,), down)
+    return _trusted(space.labels + (label,), down, _checked_up_sets(down))
 
 
 def add_weak_point(

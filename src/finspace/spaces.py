@@ -155,7 +155,10 @@ class FiniteSpace:
         return len(self.labels)
 
     def index(self, x: int | str) -> int:
-        """Normalize a point given by index or label to its index."""
+        """Normalize a point given by index or label to its index; an in-range
+        plain int returns at once, before the label and range checks."""
+        if type(x) is int and 0 <= x < len(self.labels):
+            return x
         try:
             i = self._index[x] if isinstance(x, str) else operator.index(x)
         except (KeyError, TypeError):

@@ -1,6 +1,8 @@
 """End-to-end runs of the command line interface, in process."""
 
+import contextlib
 import inspect
+import io
 import json
 import os
 import random
@@ -11,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from finspace.cli import main
-from finspace.fileio import format_space
+from finspace.cli import _build_parser, main
+from finspace.fileio import format_space, format_space_certificate
+from finspace.moves import core
 from finspace.spaces import from_covers
 
 from util import random_poset
@@ -124,6 +127,45 @@ def test_usage_error_exits_three():
     with pytest.raises(SystemExit) as e:
         main(["collapse"])  # missing positional
     assert e.value.code == 3
+
+
+def test_parser_is_built_once_and_reused():
+    assert _build_parser() is _build_parser()
+
+
+def test_one_process_runs_commands_after_a_usage_error(capsys, tmp_path):
+    # the shared parser carries nothing from one call to the next
+    cert = tmp_path / "core.cert"
+    cert.write_text(format_space_certificate(core(from_covers(
+        ["a", "b", "c"], [("a", "b"), ("a", "c")]))[1]))
+    _build_parser.cache_clear()
+    assert main(["core", "example:wallet"]) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as e:
+        main(["core", "example:wallet", "--budget", "3"])
+    assert e.value.code == 3
+    assert "unrecognized arguments: --budget 3" in capsys.readouterr().err
+    assert main(["verify", str(cert)]) == 0
+    assert capsys.readouterr().out == "valid: 2 moves replay; final object has size 1\n"
+    assert main(["core", "example:wallet"]) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_help_and_usage_errors_go_to_the_streams_of_the_call(capsys):
+    _build_parser()  # built while capsys holds the streams
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        for argv, code in ((["--help"], 0), (["core", "--help"], 0), (["nosuchcommand"], 3)):
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == code
+    assert out.getvalue().startswith("usage: finspace [-h]")
+    assert "usage: finspace core [-h] [--certificate] poset" in out.getvalue()
+    assert "invalid choice: 'nosuchcommand'" in err.getvalue()
+    assert capsys.readouterr() == ("", "")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert capsys.readouterr().out == out.getvalue().split("usage: finspace core")[0]
 
 
 def test_k_and_x_round_trip(capsys, tmp_path):

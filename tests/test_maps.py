@@ -263,6 +263,32 @@ def test_membership_evidence_rejects_fences_over_other_spaces():
     assert not ok and why == "fence endpoints do not match"
 
 
+def test_maps_over_index_permuted_spaces_compare_by_label():
+    # a and a2 are one labelled space indexed in two orders, so the image
+    # tuple (0, 1) is a->lo, b->hi over a but a->hi, b->lo over a2
+    a = from_covers(["a", "b"], [])
+    a2 = from_covers(["b", "a"], [])
+    c = from_covers(["lo", "hi"], [("lo", "hi")])
+    f, g = ContinuousMap(a, c, (0, 1)), ContinuousMap(a2, c, (0, 1))
+    assert f != g and f == ContinuousMap(a2, c, (1, 0))
+    assert not pointwise_leq(f, g) and not pointwise_leq(g, f)
+    assert pointwise_leq(f, ContinuousMap(a2, c, (1, 1)))
+    assert not is_valid_fence((f, g))
+    res = fence_homotopic(f, g)
+    assert res.conclusive and len(res.fence) == 3 and is_valid_fence(res.fence)
+    assert res.fence[0] == f and res.fence[-1] == g
+    assert fence_homotopic(f, ContinuousMap(a2, c, (1, 0))).fence == (f,)
+    # the identity of a, written over a2, inverts the identity; the swap does not
+    for images, ok in (((0, 1), True), ((1, 0), False)):
+        inverse = ContinuousMap(a2, a2, images)
+        ev = MembershipEvidence("homeomorphism", ContinuousMap.identity(a), (inverse,))
+        assert verify_membership_evidence(ev)[0] is ok
+    swap = ContinuousMap.from_labels(a, a, {"a": "b", "b": "a"})
+    ev = MembershipEvidence("composite", ContinuousMap.identity(a),
+                            (MembershipEvidence("homeomorphism", swap, (swap,)),))
+    assert verify_membership_evidence(ev) == (False, "factors do not compose to the subject")
+
+
 def test_membership_evidence_composite():
     s = from_covers(["a", "b"], [("a", "b")])
     sub = s.delete("a")

@@ -166,6 +166,33 @@ def test_certificate_rejects_unknown_point_and_bad_attach():
     assert not verify_space_certificate(dangling).ok
 
 
+def test_verify_rejects_bad_labels_and_unclosed_attaching_sets():
+    # the verifier builds the grown space without re-checking the old labels,
+    # so the new label and the order are what it must still refuse
+    chain = from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
+
+    def attach(label, down, up=()):
+        move = SpaceMove("add", label, "down-weak", down=down, up=up)
+        return verify_space_certificate(SpaceMoveCertificate(chain, (move,)))
+
+    for label, why in (
+        ("b", "label 'b' already present"),
+        ("x y", "label 'x y' contains whitespace"),
+        ("x#", "label 'x#' contains whitespace"),
+        ("", "labels must be nonempty strings"),
+    ):
+        res = attach(label, ("c",))
+        assert (res.ok, res.step) == (False, 0)
+        assert res.reason.startswith(f"cannot attach {label!r}: {why}")
+    # {c} is not closed downwards (a < c), and b above x leaves x out of the
+    # down-set of c
+    for down, up in ((("c",), ()), (("a",), ("b",))):
+        res = attach("x", down, up)
+        assert (res.ok, res.step) == (False, 0)
+        assert res.reason == "cannot attach 'x': relation is not transitive"
+    assert attach("x", ("a", "b", "c")).ok
+
+
 def test_collapse_search_budget_is_reported():
     res = collapse_search(WALLET, budget=2)
     assert res.certificate is None

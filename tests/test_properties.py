@@ -1,8 +1,9 @@
 """Property-based tests: punctured sets, the barycentric subdivision, the
 bitmask poset and its kernels against their numpy oracles, and the complex
 side (facets, free pairs, order complexes, homology through the core)
-against pairwise scans and the validating constructor, and fence search
-against the scan that compares every pair of maps."""
+against pairwise scans and the validating constructor, fence search
+against the scan that compares every pair of maps, and point lookup against
+its path without the int shortcut."""
 
 from itertools import product
 
@@ -38,6 +39,7 @@ from util import (
     free_pairs_oracle,
     from_covers_oracle,
     heights_oracle,
+    index_oracle,
     inclusion_order,
     isomorphic_oracle,
     leq_matrix,
@@ -369,6 +371,12 @@ def test_homology_through_the_core_matches_the_full_order_complex(rng, n, beats,
             assert homology_space(space, reduced=reduced).format() == want
 
 
+def _reindexed(space: FiniteSpace, perm) -> FiniteSpace:
+    """The same labelled space with its points stored in the order perm."""
+    leq = leq_matrix(space)[np.ix_(perm, perm)]
+    return FiniteSpace(tuple(space.labels[p] for p in perm), leq)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.randoms(use_true_random=False), st.integers(0, 5), st.integers(1, 6),
@@ -385,7 +393,38 @@ def test_fence_search_matches_the_pairwise_scan(rng, n, m, budget, data):
     apart = [h for h in maps if not below(f, h) and not below(h, f)]
     g = data.draw(st.sampled_from(apart or maps))
     f, g = (ContinuousMap(dom, cod, images) for images in (f, g))
-    got, want = fence_homotopic(f, g, budget), fence_oracle(f, g, budget)
-    images = lambda res: None if res.fence is None else [h.images for h in res.fence]
-    assert images(got) == images(want)
+    searched = g
+    if data.draw(st.booleans()):
+        # g over index-permuted copies of dom and cod: the search must pair
+        # images by label; the oracle gets g in f's index frames
+        dom2 = _reindexed(dom, data.draw(st.permutations(range(dom.n))))
+        cod2 = _reindexed(cod, data.draw(st.permutations(range(cod.n))))
+        searched = ContinuousMap(dom2, cod2, tuple(cod2.index(g(x)) for x in dom2.labels))
+    got, want = fence_homotopic(f, searched, budget), fence_oracle(f, g, budget)
+    by_label = lambda res: None if res.fence is None else [h.label_map() for h in res.fence]
+    assert by_label(got) == by_label(want)
     assert got.conclusive == want.conclusive
+
+
+def _outcome(lookup, x):
+    try:
+        return lookup(x)
+    except KeyError as exc:
+        return "KeyError", str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 8), st.data())
+def test_index_matches_the_full_lookup(rng, n, data):
+    space = _shuffled_poset(rng, data, n)
+    point = st.one_of(
+        st.integers(-n - 2, n + 2),
+        st.booleans(),
+        st.integers(-n - 2, n + 2).map(np.int64),
+        st.sampled_from([f"p{i}" for i in range(n + 2)] + ["", "0"]),
+        st.just(1.0),
+    )
+    for x in data.draw(st.lists(point, min_size=1, max_size=12)):
+        want = _outcome(lambda y: index_oracle(space, y), x)
+        got = _outcome(space.index, x)
+        assert got == want and type(got) is type(want)

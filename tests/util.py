@@ -7,12 +7,14 @@ covers, heights and linear extension, and the beat, core, weak-point and
 isomorphism routines, which build a fresh ``FiniteSpace`` per removal or
 punctured set and compare refined signatures as nested tuples.  The bitmask
 code in ``finspace`` must agree with them exactly.  Facets and free pairs of
-a complex have pairwise coface scans as oracles, and fence search the
-breadth-first scan that compares every frontier map with every map.
+a complex have pairwise coface scans as oracles, fence search the
+breadth-first scan that compares every frontier map with every map, and
+``FiniteSpace.index`` its path without the in-range int shortcut.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import string
 
@@ -83,6 +85,18 @@ def inclusion_order(sets) -> np.ndarray:
         for j, t in enumerate(sets):
             rel[i, j] = s <= t
     return rel
+
+
+def index_oracle(space: FiniteSpace, x) -> int:
+    """A point given by label or by anything ``operator.index`` accepts,
+    checked against the labels and the range."""
+    try:
+        i = space._index[x] if isinstance(x, str) else operator.index(x)
+    except (KeyError, TypeError):
+        raise KeyError(f"no point labeled {x!r}") from None
+    if not 0 <= i < space.n:
+        raise KeyError(f"point index {i} out of range")
+    return i
 
 
 def covers_oracle(space: FiniteSpace) -> list[tuple[int, int]]:
