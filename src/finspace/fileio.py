@@ -80,10 +80,14 @@ def _example(name: str, want: tuple[type, ...], source: str) -> object:
 
 
 def parse_space(text: str, source: str = "<string>") -> FiniteSpace:
+    return _space_from_lines(_content_lines(text), source)
+
+
+def _space_from_lines(lines: list[tuple[int, str]], source: str) -> FiniteSpace:
     elements: list[str] | None = None
     covers: list[tuple[str, str]] = []
     head_line = None
-    for no, line in _content_lines(text):
+    for no, line in lines:
         parts = line.split()
         if parts[0] == "elements:":
             if elements is not None:
@@ -127,9 +131,13 @@ def format_space(space: FiniteSpace) -> str:
 
 
 def parse_complex(text: str, source: str = "<string>") -> SimplicialComplex:
+    return _complex_from_lines(_content_lines(text), source)
+
+
+def _complex_from_lines(lines: list[tuple[int, str]], source: str) -> SimplicialComplex:
     vertices: list[str] | None = None
     facets: list[list[str]] = []
-    for no, line in _content_lines(text):
+    for no, line in lines:
         parts = line.split()
         if parts[0] == "vertices:":
             if vertices is not None:
@@ -285,16 +293,10 @@ def parse_certificate(
             block.append(body.pop(0))
         if not block:
             raise ParseError(source, no, "bare start: needs an inline space or complex")
-        prev = 0
-        pieces = []
-        for b_no, b_line in block:
-            pieces.append("\n" * (b_no - prev - 1) + b_line)
-            prev = b_no
-        block_text = "\n".join(pieces)
         if block[0][1].startswith("elements:"):
-            start = parse_space(block_text, source)
+            start = _space_from_lines(block, source)
         else:
-            start = parse_complex(block_text, source)
+            start = _complex_from_lines(block, source)
 
     moves = []
     for no, line in body:

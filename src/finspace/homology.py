@@ -1,15 +1,15 @@
 """Integer simplicial homology via Smith normal form.
 
-Boundary matrices are reduced over the integers exactly.  Unit pivots are
-eliminated first on a sparse representation (with Markowitz-style fill-in
-control); whatever residue survives is finished with the classical dense
-algorithm, including the divisibility fix-up, so torsion comes out as a
-proper invariant factor chain.  Arbitrary-precision integers throughout.
+Boundary matrices are reduced over the integers exactly in one sparse
+elimination whose pivot is an entry of least absolute value, fill-in cost
+breaking ties (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001); the
+diagonal left over becomes an invariant factor chain by pairwise gcd and lcm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .complexes import SimplicialComplex
 from .moves import core
@@ -74,6 +74,9 @@ def smith_invariants(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
     """Rank and invariant factor chain of a sparse integer matrix.
 
     ``rows`` maps row index to {column: value}; zero values are not stored.
+    The pivot has the least key (|v|, Markowitz cost, r, c).  Row and then
+    column operations leave only remainders mod v beside it; any nonzero one
+    is smaller than |v| and pivots next, so the loop ends.
     """
     rows = {r: dict(cs) for r, cs in rows.items() if cs}
     cols: dict[int, set[int]] = {}
@@ -81,122 +84,63 @@ def smith_invariants(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
         for c in cs:
             cols.setdefault(c, set()).add(r)
 
-    unit_pivots = 0
-    while True:
+    units = 0
+    diagonal: list[int] = []
+    while rows:
         best = None
         for r, cs in rows.items():
             fr = len(cs) - 1
             for c, v in cs.items():
-                if v == 1 or v == -1:
-                    cost = fr * (len(cols[c]) - 1)
-                    key = (cost, r, c)
-                    if best is None or key < best[0]:
-                        best = (key, r, c, v)
-        if best is None:
-            break
-        _, r, c, v = best
+                key = (abs(v), fr * (len(cols[c]) - 1), r, c)
+                if best is None or key < best:
+                    best = key
+        _, _, r, c = best
         pivot_row = rows[r]
+        v = pivot_row[c]
         for r2 in list(cols[c]):
             if r2 == r:
                 continue
-            coef = rows[r2][c] * v
             target = rows[r2]
+            q = target[c] // v
             for c2, v2 in pivot_row.items():
-                new = target.get(c2, 0) - coef * v2
+                new = target.get(c2, 0) - q * v2
                 if new:
                     if c2 not in target:
-                        cols.setdefault(c2, set()).add(r2)
+                        cols[c2].add(r2)
                     target[c2] = new
-                else:
-                    if c2 in target:
-                        del target[c2]
-                        cols[c2].discard(r2)
+                elif c2 in target:
+                    del target[c2]
+                    cols[c2].discard(r2)
             if not target:
                 del rows[r2]
-        for c2 in pivot_row:
-            cols[c2].discard(r)
-            if not cols[c2]:
-                del cols[c2]
-        del rows[r]
-        unit_pivots += 1
-
-    if not rows:
-        return unit_pivots, [1] * unit_pivots
-
-    # Dense residue: no remaining entry is a unit.
-    row_ids = sorted(rows)
-    col_ids = sorted({c for cs in rows.values() for c in cs})
-    cindex = {c: i for i, c in enumerate(col_ids)}
-    m = [[0] * len(col_ids) for _ in row_ids]
-    for i, r in enumerate(row_ids):
-        for c, v in rows[r].items():
-            m[i][cindex[c]] = v
-    residue = _dense_snf(m)
-    factors = [1] * unit_pivots + residue
-    return len(factors), factors
-
-
-def _dense_snf(m: list[list[int]]) -> list[int]:
-    """Invariant factors of a small dense integer matrix."""
-    nr, nc = len(m), len(m[0]) if m else 0
-    factors: list[int] = []
-    top = 0
-    while True:
-        pivot = None
-        for i in range(top, nr):
-            for j in range(top, nc):
-                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        m[top], m[i] = m[i], m[top]
-        for row in m:
-            row[top], row[j] = row[j], row[top]
-        while True:
-            p = m[top][top]
-            done = True
-            for i in range(top + 1, nr):
-                if m[i][top]:
-                    q = m[i][top] // p
-                    for j in range(top, nc):
-                        m[i][j] -= q * m[top][j]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(top + 1, nc):
-                if m[top][j]:
-                    q = m[top][j] // p
-                    for i in range(top, nr):
-                        m[i][j] -= q * m[i][top]
-                    if m[top][j]:
-                        for i in range(top, nr):
-                            m[i][top], m[i][j] = m[i][j], m[i][top]
-                        done = False
-                        break
-            if done:
-                break
-        p = abs(m[top][top])
-        offender = None
-        for i in range(top + 1, nr):
-            for j in range(top + 1, nc):
-                if m[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(top, nc):
-                m[top][j] += m[offender][j]
+        if len(cols[c]) > 1:
             continue
-        factors.append(p)
-        top += 1
-        if top == nr or top == nc:
-            break
-    return factors
+        # column c holds only row r, so column operations touch no other row
+        for c2 in list(pivot_row):
+            if c2 != c:
+                new = pivot_row[c2] % v
+                if new:
+                    pivot_row[c2] = new
+                else:
+                    del pivot_row[c2]
+                    cols[c2].discard(r)
+                    if not cols[c2]:
+                        del cols[c2]
+        if len(pivot_row) > 1:
+            continue
+        del rows[r], cols[c]
+        if v == 1 or v == -1:
+            units += 1
+        else:
+            diagonal.append(abs(v))
+
+    # diag(a, b) is equivalent to diag(gcd, lcm); pass i leaves in slot i
+    # the gcd of slots i onward, so the slots end up a divisibility chain
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            a, b = diagonal[i], diagonal[j]
+            diagonal[i], diagonal[j] = gcd(a, b), lcm(a, b)
+    return units + len(diagonal), [1] * units + diagonal
 
 
 def homology(k: SimplicialComplex, reduced: bool = False) -> HomologyReport:
@@ -208,16 +152,9 @@ def homology(k: SimplicialComplex, reduced: bool = False) -> HomologyReport:
     ranks = [0] * (dim + 2)
     torsion: list[tuple[int, ...]] = [()] * (dim + 1)
     for d in range(1, dim + 1):
-        rows, _, _ = _boundary(k, d)
-        rank, factors = smith_invariants(rows)
-        ranks[d] = rank
-        if d >= 1:
-            t = tuple(f for f in factors if f > 1)
-            torsion[d - 1] = t
-    betti = []
-    for d in range(dim + 1):
-        b = counts[d] - ranks[d] - ranks[d + 1]
-        betti.append(b)
+        ranks[d], factors = smith_invariants(_boundary(k, d)[0])
+        torsion[d - 1] = tuple(f for f in factors if f > 1)
+    betti = [counts[d] - ranks[d] - ranks[d + 1] for d in range(dim + 1)]
     if reduced:
         betti[0] -= 1
     return HomologyReport(tuple(betti), tuple(torsion), reduced)

@@ -110,11 +110,16 @@ def _images_in(f: ContinuousMap, g: ContinuousMap) -> tuple[int, ...]:
     return tuple(f.cod.index(g(l)) for l in f.dom.labels)
 
 
+def _below(cod: FiniteSpace, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """a[x] <= b[x] in cod for every x, both image tuples in cod's index frame."""
+    return all(cod.is_leq(i, j) for i, j in zip(a, b))
+
+
 def pointwise_leq(f: ContinuousMap, g: ContinuousMap) -> bool:
     """True when f(x) <= g(x) for every point x."""
     if f.dom != g.dom or f.cod != g.cod:
         raise ValueError("maps must share domain and codomain")
-    return all(f.cod.is_leq(i, j) for i, j in zip(f.images, _images_in(f, g)))
+    return _below(f.cod, f.images, _images_in(f, g))
 
 
 # -- fences -----------------------------------------------------------------
@@ -137,7 +142,8 @@ def is_valid_fence(fence: Iterable[ContinuousMap]) -> bool:
     for f, g in zip(fence, fence[1:]):
         if f.dom != g.dom or f.cod != g.cod:
             return False
-        if not (pointwise_leq(f, g) or pointwise_leq(g, f)):
+        a, b = f.images, _images_in(f, g)
+        if not (_below(f.cod, a, b) or _below(f.cod, b, a)):
             return False
     return True
 
@@ -189,7 +195,7 @@ def fence_homotopic(
     target = _images_in(f, g)
     if f.images == target:
         return FenceResult((f,), True)
-    if pointwise_leq(f, g) or pointwise_leq(g, f):
+    if _below(f.cod, f.images, target) or _below(f.cod, target, f.images):
         return FenceResult((f, g), True)
     if budget < 2 or f.cod.n ** max(f.dom.n, 1) > EXHAUSTIVE_LIMIT:
         return FenceResult(None, False)

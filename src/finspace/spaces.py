@@ -286,6 +286,8 @@ class FiniteSpace:
         """
         if not isinstance(other, FiniteSpace):
             return NotImplemented
+        if self is other:
+            return True
         if set(self.labels) != set(other.labels):
             return False
         perm = [other._index[l] for l in self.labels]

@@ -2,8 +2,9 @@
 bitmask poset and its kernels against their numpy oracles, and the complex
 side (facets, free pairs, order complexes, homology through the core)
 against pairwise scans and the validating constructor, fence search
-against the scan that compares every pair of maps, and point lookup against
-its path without the int shortcut."""
+against the scan that compares every pair of maps, point lookup against
+its path without the int shortcut, Smith normal form against the two-phase
+elimination, and homology along every move of a certificate."""
 
 from itertools import product
 
@@ -12,15 +13,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from finspace.complexes import SimplicialComplex, dotted_label, from_facets
+from finspace.complexes import (
+    SimplicialComplex,
+    collapse_sequence_search,
+    dotted_label,
+    from_facets,
+)
 from finspace.functors import (
     _chains,
     barycentric_subdivision,
     face_poset,
     order_complex,
     space_subdivision,
+    translate_space_collapse,
 )
-from finspace.homology import homology, homology_space
+from finspace.homology import _boundary, homology, homology_space, smith_invariants
 from finspace.maps import ContinuousMap, _all_continuous_maps, fence_homotopic
 from finspace.moves import _beat_side, _strip_beats, is_contractible, is_weak_point
 from finspace.spaces import FiniteSpace, from_covers, is_isomorphic
@@ -46,6 +53,7 @@ from util import (
     linear_extension_oracle,
     random_complex,
     random_poset,
+    smith_oracle,
     strip_beats_oracle,
     weak_point_oracle,
 )
@@ -428,3 +436,68 @@ def test_index_matches_the_full_lookup(rng, n, data):
         want = _outcome(lambda y: index_oracle(space, y), x)
         got = _outcome(space.index, x)
         assert got == want and type(got) is type(want)
+
+
+_UNITS = [1, -1]
+_NON_UNITS = [2, -2, 3, 4, 5, 6, -9, 12]
+
+
+@st.composite
+def _sparse_matrices(draw) -> dict[int, dict[int, int]]:
+    """Up to 7 x 7, rows possibly empty, sometimes with no unit entry."""
+    nr, nc = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    values = st.sampled_from(_NON_UNITS if draw(st.booleans()) else _UNITS + _NON_UNITS)
+    row = st.dictionaries(st.integers(0, nc - 1), values, max_size=nc) if nc else st.just({})
+    return {r: draw(row) for r in range(nr)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(), st.data())
+def test_smith_invariants_match_the_two_phase_oracle(rng, boundary, data):
+    if boundary:
+        k = random_complex(rng, data.draw(st.integers(1, 7)), data.draw(st.integers(1, 6)), 40)
+        matrices = [_boundary(k, d)[0] for d in range(1, k.dim + 1)]
+    else:
+        matrices = [data.draw(_sparse_matrices())]
+    for rows in matrices:
+        assert smith_invariants(rows) == smith_oracle(rows)
+
+
+def _replayed(cert):
+    """The start and every complex after it, each move applied (and
+    checked) by elementary_collapse or elementary_expand."""
+    current = cert.start
+    yield current
+    for m in cert.moves:
+        step = current.elementary_collapse if m.direction == "remove" else current.elementary_expand
+        current = step(m.face, m.apex)[0]
+        yield current
+
+
+def _groups(k: SimplicialComplex) -> list[str]:
+    # trailing trivial groups dropped, as a move may change the dimension
+    h = homology(k)
+    groups = [h.group(d) for d in range(len(h.betti))]
+    while groups[-1] == "0":
+        groups.pop()
+    return groups
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.randoms(use_true_random=False), st.integers(2, 7), st.integers(1, 6),
+    st.integers(2, 7), st.data(),
+)
+def test_homology_is_invariant_under_every_certified_move(rng, n_vertices, n_facets, n, data):
+    certs = []
+    found = collapse_sequence_search(random_complex(rng, n_vertices, n_facets, 30), budget=2_000)
+    if found:
+        certs.append(found.certificate)
+    space = _with_beat_points(rng, _shuffled_poset(rng, data, n), data.draw(st.integers(0, 2)))
+    weak = [x for x in space.labels if is_weak_point(space, x)]
+    if weak:
+        certs.append(translate_space_collapse(space, data.draw(st.sampled_from(weak))))
+    for cert in certs:
+        want = _groups(cert.start)
+        for k in _replayed(cert):
+            assert _groups(k) == want

@@ -8,8 +8,10 @@ isomorphism routines, which build a fresh ``FiniteSpace`` per removal or
 punctured set and compare refined signatures as nested tuples.  The bitmask
 code in ``finspace`` must agree with them exactly.  Facets and free pairs of
 a complex have pairwise coface scans as oracles, fence search the
-breadth-first scan that compares every frontier map with every map, and
-``FiniteSpace.index`` its path without the in-range int shortcut.
+breadth-first scan that compares every frontier map with every map,
+``FiniteSpace.index`` its path without the in-range int shortcut, and
+Smith normal form the two-phase elimination: sparse unit pivots, then a
+dense residue.
 """
 
 from __future__ import annotations
@@ -214,6 +216,134 @@ def fence_oracle(f: ContinuousMap, g: ContinuousMap, budget: int = 16) -> FenceR
         chain.append(v)
         v = parent[v]
     return FenceResult(tuple(ContinuousMap(f.dom, f.cod, maps[v]) for v in reversed(chain)), True)
+
+
+def smith_oracle(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
+    """Rank and invariant factor chain of a sparse integer matrix: unit
+    pivots eliminated sparsely by Markowitz cost, then the non-unit residue
+    finished by a dense Smith normal form with its divisibility fix-up."""
+    rows = {r: dict(cs) for r, cs in rows.items() if cs}
+    cols: dict[int, set[int]] = {}
+    for r, cs in rows.items():
+        for c in cs:
+            cols.setdefault(c, set()).add(r)
+
+    unit_pivots = 0
+    while True:
+        best = None
+        for r, cs in rows.items():
+            fr = len(cs) - 1
+            for c, v in cs.items():
+                if v == 1 or v == -1:
+                    cost = fr * (len(cols[c]) - 1)
+                    key = (cost, r, c)
+                    if best is None or key < best[0]:
+                        best = (key, r, c, v)
+        if best is None:
+            break
+        _, r, c, v = best
+        pivot_row = rows[r]
+        for r2 in list(cols[c]):
+            if r2 == r:
+                continue
+            coef = rows[r2][c] * v
+            target = rows[r2]
+            for c2, v2 in pivot_row.items():
+                new = target.get(c2, 0) - coef * v2
+                if new:
+                    if c2 not in target:
+                        cols.setdefault(c2, set()).add(r2)
+                    target[c2] = new
+                else:
+                    if c2 in target:
+                        del target[c2]
+                        cols[c2].discard(r2)
+            if not target:
+                del rows[r2]
+        for c2 in pivot_row:
+            cols[c2].discard(r)
+            if not cols[c2]:
+                del cols[c2]
+        del rows[r]
+        unit_pivots += 1
+
+    if not rows:
+        return unit_pivots, [1] * unit_pivots
+
+    # Dense residue: no remaining entry is a unit.
+    row_ids = sorted(rows)
+    col_ids = sorted({c for cs in rows.values() for c in cs})
+    cindex = {c: i for i, c in enumerate(col_ids)}
+    m = [[0] * len(col_ids) for _ in row_ids]
+    for i, r in enumerate(row_ids):
+        for c, v in rows[r].items():
+            m[i][cindex[c]] = v
+    residue = _dense_snf(m)
+    factors = [1] * unit_pivots + residue
+    return len(factors), factors
+
+
+def _dense_snf(m: list[list[int]]) -> list[int]:
+    """Invariant factors of a small dense integer matrix."""
+    nr, nc = len(m), len(m[0]) if m else 0
+    factors: list[int] = []
+    top = 0
+    while True:
+        pivot = None
+        for i in range(top, nr):
+            for j in range(top, nc):
+                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        i, j = pivot
+        m[top], m[i] = m[i], m[top]
+        for row in m:
+            row[top], row[j] = row[j], row[top]
+        while True:
+            p = m[top][top]
+            done = True
+            for i in range(top + 1, nr):
+                if m[i][top]:
+                    q = m[i][top] // p
+                    for j in range(top, nc):
+                        m[i][j] -= q * m[top][j]
+                    if m[i][top]:
+                        m[top], m[i] = m[i], m[top]
+                        done = False
+                        break
+            if not done:
+                continue
+            for j in range(top + 1, nc):
+                if m[top][j]:
+                    q = m[top][j] // p
+                    for i in range(top, nr):
+                        m[i][j] -= q * m[i][top]
+                    if m[top][j]:
+                        for i in range(top, nr):
+                            m[i][top], m[i][j] = m[i][j], m[i][top]
+                        done = False
+                        break
+            if done:
+                break
+        p = abs(m[top][top])
+        offender = None
+        for i in range(top + 1, nr):
+            for j in range(top + 1, nc):
+                if m[i][j] % p:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            for j in range(top, nc):
+                m[top][j] += m[offender][j]
+            continue
+        factors.append(p)
+        top += 1
+        if top == nr or top == nc:
+            break
+    return factors
 
 
 def random_poset(rng: random.Random, n: int, p: float = 0.3) -> FiniteSpace:
