@@ -336,16 +336,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(exc, file=sys.stderr)
-        return 3
-    except CorpusError as exc:
-        print(exc, file=sys.stderr)
-        return 3
-    except (ValueError, KeyError) as exc:
+    except (ParseError, CorpusError, ValueError, KeyError) as exc:
         print(exc, file=sys.stderr)
         return 3
     except (MemoryError, RecursionError) as exc:

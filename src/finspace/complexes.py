@@ -7,6 +7,8 @@ S + {a}, which is then necessarily maximal and one dimension higher.
 Facets and free pairs come from a cofacet index, built once, that maps S to
 each a with S + {a} a simplex: facets are missing from it, and S is free when
 it has exactly one such a.  The certificate verifier rescans the family.
+Isomorphism runs the engine of ``spaces`` on vertex signatures and the
+1-skeleton as edge bitmasks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .moves import ReplayResult, SearchResult, _budgeted_search
-from .spaces import _check_label
+from .spaces import _check_label, _first_isomorphism
 
 __all__ = [
     "SimplicialComplex",
@@ -303,51 +305,38 @@ def _vertex_signatures(k: SimplicialComplex) -> dict[str, tuple]:
 def complex_isomorphic(
     a: SimplicialComplex, b: SimplicialComplex
 ) -> dict[str, str] | None:
-    """Vertex bijection carrying simplices onto simplices, or None."""
-    if len(a.vertices) != len(b.vertices) or a.f_vector() != b.f_vector():
+    """Vertex bijection carrying simplices onto simplices, or None: the first
+    bijection keeping signatures and edges that maps each simplex onto one."""
+    f = a.f_vector()  # f[0] counts the vertices
+    if f != b.f_vector():
         return None
-    sig_a = _vertex_signatures(a)
-    sig_b = _vertex_signatures(b)
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
-        return None
-    buckets: dict[tuple, list[str]] = {}
-    for w in b.vertices:
-        buckets.setdefault(sig_b[w], []).append(w)
-    order = sorted(a.vertices, key=lambda v: (len(buckets[sig_a[v]]), v))
-    image: dict[str, str] = {}
-    used: set[str] = set()
-    edges_a = {frozenset(s) for s in a.simplices if len(s) == 2}
-    edges_b = {frozenset(s) for s in b.simplices if len(s) == 2}
-    # Iterative backtracking: pos[k] is the next candidate to try for order[k].
-    candidates = [buckets.get(sig_a[v], ()) for v in order]
-    pos = [0] * len(order)
-    k = 0
-    while k >= 0:
-        if k == len(order):
-            if {frozenset(image[v] for v in s) for s in a.simplices} == b._set:
-                return dict(image)
-            k -= 1
-            continue
-        v = order[k]
-        if v in image:
-            used.discard(image.pop(v))
-        opts = candidates[k]
-        while pos[k] < len(opts):
-            w = opts[pos[k]]
-            pos[k] += 1
-            if w in used or any(
-                (frozenset((v, u)) in edges_a) != (frozenset((w, image[u])) in edges_b)
-                for u in image
-            ):
-                continue
-            image[v] = w
-            used.add(w)
-            k += 1
-            break
-        else:
-            pos[k] = 0
-            k -= 1
-    return None
+    edges = sum(f[1:2])  # f[1], or 0 without edges
+
+    def edge_masks(k: SimplicialComplex) -> list[int]:
+        # simplices are sorted by size, so the edges follow the vertices
+        index = {v: i for i, v in enumerate(k.vertices)}
+        adj = [0] * len(index)
+        for v, w in k.simplices[len(index) : len(index) + edges]:
+            i, j = index[v], index[w]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return adj
+
+    def named(image: list[int]) -> dict[str, str]:
+        return dict(zip(a.vertices, (b.vertices[j] for j in image)))
+
+    def onto(image: list[int]) -> bool:
+        image_of = named(image)
+        return {frozenset(map(image_of.get, s)) for s in a.simplices} == b._set
+
+    image = _first_isomorphism(
+        list(_vertex_signatures(a).values()),  # in vertex order
+        list(_vertex_signatures(b).values()),
+        (edge_masks(a),),
+        (edge_masks(b),),
+        onto,
+    )
+    return None if image is None else named(image)
 
 
 # -- simplex names ------------------------------------------------------------

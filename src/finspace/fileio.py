@@ -54,6 +54,15 @@ class ParseError(Exception):
         super().__init__(f"{where}: {message}")
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; a file that cannot be read is malformed input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(path, None, getattr(exc, "strerror", None) or str(exc)) from exc
+
+
 def _content_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for no, raw in enumerate(text.splitlines(), 1):
@@ -116,8 +125,7 @@ def _space_from_lines(lines: list[tuple[int, str]], source: str) -> FiniteSpace:
 def read_space(path: str) -> FiniteSpace:
     if path.startswith("example:"):
         return _example(path[8:], (FiniteSpace,), path)
-    with open(path, encoding="utf-8") as fh:
-        return parse_space(fh.read(), path)
+    return parse_space(_read_text(path), path)
 
 
 def format_space(space: FiniteSpace) -> str:
@@ -165,8 +173,7 @@ def _complex_from_lines(lines: list[tuple[int, str]], source: str) -> Simplicial
 def read_complex(path: str) -> SimplicialComplex:
     if path.startswith("example:"):
         return _example(path[8:], (SimplicialComplex,), path)
-    with open(path, encoding="utf-8") as fh:
-        return parse_complex(fh.read(), path)
+    return parse_complex(_read_text(path), path)
 
 
 def format_complex(k: SimplicialComplex) -> str:
@@ -200,8 +207,7 @@ def _resolve(path: str, base_dir: str) -> str:
 def read_map(path: str) -> ContinuousMap:
     if path.startswith("example:"):
         return _example(path[8:], (ContinuousMap,), path)
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     base_dir = os.path.dirname(os.path.abspath(path))
     dom = cod = None
     sends: dict[str, str] = {}
@@ -315,9 +321,7 @@ def parse_certificate(
 
 
 def read_certificate(path: str) -> SpaceMoveCertificate | SimplicialMoveCertificate:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_certificate(text, path, os.path.dirname(os.path.abspath(path)))
+    return parse_certificate(_read_text(path), path, os.path.dirname(os.path.abspath(path)))
 
 
 def _format_space_move(move: SpaceMove) -> str:

@@ -7,7 +7,8 @@ iff j < i (point j lies in every open set containing point i), and bit j of
 mask.  Minimal open sets, closures and Hasse diagrams are read off the
 masks, and the beat, core and isomorphism kernels work on them directly;
 ``is_leq(x, y)`` is the plain accessor for code that reads the order one
-pair at a time.
+pair at a time.  The one isomorphism engine, ``_first_isomorphism``, also
+serves complexes, on vertex signatures and edge masks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import functools
 import heapq
 import operator
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "FiniteSpace",
@@ -342,8 +343,8 @@ def from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> Fin
     return _trusted(labels, down, _up_sets(down))
 
 
-def _refined_colours(a: FiniteSpace, b: FiniteSpace, rounds: int = 2) -> tuple[list, list]:
-    """Iterated neighbourhood refinement of the base signatures of both spaces.
+def _refined_colours(a: FiniteSpace, b: FiniteSpace) -> tuple[list, list]:
+    """Two rounds of neighbourhood refinement of both spaces' base signatures.
 
     Each round gives every point the colour of (its colour, the sorted
     colours strictly above it, the sorted colours strictly below it), taken
@@ -352,7 +353,7 @@ def _refined_colours(a: FiniteSpace, b: FiniteSpace, rounds: int = 2) -> tuple[l
     """
     table: dict = {}
     cols = [[table.setdefault(sig, len(table)) for sig in s.signatures()] for s in (a, b)]
-    for _ in range(rounds):
+    for _ in range(2):
         table = {}
         for k, s in enumerate((a, b)):
             c, (down, up) = cols[k], s.masks()
@@ -366,71 +367,84 @@ def _refined_colours(a: FiniteSpace, b: FiniteSpace, rounds: int = 2) -> tuple[l
     return cols[0], cols[1]
 
 
-def is_isomorphic(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
-    """Search for an order isomorphism a -> b.
+def _first_isomorphism(
+    col_a: Sequence, col_b: Sequence, masks_a: Sequence, masks_b: Sequence,
+    accept: Callable[[list[int]], bool] | None = None,
+) -> list[int] | None:
+    """The first colour- and relation-preserving bijection a -> b, as the
+    list of images of a's points, that ``accept`` takes (any, by default).
 
-    Returns the label mapping if one exists, else None.  Backtracking over
-    points ordered by signature rarity; candidates must share the refined
-    (height, up-degree, down-degree) signature and are tried in ascending
-    index order, which makes the returned isomorphism deterministic.
+    ``masks_a`` and ``masks_b`` each hold per-point bitmasks of relations
+    listed so that ``masks[-1 - t]`` is the converse of ``masks[t]``: a
+    space passes ``(down, up)``, a symmetric relation ``(adj,)``.
+    Points of a are placed rarest colour bucket first, then by index; each
+    tries the points of b in its bucket in ascending index order, which
+    makes the answer deterministic.
     """
-    if a.n != b.n:
-        return None
-    col_a, col_b = _refined_colours(a, b)
     if sorted(col_a) != sorted(col_b):
         return None
+    n, r = len(col_a), len(masks_a)
+    buckets: dict = {}
+    for j, c in enumerate(col_b):
+        buckets.setdefault(c, []).append(j)
+    order = sorted(range(n), key=lambda i: (len(buckets[col_a[i]]), i))
 
-    buckets: dict[int, list[int]] = {}
-    for j in range(b.n):
-        buckets.setdefault(col_b[j], []).append(j)
-    order = sorted(range(a.n), key=lambda i: (len(buckets[col_a[i]]), i))
+    # Relations to the points already placed, as one bitmask over search
+    # depth: bit r*d + t of rel_a[i] is set iff masks_a[t][i] holds order[d],
+    # and rel_b holds the same for the images placed so far in b.
+    def mark(rel: list[int], masks: Sequence, j: int, k: int) -> None:
+        # toggle depth k on the points that j relates to
+        for t, m in enumerate(reversed(masks)):
+            bit = 1 << r * k + t
+            for x in _members(m[j]):
+                rel[x] ^= bit
 
-    # Relations to the points already placed, as bitmasks over search depth:
-    # bit d of rel_a[0][i] is set iff order[d] < i in a, of rel_a[1][i] iff
-    # i < order[d]; rel_b holds the same for the images placed so far in b.
-    depth = {i: d for d, i in enumerate(order)}
-    rel_a = tuple(
-        [sum(1 << depth[j] for j in _members(m[i])) for i in range(a.n)] for m in a.masks()
-    )
-    down_b, up_b = b.masks()
-    rel_b = ([0] * b.n, [0] * b.n)
+    rel_a, rel_b = [0] * n, [0] * n
+    for d, i in enumerate(order):
+        mark(rel_a, masks_a, i, d)
 
-    def mark(j: int, bit: int) -> None:
-        # toggle ``bit`` on the points of b above and below j
-        for lo in _members(down_b[j]):
-            rel_b[1][lo] ^= bit
-        for hi in _members(up_b[j]):
-            rel_b[0][hi] ^= bit
-
-    image = [-1] * a.n
-    used = [False] * b.n
+    image = [-1] * n
+    used = [False] * n
     # Iterative backtracking: pos[k] is the next candidate to try for order[k].
     candidates = [buckets[col_a[i]] for i in order]
-    pos = [0] * a.n
+    pos = [0] * n
     k = 0
-    while 0 <= k < a.n:
+    while k >= 0:
+        if k == n:
+            if accept is None or accept(image):
+                return image
+            k -= 1
         i = order[k]
         if image[i] >= 0:
             used[image[i]] = False
-            mark(image[i], 1 << k)
+            mark(rel_b, masks_b, image[i], k)
             image[i] = -1
-        placed = (1 << k) - 1
-        want_down = rel_a[0][i] & placed
-        want_up = rel_a[1][i] & placed
+        want = rel_a[i] & (1 << r * k) - 1
         opts = candidates[k]
         while pos[k] < len(opts):
             j = opts[pos[k]]
             pos[k] += 1
-            if used[j] or rel_b[0][j] ^ want_down or rel_b[1][j] ^ want_up:
+            if used[j] or rel_b[j] != want:
                 continue
             image[i] = j
             used[j] = True
-            mark(j, 1 << k)
+            mark(rel_b, masks_b, j, k)
             k += 1
             break
         else:
             pos[k] = 0
             k -= 1
-    if k < 0:
+    return None
+
+
+def is_isomorphic(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
+    """Search for an order isomorphism a -> b.
+
+    Returns the label mapping if one exists, else None.  Candidates must
+    share the twice-refined (height, up-degree, down-degree) colour; see
+    ``_first_isomorphism`` for the placement and candidate order.
+    """
+    if a.n != b.n:
         return None
-    return {a.labels[i]: b.labels[image[i]] for i in range(a.n)}
+    image = _first_isomorphism(*_refined_colours(a, b), a.masks(), b.masks())
+    return None if image is None else {a.labels[i]: b.labels[j] for i, j in enumerate(image)}

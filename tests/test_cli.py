@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 from finspace.cli import _build_parser, main
-from finspace.fileio import format_space, format_space_certificate
-from finspace.moves import core
+from finspace.complexes import SimplicialMoveCertificate
+from finspace.fileio import format_space, format_space_certificate, parse_certificate
+from finspace.moves import SpaceMoveCertificate, core
 from finspace.spaces import from_covers
 
 from util import random_poset
@@ -91,6 +92,32 @@ def test_verify_rejects_tampered_certificate(capsys, tmp_path):
 def test_missing_file_exits_three(capsys):
     assert main(["core", "/nonexistent/thing.poset"]) == 3
     assert capsys.readouterr().err != ""
+
+
+def _one_line_naming(err: str, path) -> bool:
+    return err.count("\n") == 1 and str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["core", "weak-points"])
+def test_directory_as_a_poset_exits_three(capsys, tmp_path, command):
+    assert main([command, str(tmp_path)]) == 3
+    assert _one_line_naming(capsys.readouterr().err, tmp_path)
+
+
+def test_directory_as_a_certificate_start_exits_three(capsys, tmp_path):
+    (tmp_path / "sub.poset").mkdir()
+    cert = tmp_path / "c.cert"
+    cert.write_text("start: sub.poset\nremove a up-weak\n")
+    assert main(["verify", str(cert)]) == 3
+    assert _one_line_naming(capsys.readouterr().err, tmp_path / "sub.poset")
+
+
+def test_directory_as_a_map_domain_exits_three(capsys, tmp_path, wallet_file):
+    (tmp_path / "sub").mkdir()
+    f = tmp_path / "f.map"
+    f.write_text(f"dom: sub\ncod: {wallet_file}\n")
+    assert main(["cylinder", str(f)]) == 3
+    assert _one_line_naming(capsys.readouterr().err, tmp_path / "sub")
 
 
 def test_malformed_input_exits_three(capsys, tmp_path):
@@ -219,6 +246,30 @@ def test_translate_pair_collapse(capsys, tmp_path):
     assert "remove a.b.c down-weak" in out
 
 
+def _both_sides(capsys, tmp_path, argv, kinds):
+    assert main(argv + ["--emit-both-sides"]) == 0
+    halves = capsys.readouterr().out.split("\n\n")
+    assert len(halves) == 2
+    for k, (half, kind) in enumerate(zip(halves, kinds)):
+        assert isinstance(parse_certificate(half), kind)
+        cf = tmp_path / f"side{k}.cert"
+        cf.write_text(half)
+        assert main(["verify", str(cf)]) == 0
+        assert capsys.readouterr().out.startswith("valid: ")
+
+
+def test_translate_point_emits_both_sides(capsys, wallet_file, tmp_path):
+    argv = ["translate-collapse", wallet_file, "--point", "x"]
+    _both_sides(capsys, tmp_path, argv, (SpaceMoveCertificate, SimplicialMoveCertificate))
+
+
+def test_translate_pair_emits_both_sides(capsys, tmp_path):
+    kf = tmp_path / "tri.cplx"
+    kf.write_text("vertices: a b c\nfacet: a b c\n")
+    argv = ["translate-collapse", str(kf), "--pair", "a,b", "c"]
+    _both_sides(capsys, tmp_path, argv, (SimplicialMoveCertificate, SpaceMoveCertificate))
+
+
 def test_homology_of_example(capsys):
     assert main(["homology", "example:dunce"]) == 0
     out = capsys.readouterr().out
@@ -302,6 +353,31 @@ def test_iso_mixed_kinds_is_an_input_error(capsys, tmp_path):
     k = tmp_path / "k.cplx"
     k.write_text("vertices: a\nfacet: a\n")
     assert main(["iso", str(a), str(k)]) == 3
+
+
+SD_TRIANGLE = """vertices: a a.b a.b.c a.c b b.c c
+facet: a a.b a.b.c
+facet: a a.b.c a.c
+facet: a.b a.b.c b
+facet: a.b.c a.c c
+facet: a.b.c b b.c
+facet: a.b.c b.c c
+"""
+
+
+def test_iso_of_the_subdivided_triangle_and_a_renamed_copy(capsys, tmp_path):
+    rename = {"a": "q7", "b": "m2", "c": "z0", "a.b": "k1", "a.c": "b5", "b.c": "x3", "a.b.c": "c9"}
+    renamed = "".join(
+        " ".join([head, *(rename[v] for v in rest)]) + "\n"
+        for head, *rest in map(str.split, SD_TRIANGLE.splitlines())
+    )
+    a, b = tmp_path / "sd.cplx", tmp_path / "renamed.cplx"
+    a.write_text(SD_TRIANGLE)
+    b.write_text(renamed)
+    assert main(["iso", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == (
+        "a -> b5\na.b -> q7\na.b.c -> c9\na.c -> z0\nb -> k1\nb.c -> m2\nc -> x3\n"
+    )
 
 
 def test_dot_output(capsys, wallet_file):

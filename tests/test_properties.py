@@ -4,9 +4,10 @@ side (facets, free pairs, order complexes, homology through the core)
 against pairwise scans and the validating constructor, fence search
 against the scan that compares every pair of maps, point lookup against
 its path without the int shortcut, Smith normal form against the two-phase
-elimination, and homology along every move of a certificate."""
+elimination, complex isomorphism against its earlier backtracker, and
+homology along every move of a certificate."""
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from finspace.complexes import (
     SimplicialComplex,
     collapse_sequence_search,
+    complex_isomorphic,
     dotted_label,
     from_facets,
 )
@@ -37,6 +39,7 @@ from util import (
     barycentric_oracle,
     beat_side_oracle,
     check_order_oracle,
+    complex_isomorphic_oracle,
     continuous_maps_oracle,
     contractible_oracle,
     covers_oracle,
@@ -181,6 +184,54 @@ def test_isomorphism_candidate_order_follows_two_refinement_rounds():
             "p4": "b5", "p5": "b7", "p6": "b4", "p7": "b2"}
     assert isomorphic_oracle(a, b) == want
     assert list(is_isomorphic(a, b).items()) == list(want.items())
+
+
+def _renamed(k: SimplicialComplex, names) -> SimplicialComplex:
+    rename = dict(zip(k.vertices, names))
+    return SimplicialComplex([rename[v] for v in s] for s in k.simplices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.integers(1, 9),
+    st.sampled_from(["copy", "drop", "add", "other"]),
+    st.data(),
+)
+def test_complex_isomorphism_matches_the_oracle(rng, n, change, data):
+    # a relabelled copy, the copy with one facet dropped or one simplex
+    # added, or an unrelated complex; new names sort in another order
+    a = random_complex(rng, n, rng.randint(1, 6), max_simplices=42)
+    b = _renamed(a, data.draw(st.permutations([f"w{i}" for i in range(len(a.vertices))])))
+    facets = [list(f) for f in b.facets()]
+    if change == "drop" and len(facets) > 1:
+        facets.remove(rng.choice(facets))
+        b = from_facets(facets)
+    elif change == "add":
+        b = from_facets(facets + [rng.sample(b.vertices, min(3, len(b.vertices)))])
+    elif change == "other":
+        b = random_complex(rng, n, rng.randint(1, 6), max_simplices=42)
+    got = complex_isomorphic(a, b)
+    assert got == complex_isomorphic_oracle(a, b)
+    if change == "copy":
+        assert got is not None
+    if got is not None:
+        assert {frozenset(got[v] for v in s) for s in a.simplices} == set(b.simplices)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.permutations([f"w{i}" for i in range(6)]))
+def test_complex_isomorphism_checks_the_simplices_beyond_the_edges(names):
+    # the octahedron's edges and two opposite faces: every vertex looks the
+    # same, and only a quarter of the edge-preserving bijections carry the
+    # faces onto faces
+    axes = ["x+", "x-", "y+", "y-", "z+", "z-"]
+    edges = [[u, v] for u, v in combinations(axes, 2) if u[0] != v[0]]
+    a = from_facets(edges + [["x+", "y+", "z+"], ["x-", "y-", "z-"]])
+    b = _renamed(a, names)
+    got = complex_isomorphic(a, b)
+    assert got == complex_isomorphic_oracle(a, b)
+    assert {frozenset(got[v] for v in s) for s in a.simplices} == set(b.simplices)
 
 
 def _strict_down(leq: np.ndarray) -> list[int]:

@@ -9,9 +9,11 @@ punctured set and compare refined signatures as nested tuples.  The bitmask
 code in ``finspace`` must agree with them exactly.  Facets and free pairs of
 a complex have pairwise coface scans as oracles, fence search the
 breadth-first scan that compares every frontier map with every map,
-``FiniteSpace.index`` its path without the in-range int shortcut, and
+``FiniteSpace.index`` its path without the in-range int shortcut,
 Smith normal form the two-phase elimination: sparse unit pivots, then a
-dense residue.
+dense residue, and complex isomorphism its own earlier backtracker, which
+checks each candidate against every placed vertex through frozenset edge
+sets.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import string
 
 import numpy as np
 
-from finspace.complexes import SimplicialComplex, dotted_label, from_facets
+from finspace.complexes import SimplicialComplex, _vertex_signatures, dotted_label, from_facets
 from finspace.maps import (
     EXHAUSTIVE_LIMIT,
     ContinuousMap,
@@ -557,3 +559,53 @@ def isomorphic_oracle(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
     if not extend(0):
         return None
     return {a.labels[i]: b.labels[image[i]] for i in range(a.n)}
+
+
+def complex_isomorphic_oracle(
+    a: SimplicialComplex, b: SimplicialComplex
+) -> dict[str, str] | None:
+    """Vertex bijection carrying simplices onto simplices, or None."""
+    if len(a.vertices) != len(b.vertices) or a.f_vector() != b.f_vector():
+        return None
+    sig_a = _vertex_signatures(a)
+    sig_b = _vertex_signatures(b)
+    if sorted(sig_a.values()) != sorted(sig_b.values()):
+        return None
+    buckets: dict[tuple, list[str]] = {}
+    for w in b.vertices:
+        buckets.setdefault(sig_b[w], []).append(w)
+    order = sorted(a.vertices, key=lambda v: (len(buckets[sig_a[v]]), v))
+    image: dict[str, str] = {}
+    used: set[str] = set()
+    edges_a = {frozenset(s) for s in a.simplices if len(s) == 2}
+    edges_b = {frozenset(s) for s in b.simplices if len(s) == 2}
+    # Iterative backtracking: pos[k] is the next candidate to try for order[k].
+    candidates = [buckets.get(sig_a[v], ()) for v in order]
+    pos = [0] * len(order)
+    k = 0
+    while k >= 0:
+        if k == len(order):
+            if {frozenset(image[v] for v in s) for s in a.simplices} == b._set:
+                return dict(image)
+            k -= 1
+            continue
+        v = order[k]
+        if v in image:
+            used.discard(image.pop(v))
+        opts = candidates[k]
+        while pos[k] < len(opts):
+            w = opts[pos[k]]
+            pos[k] += 1
+            if w in used or any(
+                (frozenset((v, u)) in edges_a) != (frozenset((w, image[u])) in edges_b)
+                for u in image
+            ):
+                continue
+            image[v] = w
+            used.add(w)
+            k += 1
+            break
+        else:
+            pos[k] = 0
+            k -= 1
+    return None
