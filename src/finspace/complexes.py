@@ -6,7 +6,9 @@ collapse removes a free pair: a simplex S whose only proper coface is
 S + {a}, which is then necessarily maximal and one dimension higher.
 Facets and free pairs come from a cofacet index, built once, that maps S to
 each a with S + {a} a simplex: facets are missing from it, and S is free when
-it has exactly one such a.  The certificate verifier rescans the family.
+it has exactly one such a.  The certificate verifier replays on its own
+plain set of simplices, rescans it for the cofaces of every removed face,
+and validates one complex, the end of the replay.
 Isomorphism runs the engine of ``spaces`` on vertex signatures and the
 1-skeleton as edge bitmasks.
 """
@@ -49,7 +51,7 @@ def _key(s: frozenset[str]) -> tuple[int, tuple[str, ...]]:
 class SimplicialComplex:
     """A finite abstract simplicial complex over string vertex labels."""
 
-    __slots__ = ("_set", "simplices", "vertices", "_cofacets")
+    __slots__ = ("_set", "simplices", "vertices", "_cofacets", "_signatures")
 
     def __init__(self, simplices: Iterable[Iterable[str]]):
         fam = frozenset(_simplex(s) for s in simplices)
@@ -74,6 +76,7 @@ class SimplicialComplex:
         self.simplices = tuple(sorted(fam, key=_key))
         self.vertices = tuple(sorted({v for s in fam for v in s}))
         self._cofacets: dict[frozenset[str], list[str]] | None = None
+        self._signatures: dict[str, tuple] | None = None
 
     def _cofacet_index(self) -> dict[frozenset[str], list[str]]:
         """Each face of codimension one (the empty one too) and its apexes."""
@@ -286,6 +289,10 @@ def is_contiguous(f: SimplicialMap, g: SimplicialMap) -> bool:
 
 
 def _vertex_signatures(k: SimplicialComplex) -> dict[str, tuple]:
+    """Per-vertex isomorphism invariant, computed once per complex: the
+    simplex count by dimension, refined by the neighbours' counts."""
+    if k._signatures is not None:
+        return k._signatures
     dim = k.dim
     base: dict[str, list[int]] = {v: [0] * (dim + 1) for v in k.vertices}
     for s in k.simplices:
@@ -299,7 +306,8 @@ def _vertex_signatures(k: SimplicialComplex) -> dict[str, tuple]:
             v, w = s
             nbrs[v].append(sig[w])
             nbrs[w].append(sig[v])
-    return {v: (sig[v], tuple(sorted(nbrs[v]))) for v in k.vertices}
+    k._signatures = {v: (sig[v], tuple(sorted(nbrs[v]))) for v in k.vertices}
+    return k._signatures
 
 
 def complex_isomorphic(
@@ -376,25 +384,31 @@ class SimplicialMoveCertificate:
 
 
 def verify_simplicial_certificate(cert: SimplicialMoveCertificate) -> ReplayResult:
-    """Replay each move, rechecking freeness (or gluing legality) from scratch."""
-    current = cert.start
+    """Replay each move, rechecking freeness (or gluing legality) from scratch.
+
+    The replay runs on the verifier's own set of simplices; the one complex
+    it validates is the end, ``ReplayResult.final``."""
+    fam = set(cert.start._set)
     for k, move in enumerate(cert.moves):
         fs = frozenset(move.face)
+        top = fs | {move.apex}
         if move.direction == "remove":
-            if fs not in current:
+            if fs not in fam:
                 return ReplayResult(False, k, f"{list(move.face)} is not a simplex")
-            cof = current._proper_cofaces(fs)
-            if len(cof) != 1 or cof[0] != fs | {move.apex}:
+            cof = [t for t in fam if fs < t]
+            if len(cof) != 1 or cof[0] != top:
                 return ReplayResult(
                     False, k, f"{list(move.face)} is not free with apex {move.apex!r}"
                 )
-            current = SimplicialComplex(current._set - {fs, fs | {move.apex}})
+            fam -= {fs, top}
         else:
-            problem = _expansion_problem(current._set, fs, fs | {move.apex})
+            problem = _expansion_problem(fam, fs, top)
             if problem is not None:
                 return ReplayResult(False, k, problem)
-            current = SimplicialComplex(current._set | {fs, fs | {move.apex}})
-    return ReplayResult(True, None, "", current)
+            _simplex(fs)  # refuse a bad label at its move, not at the end
+            _check_label(move.apex)
+            fam |= {fs, top}
+    return ReplayResult(True, None, "", SimplicialComplex(fam))
 
 
 # -- collapse search ---------------------------------------------------------

@@ -6,7 +6,9 @@ iterating removals reaches the core.  A point is a weak point when its
 punctured minimal open set or punctured closure is contractible; removing
 one is an elementary collapse of spaces.  Every operation here that changes
 a space also returns a replayable move record, and the verifier rechecks
-each move against the definitions from scratch.
+each move against the definitions.  It replays on its own plain sets, the
+labels strictly below and above each point, which a move updates only at
+the points next to it, and it validates one space, the end of the replay.
 """
 
 from __future__ import annotations
@@ -332,67 +334,140 @@ def add_weak_point(
 # -- certificate replay ------------------------------------------------------
 
 
-def _literally_contractible(space: FiniteSpace) -> bool:
-    """Delete a beat point, found by the definitions, until none is left;
-    contractible iff one point remains."""
-    while True:
-        for i in range(space.n):
-            if is_down_beat(space, i) is not None or is_up_beat(space, i) is not None:
-                space = space.delete(i)
-                break
-        else:
-            return space.n == 1
+def _has_extreme(points: set[str], toward: dict[str, set[str]]) -> bool:
+    """True iff some m in ``points`` has every other member in ``toward[m]``:
+    the maximum of ``points`` when ``toward`` holds strict down-sets, its
+    minimum when it holds strict up-sets."""
+    return any(points - {m} <= toward[m] for m in points)
 
 
-def _check_side(space: FiniteSpace, label: str, side: str) -> str | None:
+def _is_beat(below: dict[str, set[str]], above: dict[str, set[str]], p: str) -> bool:
+    return _has_extreme(below[p], below) or _has_extreme(above[p], above)
+
+
+def _discard(below: dict[str, set[str]], above: dict[str, set[str]], p: str) -> None:
+    """Remove point p and every relation it is in."""
+    for q in below.pop(p):
+        above[q].discard(p)
+    for q in above.pop(p):
+        below[q].discard(p)
+
+
+def _literally_contractible(
+    below: dict[str, set[str]], above: dict[str, set[str]], points: set[str]
+) -> bool:
+    """Delete beat points of the subspace on ``points``, in dict order, until
+    none is left; contractible iff one point remains.  Which beat point goes
+    first does not matter: every order ends on the core."""
+    below = {p: below[p] & points for p in below if p in points}
+    above = {p: above[p] & points for p in below}
+    removed = True
+    while removed:
+        removed = False
+        for p in list(below):
+            if _is_beat(below, above, p):
+                _discard(below, above, p)
+                removed = True
+    return len(below) == 1
+
+
+def _check_side(
+    below: dict[str, set[str]], above: dict[str, set[str]], label: str, side: str
+) -> str | None:
     """Recheck a declared side from the definitions; None means it holds.
 
-    Reads the order only through ``is_leq`` and shares no code with the
-    bitmask kernel that produced the move."""
-    i = space.index(label)
+    Reads the order only from the verifier's own sets and shares no code
+    with the bitmask kernel that produced the move."""
     if side == "beat-down":
-        if is_down_beat(space, i) is None:
+        if not _has_extreme(below[label], below):
             return "strict down-set has no maximum"
         return None
     if side == "beat-up":
-        if is_up_beat(space, i) is None:
+        if not _has_extreme(above[label], above):
             return "strict up-set has no minimum"
         return None
-    others = [j for j in range(space.n) if j != i]
     if side == "down-weak":
-        below = space.subspace(j for j in others if space.is_leq(j, i))
-        if not _literally_contractible(below):
+        if not _literally_contractible(below, above, below[label]):
             return "punctured minimal open set is not contractible"
         return None
-    above = space.subspace(j for j in others if space.is_leq(i, j))
-    if not _literally_contractible(above):
+    if not _literally_contractible(below, above, above[label]):
         return "punctured closure is not contractible"
     return None
 
 
+def _attach_to_sets(
+    below: dict[str, set[str]],
+    above: dict[str, set[str]],
+    down: Iterable[str],
+    up: Iterable[str],
+    label: str,
+) -> None:
+    """Insert a fresh point, named by label, with strict down-set ``down`` and
+    strict up-set ``up``.
+
+    Raises ValueError or KeyError on the first failed condition: the label
+    is new and valid, every attaching point exists, the sets are disjoint,
+    and the grown relation is transitive, that is ``down`` is a down-set,
+    ``up`` an up-set, and every point of ``down`` lies below every point of
+    ``up``.
+    """
+    if label in below:
+        raise ValueError(f"label {label!r} already present")
+    _check_label(label)
+    down, up = tuple(down), tuple(up)
+    for p in down + up:
+        if p not in below:
+            raise KeyError(f"no point labeled {p!r}")
+    d, u = set(down), set(up)
+    if d & u:
+        raise ValueError("attaching sets overlap")
+    if not (
+        all(below[p] <= d for p in d)
+        and all(above[q] <= u for q in u)
+        and all(d <= below[q] for q in u)
+    ):
+        raise ValueError("relation is not transitive")
+    below[label], above[label] = d, u
+    for p in d:
+        above[p].add(label)
+    for q in u:
+        below[q].add(label)
+
+
 def verify_space_certificate(cert: SpaceMoveCertificate) -> ReplayResult:
-    """Replay every move against the definitions, reporting the first failure."""
-    current = cert.start
+    """Replay every move against the definitions, reporting the first failure.
+
+    The replay runs on the verifier's own sets: ``below[p]`` and ``above[p]``
+    hold the labels strictly below and above p, keyed in the label order of
+    the space, and are built once from the start's masks.  The one space it
+    validates is the end, ``ReplayResult.final``."""
+    labels = cert.start.labels
+    down, up = cert.start.masks()
+    below = {x: {labels[j] for j in _members(d)} for x, d in zip(labels, down)}
+    above = {x: {labels[j] for j in _members(u)} for x, u in zip(labels, up)}
     for k, move in enumerate(cert.moves):
         if move.direction == "remove":
-            if move.label not in current._index:
+            if move.label not in below:
                 return ReplayResult(False, k, f"no point labeled {move.label!r}")
-            fail = _check_side(current, move.label, move.side)
+            fail = _check_side(below, above, move.label, move.side)
             if fail is not None:
                 return ReplayResult(False, k, f"{move.label!r} is not {move.side}: {fail}")
-            current = current.delete(move.label)
+            _discard(below, above, move.label)
         else:
             try:
-                bigger = _attach(current, move.down or (), move.up or (), move.label)
+                _attach_to_sets(below, above, move.down or (), move.up or (), move.label)
             except (ValueError, KeyError) as exc:
                 return ReplayResult(False, k, f"cannot attach {move.label!r}: {exc}")
-            fail = _check_side(bigger, move.label, move.side)
+            fail = _check_side(below, above, move.label, move.side)
             if fail is not None:
                 return ReplayResult(
                     False, k, f"added point {move.label!r} is not {move.side}: {fail}"
                 )
-            current = bigger
-    return ReplayResult(True, None, "", current)
+    index = {x: i for i, x in enumerate(below)}
+    final = FiniteSpace.from_masks(
+        tuple(below), [sum(1 << index[p] for p in d) for d in below.values()]
+    )
+    return ReplayResult(True, None, "", final)
 
 
 # -- collapse search ----------------------------------------------------------

@@ -124,7 +124,7 @@ class FiniteSpace:
     def __init__(self, labels: Sequence[str], leq):
         labels = _checked_labels(labels)
         n = len(labels)
-        shape = tuple(getattr(leq, "shape", ())) or (len(leq), *{len(row) for row in leq})
+        shape = tuple(getattr(leq, "shape", ())) or (len(leq), *({len(row) for row in leq} or {0}))
         if shape != (n, n):
             raise ValueError(f"relation shape {shape} does not match {n} labels")
         rows = [list(row) for row in leq]

@@ -119,6 +119,24 @@ def test_verifier_rescans_cofaces_and_revalidates(monkeypatch):
     assert res.reason == "['a'] is not free with apex 'b'"
 
 
+def test_replay_builds_one_complex_at_the_end(monkeypatch):
+    collapse = collapse_sequence_search(FULL_TRIANGLE).certificate
+    expansion = translate_space_collapse(load("wallet"), "x")
+    built = []
+    fill = SimplicialComplex._fill
+
+    def counted(self, fam):
+        built.append(fam)
+        fill(self, fam)
+
+    monkeypatch.setattr(SimplicialComplex, "_fill", counted)
+    for cert, direction in ((collapse, "remove"), (expansion, "add")):
+        assert len(cert.moves) > 1 and {m.direction for m in cert.moves} == {direction}
+        built.clear()
+        res = verify_simplicial_certificate(cert)
+        assert res.ok and len(built) == 1 and built[0] is res.final._set
+
+
 def test_collapse_sequence_search_full_triangle():
     res = collapse_sequence_search(FULL_TRIANGLE)
     assert res.certificate is not None

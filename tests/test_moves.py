@@ -23,7 +23,7 @@ from finspace.moves import (
     verify_space_certificate,
     weak_points,
 )
-from finspace.spaces import from_covers, is_isomorphic
+from finspace.spaces import FiniteSpace, from_covers, is_isomorphic
 
 from util import random_poset
 
@@ -242,6 +242,24 @@ def test_verifier_does_not_use_the_bitmask_kernel(monkeypatch):
     res = verify_space_certificate(mutated)
     assert (res.ok, res.step) == (False, 0)
     assert res.reason == "'m1' is not down-weak: punctured minimal open set is not contractible"
+
+
+def test_replay_builds_one_space_at_the_end(monkeypatch):
+    collapse = collapse_search(WALLET).certificate
+    expansion = bridge_space(SD3).expansion
+    built = []
+    fill = FiniteSpace._set
+
+    def counted(self, labels, down, up):
+        built.append(labels)
+        fill(self, labels, down, up)
+
+    monkeypatch.setattr(FiniteSpace, "_set", counted)
+    for cert, direction in ((collapse, "remove"), (expansion, "add")):
+        assert len(cert.moves) > 1 and {m.direction for m in cert.moves} == {direction}
+        built.clear()
+        res = verify_space_certificate(cert)
+        assert res.ok and built == [res.final.labels]
 
 
 def test_core_retests_only_points_comparable_to_each_removal(monkeypatch):

@@ -4,9 +4,11 @@ side (facets, free pairs, order complexes, homology through the core)
 against pairwise scans and the validating constructor, fence search
 against the scan that compares every pair of maps, point lookup against
 its path without the int shortcut, Smith normal form against the two-phase
-elimination, complex isomorphism against its earlier backtracker, and
-homology along every move of a certificate."""
+elimination, complex isomorphism against its earlier backtracker,
+homology along every move of a certificate, and both certificate
+verifiers against their earlier forms on valid and mutated certificates."""
 
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -18,20 +20,34 @@ from finspace.complexes import (
     SimplicialComplex,
     collapse_sequence_search,
     complex_isomorphic,
+    cone,
     dotted_label,
     from_facets,
+    verify_simplicial_certificate,
 )
 from finspace.functors import (
     _chains,
     barycentric_subdivision,
+    bridge_space,
+    cylinder_certificates,
     face_poset,
     order_complex,
     space_subdivision,
+    translate_simplicial_collapse,
     translate_space_collapse,
 )
 from finspace.homology import _boundary, homology, homology_space, smith_invariants
 from finspace.maps import ContinuousMap, _all_continuous_maps, fence_homotopic
-from finspace.moves import _beat_side, _strip_beats, is_contractible, is_weak_point
+from finspace.moves import (
+    SIDES,
+    _beat_side,
+    _strip_beats,
+    collapse_search,
+    core,
+    is_contractible,
+    is_weak_point,
+    verify_space_certificate,
+)
 from finspace.spaces import FiniteSpace, from_covers, is_isomorphic
 
 from util import (
@@ -55,9 +71,12 @@ from util import (
     leq_matrix,
     linear_extension_oracle,
     random_complex,
+    random_monotone_map,
     random_poset,
     smith_oracle,
     strip_beats_oracle,
+    verify_simplicial_oracle,
+    verify_space_oracle,
     weak_point_oracle,
 )
 
@@ -552,3 +571,144 @@ def test_homology_is_invariant_under_every_certified_move(rng, n_vertices, n_fac
         want = _groups(cert.start)
         for k in _replayed(cert):
             assert _groups(k) == want
+
+
+def _replay(verify, cert) -> tuple:
+    """What a verifier makes of a certificate: the exception it raises, or
+    (ok, step, reason) and the end's labels and masks, or its simplices."""
+    try:
+        res = verify(cert)
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+    end = res.final
+    if isinstance(end, FiniteSpace):
+        end = (end.labels, end.masks())
+    elif end is not None:
+        end = end.simplices
+    return res.ok, res.step, res.reason, end
+
+
+def _space_certificate(rng, data, sources):
+    """A certificate from one of ``sources``: core, collapse search, the
+    bridge or a mapping cylinder (either certificate, or only the
+    expansion), or the translation of a free pair."""
+    source = data.draw(st.sampled_from(sources))
+    if source == "translate":
+        k = random_complex(rng, rng.randint(2, 6), rng.randint(1, 5), 30)
+        pairs = k.free_pairs()
+        assume(pairs)
+        return translate_simplicial_collapse(k, *data.draw(st.sampled_from(pairs)))
+    if source.startswith(("bridge", "cylinder")):
+        dom = _shuffled_poset(rng, data, data.draw(st.integers(1, 5)))
+        if source.startswith("bridge"):
+            certs = bridge_space(dom)
+        else:
+            cod = _shuffled_poset(rng, data, data.draw(st.integers(1, 4)))
+            certs = cylinder_certificates(random_monotone_map(rng, dom, cod))
+        if source.endswith("expansion"):
+            return certs.expansion
+        return data.draw(st.sampled_from([c for c in (certs.expansion, certs.collapse) if c]))
+    n, beats = data.draw(st.integers(1, 7)), data.draw(st.integers(0, 3))
+    space = _with_beat_points(rng, _shuffled_poset(rng, data, n), beats)
+    found = collapse_search(space, budget=200) if source == "collapse" else None
+    return found.certificate if found else core(space)[1]
+
+
+def _mutated(cert, data, kinds: dict):
+    """The certificate, or a copy with one move changed by a mutation drawn
+    from those of ``kinds`` (name: (the moves it applies to, the change))
+    that apply to some move."""
+    usable = [n for n, (applies, _) in kinds.items() if any(map(applies, cert.moves))]
+    kind = data.draw(st.sampled_from(["none", *usable]))
+    if kind == "none":
+        return cert
+    applies, change = kinds[kind]
+    k = data.draw(st.sampled_from([k for k, m in enumerate(cert.moves) if applies(m)]))
+    moves = list(cert.moves)
+    try:
+        moves[k : k + 1] = change(moves[k])
+    except ValueError:  # the move constructor refuses the change
+        assume(False)
+    return replace(cert, moves=tuple(moves))
+
+
+def _without(labels: tuple, x) -> tuple:
+    return tuple(y for y in labels if y != x)
+
+
+def _is(direction):
+    return lambda m: m.direction == direction
+
+
+def _any(m):
+    return True
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [
+        ("core", "collapse", "translate", "bridge", "cylinder"),
+        ("bridge expansion", "cylinder expansion"),
+    ],
+)
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_space_replay_matches_the_oracle(sources, rng, data):
+    cert = _space_certificate(rng, data, sources)
+    labels = st.sampled_from(cert.start.labels or ("ghost",))
+    up = cert.start.masks()[1]
+    # a maximal point keeps an up-set closed, so it fails only below d
+    tops = st.sampled_from([x for x, u in zip(cert.start.labels, up) if not u] or ["ghost"])
+    kinds = {
+        "ghost label": (_is("remove"), lambda m: [replace(m, label="ghost")]),
+        "dropped add": (_is("add"), lambda m: []),
+        "swapped side": (_any, lambda m: [replace(m, side=data.draw(st.sampled_from(SIDES)))]),
+        "label clash": (_is("add"), lambda m: [replace(m, label=data.draw(labels))]),
+        "bad label": (
+            _is("add"),
+            lambda m: [replace(m, label=data.draw(st.sampled_from(("x y", "", "x#", "{"))))],
+        ),
+        "unclosed down-set": (
+            lambda m: m.direction == "add" and m.down,
+            lambda m: [replace(m, down=_without(m.down, data.draw(st.sampled_from(m.down))))],
+        ),
+        "grown down-set": (_is("add"), lambda m: [replace(m, down=m.down + (data.draw(labels),))]),
+        "grown up-set": (_is("add"), lambda m: [replace(m, up=m.up + (data.draw(labels),))]),
+        "d not below u": (_is("add"), lambda m: [replace(m, up=m.up + (data.draw(tops),))]),
+        "overlapping sets": (
+            lambda m: m.direction == "add" and m.down,
+            lambda m: [replace(m, up=m.up + m.down[-1:])],
+        ),
+        "ghost attaching point": (_is("add"), lambda m: [replace(m, down=m.down + ("ghost",))]),
+    }
+    cert = _mutated(cert, data, kinds)
+    assert _replay(verify_space_certificate, cert) == _replay(verify_space_oracle, cert)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_simplicial_replay_matches_the_oracle(rng, data):
+    if data.draw(st.booleans()):
+        k = random_complex(rng, rng.randint(2, 6), rng.randint(1, 5), 30)
+        found = collapse_sequence_search(k, budget=2_000) or collapse_sequence_search(
+            cone("z", k), budget=2_000
+        )
+        assume(found)
+        cert = found.certificate
+    else:
+        n, beats = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+        space = _with_beat_points(rng, _shuffled_poset(rng, data, n), beats)
+        weak = [x for x in space.labels if is_weak_point(space, x)]
+        cert = translate_space_collapse(space, data.draw(st.sampled_from(weak)))
+    vertices = st.sampled_from(cert.start.vertices)
+    flipped = {"add": "remove", "remove": "add"}
+    kinds = {
+        "ghost apex": (_any, lambda m: [replace(m, apex="ghost")]),
+        "dropped move": (_any, lambda m: []),
+        "wrong apex": (_any, lambda m: [replace(m, apex=data.draw(vertices))]),
+        "swapped direction": (_any, lambda m: [replace(m, direction=flipped[m.direction])]),
+        "bad label": (_any, lambda m: [replace(m, direction="add", face=("x y",))]),
+        "ghost face vertex": (_any, lambda m: [replace(m, face=m.face + ("ghost",))]),
+    }
+    cert = _mutated(cert, data, kinds)
+    assert _replay(verify_simplicial_certificate, cert) == _replay(verify_simplicial_oracle, cert)

@@ -15,6 +15,7 @@ import pytest
 from finspace import corpus
 from finspace.complexes import collapse_sequence_search, from_facets
 from finspace.fileio import format_simplicial_certificate, format_space_certificate
+from finspace.functors import barycentric_subdivision
 from finspace.moves import collapse_search
 
 from util import random_complex, random_poset
@@ -113,6 +114,8 @@ def test_complex_search_on_named_complexes():
     _check(collapse_sequence_search(FULL_TRIANGLE), fmt, 4, True, 3, "bfffa01f16228deb")
     _check(collapse_sequence_search(HOLLOW_TRIANGLE), fmt, 1, True, None, None)
     _check(collapse_sequence_search(corpus.load("dunce")), fmt, 1, True, None, None)
+    sd2 = barycentric_subdivision(barycentric_subdivision(FULL_TRIANGLE))
+    _check(collapse_sequence_search(sd2), fmt, 61, True, 60, "b155ff1414a4993a")
 
 
 @pytest.mark.parametrize("seed, nodes, conclusive, moves, digest", COMPLEX_CASES)

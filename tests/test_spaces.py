@@ -15,6 +15,7 @@ def chain(n):
 def test_constructor_rejects_broken_orders():
     ok = np.array([[True, True], [False, True]])
     FiniteSpace(("a", "b"), ok)
+    assert FiniteSpace([], []) == from_covers([], []) == FiniteSpace.from_masks((), [])
     with pytest.raises(ValueError):
         FiniteSpace(("a", "b"), np.array([[True, True], [True, True]]))  # not antisymmetric
     with pytest.raises(ValueError):

@@ -13,7 +13,9 @@ breadth-first scan that compares every frontier map with every map,
 Smith normal form the two-phase elimination: sparse unit pivots, then a
 dense residue, and complex isomorphism its own earlier backtracker, which
 checks each candidate against every placed vertex through frozenset edge
-sets.
+sets.  The certificate verifiers have their earlier forms, which rebuild
+and revalidate a whole space or complex after every move and read a
+space's order one ``is_leq`` pair at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,14 @@ import string
 
 import numpy as np
 
-from finspace.complexes import SimplicialComplex, _vertex_signatures, dotted_label, from_facets
+from finspace.complexes import (
+    SimplicialComplex,
+    SimplicialMoveCertificate,
+    _expansion_problem,
+    _vertex_signatures,
+    dotted_label,
+    from_facets,
+)
 from finspace.maps import (
     EXHAUSTIVE_LIMIT,
     ContinuousMap,
@@ -32,7 +41,14 @@ from finspace.maps import (
     _all_continuous_maps,
     pointwise_leq,
 )
-from finspace.moves import SpaceMove, is_down_beat, is_up_beat
+from finspace.moves import (
+    ReplayResult,
+    SpaceMove,
+    SpaceMoveCertificate,
+    _attach,
+    is_down_beat,
+    is_up_beat,
+)
 from finspace.spaces import FiniteSpace
 
 
@@ -609,3 +625,87 @@ def complex_isomorphic_oracle(
             pos[k] = 0
             k -= 1
     return None
+
+
+def _literally_contractible_oracle(space: FiniteSpace) -> bool:
+    """Delete a beat point, found by the definitions, until none is left;
+    contractible iff one point remains."""
+    while True:
+        for i in range(space.n):
+            if is_down_beat(space, i) is not None or is_up_beat(space, i) is not None:
+                space = space.delete(i)
+                break
+        else:
+            return space.n == 1
+
+
+def _check_side_oracle(space: FiniteSpace, label: str, side: str) -> str | None:
+    """Recheck a declared side from the definitions; None means it holds.
+
+    Reads the order only through ``is_leq``."""
+    i = space.index(label)
+    if side == "beat-down":
+        if is_down_beat(space, i) is None:
+            return "strict down-set has no maximum"
+        return None
+    if side == "beat-up":
+        if is_up_beat(space, i) is None:
+            return "strict up-set has no minimum"
+        return None
+    others = [j for j in range(space.n) if j != i]
+    if side == "down-weak":
+        below = space.subspace(j for j in others if space.is_leq(j, i))
+        if not _literally_contractible_oracle(below):
+            return "punctured minimal open set is not contractible"
+        return None
+    above = space.subspace(j for j in others if space.is_leq(i, j))
+    if not _literally_contractible_oracle(above):
+        return "punctured closure is not contractible"
+    return None
+
+
+def verify_space_oracle(cert: SpaceMoveCertificate) -> ReplayResult:
+    """Replay every move against the definitions, reporting the first failure."""
+    current = cert.start
+    for k, move in enumerate(cert.moves):
+        if move.direction == "remove":
+            if move.label not in current._index:
+                return ReplayResult(False, k, f"no point labeled {move.label!r}")
+            fail = _check_side_oracle(current, move.label, move.side)
+            if fail is not None:
+                return ReplayResult(False, k, f"{move.label!r} is not {move.side}: {fail}")
+            current = current.delete(move.label)
+        else:
+            try:
+                bigger = _attach(current, move.down or (), move.up or (), move.label)
+            except (ValueError, KeyError) as exc:
+                return ReplayResult(False, k, f"cannot attach {move.label!r}: {exc}")
+            fail = _check_side_oracle(bigger, move.label, move.side)
+            if fail is not None:
+                return ReplayResult(
+                    False, k, f"added point {move.label!r} is not {move.side}: {fail}"
+                )
+            current = bigger
+    return ReplayResult(True, None, "", current)
+
+
+def verify_simplicial_oracle(cert: SimplicialMoveCertificate) -> ReplayResult:
+    """Replay each move, rechecking freeness (or gluing legality) from scratch."""
+    current = cert.start
+    for k, move in enumerate(cert.moves):
+        fs = frozenset(move.face)
+        if move.direction == "remove":
+            if fs not in current:
+                return ReplayResult(False, k, f"{list(move.face)} is not a simplex")
+            cof = current._proper_cofaces(fs)
+            if len(cof) != 1 or cof[0] != fs | {move.apex}:
+                return ReplayResult(
+                    False, k, f"{list(move.face)} is not free with apex {move.apex!r}"
+                )
+            current = SimplicialComplex(current._set - {fs, fs | {move.apex}})
+        else:
+            problem = _expansion_problem(current._set, fs, fs | {move.apex})
+            if problem is not None:
+                return ReplayResult(False, k, problem)
+            current = SimplicialComplex(current._set | {fs, fs | {move.apex}})
+    return ReplayResult(True, None, "", current)
