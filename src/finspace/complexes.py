@@ -4,9 +4,11 @@ Every simplex is materialized (not only facets), because face posets, free
 pair detection and move replay all need the full family.  An elementary
 collapse removes a free pair: a simplex S whose only proper coface is
 S + {a}, which is then necessarily maximal and one dimension higher.
-Facets and free pairs come from a cofacet index, built once, that maps S to
-each a with S + {a} a simplex: facets are missing from it, and S is free when
-it has exactly one such a.  The certificate verifier replays on its own
+Facets, free pairs and collapses (in search too) read one cofacet index,
+built once, that maps S to each a with S + {a} a simplex: facets are missing
+from it, and S is free when it has exactly one such a.  The constructor
+validates families from outside; ``from_facets``, ``cone`` and the moves
+check only what they add.  The certificate verifier replays on its own
 plain set of simplices, rescans it for the cofaces of every removed face,
 and validates one complex, the end of the replay.
 Isomorphism runs the engine of ``spaces`` on vertex signatures and the
@@ -20,7 +22,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .moves import ReplayResult, SearchResult, _budgeted_search
-from .spaces import _check_label, _first_isomorphism
+from .spaces import _cached, _check_label, _first_isomorphism
 
 __all__ = [
     "SimplicialComplex",
@@ -51,7 +53,7 @@ def _key(s: frozenset[str]) -> tuple[int, tuple[str, ...]]:
 class SimplicialComplex:
     """A finite abstract simplicial complex over string vertex labels."""
 
-    __slots__ = ("_set", "simplices", "vertices", "_cofacets", "_signatures")
+    __slots__ = ("_set", "simplices", "vertices", "_memo")
 
     def __init__(self, simplices: Iterable[Iterable[str]]):
         fam = frozenset(_simplex(s) for s in simplices)
@@ -75,17 +77,16 @@ class SimplicialComplex:
         self._set = fam
         self.simplices = tuple(sorted(fam, key=_key))
         self.vertices = tuple(sorted({v for s in fam for v in s}))
-        self._cofacets: dict[frozenset[str], list[str]] | None = None
-        self._signatures: dict[str, tuple] | None = None
+        self._memo: dict = {}
 
+    @_cached
     def _cofacet_index(self) -> dict[frozenset[str], list[str]]:
         """Each face of codimension one (the empty one too) and its apexes."""
-        if self._cofacets is None:
-            self._cofacets = {}
-            for t in self._set:
-                for v in t:
-                    self._cofacets.setdefault(t - {v}, []).append(v)
-        return self._cofacets
+        index: dict[frozenset[str], list[str]] = {}
+        for t in self._set:
+            for v in t:
+                index.setdefault(t - {v}, []).append(v)
+        return index
 
     # -- queries ---------------------------------------------------------
 
@@ -126,14 +127,12 @@ class SimplicialComplex:
         index = self._cofacet_index()
         return tuple(tuple(sorted(s)) for s in self.simplices if s not in index)
 
-    def _proper_cofaces(self, s: frozenset[str]) -> list[frozenset[str]]:
-        return [t for t in self._set if s < t]
-
     def proper_cofaces(self, s: Iterable[str]) -> tuple[tuple[str, ...], ...]:
+        """The simplices strictly containing s, in canonical order."""
         fs = frozenset(s)
         if fs not in self._set:
             raise ValueError(f"{sorted(fs)} is not a simplex here")
-        return tuple(tuple(sorted(t)) for t in sorted(self._proper_cofaces(fs), key=_key))
+        return tuple(tuple(sorted(t)) for t in self.simplices if fs < t)
 
     # -- free pairs and moves ----------------------------------------------
 
@@ -142,8 +141,8 @@ class SimplicialComplex:
 
         Uniqueness forces S + {a} to be maximal and one dimension higher, so
         these are exactly the legal elementary collapses, in canonical order.
-        One apex a suffices: every proper coface contains some S + {b}, and
-        S + {a, b} would make S + {b} a second.
+        One apex suffices: every proper coface contains some S + {b}, and
+        S + {a, b} would make S + {b} a second, so S is free iff its entry is [a].
         """
         index = self._cofacet_index()
         return [
@@ -157,14 +156,14 @@ class SimplicialComplex:
         fs = frozenset(face)
         if fs not in self._set:
             raise ValueError(f"{sorted(fs)} is not a simplex here")
-        cof = self._proper_cofaces(fs)
-        if len(cof) != 1:
-            raise ValueError(f"{sorted(fs)} is not free: {len(cof)} proper cofaces")
-        top = cof[0]
-        (found,) = top - fs
+        apexes = self._cofacet_index().get(fs, ())
+        if len(apexes) != 1:
+            n = len(self.proper_cofaces(fs))
+            raise ValueError(f"{sorted(fs)} is not free: {n} proper cofaces")
+        (found,) = apexes
         if apex is not None and apex != found:
             raise ValueError(f"coface vertex is {found!r}, not {apex!r}")
-        smaller = SimplicialComplex(self._set - {fs, top})
+        smaller = SimplicialComplex._trusted(self._set - {fs, fs | {found}})
         return smaller, SimplicialMove("remove", tuple(sorted(fs)), found)
 
     def elementary_expand(
@@ -179,7 +178,7 @@ class SimplicialComplex:
         problem = _expansion_problem(self._set, fs, top)
         if problem is not None:
             raise ValueError(problem)
-        bigger = SimplicialComplex(self._set | {fs, top})
+        bigger = SimplicialComplex._trusted(self._set | {fs, top})
         return bigger, SimplicialMove("add", tuple(sorted(fs)), apex)
 
 
@@ -212,7 +211,7 @@ def from_facets(facets: Iterable[Iterable[str]]) -> SimplicialComplex:
         for k in range(1, len(top) + 1):
             for sub in combinations(sorted(top), k):
                 fam.add(frozenset(sub))
-    return SimplicialComplex(fam)
+    return SimplicialComplex._trusted(frozenset(fam))
 
 
 def cone(apex: str, base: SimplicialComplex) -> SimplicialComplex:
@@ -223,11 +222,8 @@ def cone(apex: str, base: SimplicialComplex) -> SimplicialComplex:
     _check_label(apex)
     if apex in base.vertices:
         raise ValueError(f"apex {apex!r} is already a vertex of the base")
-    fam = set(base._set)
-    fam.add(frozenset({apex}))
-    for s in base._set:
-        fam.add(s | {apex})
-    return SimplicialComplex(fam)
+    tops = frozenset(s | {apex} for s in base._set)
+    return SimplicialComplex._trusted(base._set | tops | {frozenset({apex})})
 
 
 # -- simplicial maps ------------------------------------------------------
@@ -251,8 +247,9 @@ class SimplicialMap:
         m = dict(self.vertex_map)
         if set(m) != set(self.dom.vertices):
             raise ValueError("vertex map must cover exactly the domain vertices")
-        for v, w in m.items():
-            if w not in set(self.cod.vertices):
+        cod_vertices = set(self.cod.vertices)
+        for w in m.values():
+            if w not in cod_vertices:
                 raise ValueError(f"image vertex {w!r} is not in the codomain")
         for s in self.dom.simplices:
             if frozenset(m[v] for v in s) not in self.cod:
@@ -288,11 +285,10 @@ def is_contiguous(f: SimplicialMap, g: SimplicialMap) -> bool:
 # -- isomorphism ------------------------------------------------------------
 
 
+@_cached
 def _vertex_signatures(k: SimplicialComplex) -> dict[str, tuple]:
     """Per-vertex isomorphism invariant, computed once per complex: the
     simplex count by dimension, refined by the neighbours' counts."""
-    if k._signatures is not None:
-        return k._signatures
     dim = k.dim
     base: dict[str, list[int]] = {v: [0] * (dim + 1) for v in k.vertices}
     for s in k.simplices:
@@ -306,8 +302,7 @@ def _vertex_signatures(k: SimplicialComplex) -> dict[str, tuple]:
             v, w = s
             nbrs[v].append(sig[w])
             nbrs[w].append(sig[v])
-    k._signatures = {v: (sig[v], tuple(sorted(nbrs[v]))) for v in k.vertices}
-    return k._signatures
+    return {v: (sig[v], tuple(sorted(nbrs[v]))) for v in k.vertices}
 
 
 def complex_isomorphic(
@@ -405,8 +400,11 @@ def verify_simplicial_certificate(cert: SimplicialMoveCertificate) -> ReplayResu
             problem = _expansion_problem(fam, fs, top)
             if problem is not None:
                 return ReplayResult(False, k, problem)
-            _simplex(fs)  # refuse a bad label at its move, not at the end
-            _check_label(move.apex)
+            try:  # refuse a bad label at its move, not at the end
+                _simplex(fs)
+                _check_label(move.apex)
+            except ValueError as exc:
+                return ReplayResult(False, k, str(exc))
             fam |= {fs, top}
     return ReplayResult(True, None, "", SimplicialComplex(fam))
 
@@ -436,9 +434,8 @@ def collapse_sequence_search(
     def expand(c: SimplicialComplex):
         if len(c) > goal_len:
             for face, apex in c.free_pairs():
-                fs = frozenset(face)
-                child = SimplicialComplex._trusted(c._set - {fs, fs | {apex}})
-                yield SimplicialMove("remove", face, apex), child
+                child, move = c.elementary_collapse(face, apex)
+                yield move, child
 
     def fingerprint(c: SimplicialComplex) -> tuple:
         return (c.f_vector(), tuple(sorted(_vertex_signatures(c).values())))

@@ -384,7 +384,9 @@ def translate_simplicial_collapse(
     top = fs | {apex}
     if apex in fs:
         raise ValueError("apex lies in the face")
-    if k.proper_cofaces(fs) != (tuple(sorted(top)),):
+    if fs not in k:
+        raise ValueError(f"{sorted(fs)} is not a simplex here")
+    if k._cofacet_index().get(fs) != [apex]:
         raise ValueError("not a free pair: the face must have exactly one proper coface")
     start = face_poset(k)
     moves = (

@@ -2,13 +2,14 @@
 
 A point is a beat point when its strict up-set has a minimum or its strict
 down-set has a maximum; removing one does not change the homotopy type, and
-iterating removals reaches the core.  A point is a weak point when its
+iterating removals reaches the core.  Outside the verifier, every beat test
+reads one bitmask kernel, ``_beat_in``.  A point is a weak point when its
 punctured minimal open set or punctured closure is contractible; removing
 one is an elementary collapse of spaces.  Every operation here that changes
 a space also returns a replayable move record, and the verifier rechecks
 each move against the definitions.  It replays on its own plain sets, the
-labels strictly below and above each point, which a move updates only at
-the points next to it, and it validates one space, the end of the replay.
+labels strictly below and above each point, which a move updates only at the
+points next to it, and it validates one space, the end of the replay.
 """
 
 from __future__ import annotations
@@ -115,16 +116,16 @@ class SpaceEquivalence:
 
 def is_up_beat(space: FiniteSpace, x: int | str) -> str | None:
     """If the strict up-set of x has a minimum, return that witness label."""
-    i = space.index(x)
-    up = [j for j in range(space.n) if j != i and space.is_leq(i, j)]
-    return next((space.labels[j] for j in up if all(space.is_leq(j, k) for k in up)), None)
+    i, (down, up) = space.index(x), space.masks()
+    beat = _beat_in(down, up, up[i], i)  # the up-set alone: only its side is tested
+    return None if beat is None else space.labels[beat[1]]
 
 
 def is_down_beat(space: FiniteSpace, x: int | str) -> str | None:
     """If the strict down-set of x has a maximum, return that witness label."""
-    i = space.index(x)
-    down = [j for j in range(space.n) if j != i and space.is_leq(j, i)]
-    return next((space.labels[j] for j in down if all(space.is_leq(k, j) for k in down)), None)
+    i, (down, up) = space.index(x), space.masks()
+    beat = _beat_in(down, up, down[i], i)
+    return None if beat is None else space.labels[beat[1]]
 
 
 def _beat_in(down: Sequence[int], up: Sequence[int], alive: int, i: int) -> tuple | None:

@@ -6,16 +6,27 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from finspace.cli import _build_parser, main
-from finspace.complexes import SimplicialMoveCertificate
-from finspace.fileio import format_space, format_space_certificate, parse_certificate
+from finspace.complexes import SimplicialMoveCertificate, collapse_sequence_search, from_facets
+from finspace.corpus import load
+from finspace.fileio import (
+    format_simplicial_certificate,
+    format_space,
+    format_space_certificate,
+    parse_certificate,
+)
+from finspace.functors import translate_space_collapse
 from finspace.moves import SpaceMoveCertificate, core
 from finspace.spaces import from_covers
 
@@ -438,3 +449,62 @@ def test_runtime_does_not_import_numpy():
         [0, "c1 -> c1\nc2 -> c2\nc3 -> c3\nm2 -> m2\nm4 -> m4\n"],
         [1, ""],
     ]
+
+
+TRIANGLES = "vertices: a b c d\nfacet: a b c\nfacet: b c d\n"
+MUTATION_TOKENS = ("ghost", "a", "b", "", "{", "}", "{}", "#", "a,b", "x#y", "vertices:",
+                   "facet:", "start:", "add", "remove", "{a", "b}")
+
+
+def _fuzz_inputs() -> dict[str, str]:
+    """Small valid complexes and simplicial certificates, as file texts."""
+    full = from_facets([["a", "b", "c"]])
+    collapse = collapse_sequence_search(full).certificate
+    expansion = translate_space_collapse(load("wallet"), "x")
+    return {
+        "tri.cplx": "vertices: a b c\nfacet: a b c\n",
+        "two.cplx": TRIANGLES,
+        "collapse.cert": format_simplicial_certificate(collapse),
+        "expansion.cert": format_simplicial_certificate(expansion),
+    }
+
+
+def _mutation(data, text: str) -> str:
+    """One token of the text replaced or dropped, or one byte replaced,
+    inserted or dropped."""
+    if data.draw(st.booleans()):
+        parts = re.split(r"(\s+)", text)
+        k = data.draw(st.sampled_from(range(0, len(parts), 2)))
+        parts[k] = data.draw(st.sampled_from([*MUTATION_TOKENS, *parts[::2]]))
+        return "".join(parts)
+    raw = text.encode()
+    k = data.draw(st.integers(0, len(raw) - 1))
+    byte = bytes([data.draw(st.integers(0, 255))])
+    kind = data.draw(st.sampled_from(["replace", "insert", "drop"]))
+    new = {"replace": byte, "insert": byte + raw[k : k + 1], "drop": b""}[kind]
+    return (raw[:k] + new + raw[k + 1 :]).decode("latin-1")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_complexes_and_certificates_exit_cleanly(data):
+    inputs = _fuzz_inputs()
+    name = data.draw(st.sampled_from(sorted(inputs)))
+    text = _mutation(data, inputs[name])
+    if name.endswith(".cplx"):
+        pair = data.draw(st.sampled_from([["a,b", "c"], ["a", "b"], ["b,c", "a"], ["a,,b", "c"]]))
+        argvs = [["x"], ["subdivide"], ["homology"], ["translate-collapse", "--pair", *pair]]
+    else:
+        argvs = [["verify"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "wb") as fh:
+            fh.write(text.encode("latin-1"))
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([argv[0], path, *argv[1:]])
+            assert code in (0, 1, 2, 3), (argv, text)
+            if code == 3:
+                assert err.getvalue().count("\n") == 1, (argv, text, err.getvalue())
+                assert "Traceback" not in err.getvalue()

@@ -45,6 +45,8 @@ from finspace.moves import (
     collapse_search,
     core,
     is_contractible,
+    is_down_beat,
+    is_up_beat,
     is_weak_point,
     verify_space_certificate,
 )
@@ -59,6 +61,7 @@ from util import (
     continuous_maps_oracle,
     contractible_oracle,
     covers_oracle,
+    down_beat_oracle,
     equal_oracle,
     facets_oracle,
     fence_oracle,
@@ -75,6 +78,7 @@ from util import (
     random_poset,
     smith_oracle,
     strip_beats_oracle,
+    up_beat_oracle,
     verify_simplicial_oracle,
     verify_space_oracle,
     weak_point_oracle,
@@ -131,6 +135,8 @@ def test_beat_and_weak_sides_match_the_oracle(rng, n, data):
     space = _shuffled_poset(rng, data, n)
     for x in space.labels:
         assert _beat_side(space, x) == beat_side_oracle(space, x)
+        assert is_up_beat(space, x) == up_beat_oracle(space, x)
+        assert is_down_beat(space, x) == down_beat_oracle(space, x)
         assert is_weak_point(space, x) == weak_point_oracle(space, x)
     assert is_contractible(space) == contractible_oracle(space)
 
@@ -390,7 +396,94 @@ def test_facets_and_free_pairs_match_the_pairwise_scans(rng, n_vertices, n_facet
     chains = order_complex(_shuffled_poset(rng, data, n))
     for c in (k, chains):
         assert c.facets() == facets_oracle(c)
-        assert c.free_pairs() == free_pairs_oracle(c)
+        pairs = free_pairs_oracle(c)
+        assert c.free_pairs() == pairs
+        # both elementary collapses and pair translations accept exactly the
+        # free pairs, and say why they refuse the rest
+        free = dict(pairs)
+        for s in c.simplices:
+            face = tuple(sorted(s))
+            if face in free:
+                assert c.elementary_collapse(face)[1].apex == free[face]
+                translate_simplicial_collapse(c, face, free[face])
+            else:
+                cofaces = sum(s < t for t in c._set)
+                assert _error(c.elementary_collapse, face) == (
+                    f"{list(face)} is not free: {cofaces} proper cofaces"
+                )
+            for v in c.vertices:
+                if v not in s and v != free.get(face):
+                    assert _error(translate_simplicial_collapse, c, face, v) == (
+                        "not a free pair: the face must have exactly one proper coface"
+                    )
+                    if face in free:
+                        assert _error(c.elementary_collapse, face, v) == (
+                            f"coface vertex is {free[face]!r}, not {v!r}"
+                        )
+        ghost = ("ghost",)
+        assert _error(c.elementary_collapse, ghost) == "['ghost'] is not a simplex here"
+        assert _error(translate_simplicial_collapse, c, ghost, "a") == (
+            "['ghost'] is not a simplex here"
+        )
+
+
+def _error(call, *args) -> str:
+    with pytest.raises(ValueError) as err:
+        call(*args)
+    return str(err.value)
+
+
+def _built(build) -> tuple | str:
+    """A complex's simplices, vertices, facets and free pairs, or the text
+    of the ValueError that refused to build it."""
+    try:
+        k = build()
+    except ValueError as exc:
+        return str(exc)
+    return k.simplices, k.vertices, k.facets(), k.free_pairs()
+
+
+BAD_LABELS = ("x y", "", "x#", "{")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6), st.integers(1, 5), st.data())
+def test_library_builds_match_the_validating_constructor(rng, n_vertices, n_facets, data):
+    # the builders check only what they add; with at most one bad label the
+    # validating constructor fails on the same one
+    k = random_complex(rng, n_vertices, n_facets, max_simplices=20)
+    facets = [list(f) for f in k.facets()]
+    change = data.draw(st.sampled_from(["none", "bad label", "empty facet"]))
+    if change == "bad label":
+        f = data.draw(st.sampled_from(facets))
+        f[data.draw(st.integers(0, len(f) - 1))] = data.draw(st.sampled_from(BAD_LABELS))
+    elif change == "empty facet":
+        facets.append([])
+    family = [f for f in facets if not f] + [
+        sub for f in facets for r in range(1, len(f) + 1) for sub in combinations(f, r)
+    ]
+    assert _built(lambda: from_facets(facets)) == _built(lambda: SimplicialComplex(family))
+
+    apex = data.draw(st.sampled_from(("z", *BAD_LABELS)))
+    family = [*k._set, {apex}, *(s | {apex} for s in k._set)]
+    assert _built(lambda: cone(apex, k)) == _built(lambda: SimplicialComplex(family))
+
+    for face, a in k.free_pairs():
+        pair = {frozenset(face), frozenset(face) | {a}}
+        smaller = k.elementary_collapse(face, a)[0]
+        assert _built(lambda: smaller) == _built(lambda: SimplicialComplex(k._set - pair))
+        bigger = smaller.elementary_expand(face, a)[0]
+        assert _built(lambda: bigger) == _built(lambda: SimplicialComplex(k._set))
+
+    # a whisker from a vertex v to a fresh vertex, its face or apex label w
+    # possibly bad
+    v = data.draw(st.sampled_from(k.vertices))
+    w = data.draw(st.sampled_from(("z", *BAD_LABELS)))
+    for face, a in [((w,), v)] + [(("z",), w)] * (w != "z"):
+        pair = [face, (*face, a)]
+        assert _built(lambda: k.elementary_expand(face, a)[0]) == _built(
+            lambda: SimplicialComplex([*k._set, *pair])
+        )
 
 
 @settings(max_examples=150, deadline=None)
@@ -711,4 +804,12 @@ def test_simplicial_replay_matches_the_oracle(rng, data):
         "ghost face vertex": (_any, lambda m: [replace(m, face=m.face + ("ghost",))]),
     }
     cert = _mutated(cert, data, kinds)
-    assert _replay(verify_simplicial_certificate, cert) == _replay(verify_simplicial_oracle, cert)
+    got = _replay(verify_simplicial_certificate, cert)
+    want = _replay(verify_simplicial_oracle, cert)
+    if want[0] is ValueError:
+        # the oracle's constructor refuses the bad label; the verifier fails
+        # at that move with the same text
+        assert want[1] == "label 'x y' contains whitespace or one of { } #"
+        step = next(k for k, m in enumerate(cert.moves) if "x y" in m.face)
+        want = (False, step, want[1], None)
+    assert got == want

@@ -13,7 +13,8 @@ breadth-first scan that compares every frontier map with every map,
 Smith normal form the two-phase elimination: sparse unit pivots, then a
 dense residue, and complex isomorphism its own earlier backtracker, which
 checks each candidate against every placed vertex through frozenset edge
-sets.  The certificate verifiers have their earlier forms, which rebuild
+sets.  The beat tests are literal scans that read the order one ``is_leq``
+pair at a time.  The certificate verifiers have their earlier forms, which rebuild
 and revalidate a whole space or complex after every move and read a
 space's order one ``is_leq`` pair at a time.
 """
@@ -46,8 +47,6 @@ from finspace.moves import (
     SpaceMove,
     SpaceMoveCertificate,
     _attach,
-    is_down_beat,
-    is_up_beat,
 )
 from finspace.spaces import FiniteSpace
 
@@ -471,9 +470,23 @@ def free_pairs_oracle(k: SimplicialComplex) -> list[tuple[tuple[str, ...], str]]
     return out
 
 
+def up_beat_oracle(space: FiniteSpace, x: int | str) -> str | None:
+    """If the strict up-set of x has a minimum, return that witness label."""
+    i = space.index(x)
+    up = [j for j in range(space.n) if j != i and space.is_leq(i, j)]
+    return next((space.labels[j] for j in up if all(space.is_leq(j, k) for k in up)), None)
+
+
+def down_beat_oracle(space: FiniteSpace, x: int | str) -> str | None:
+    """If the strict down-set of x has a maximum, return that witness label."""
+    i = space.index(x)
+    down = [j for j in range(space.n) if j != i and space.is_leq(j, i)]
+    return next((space.labels[j] for j in down if all(space.is_leq(k, j) for k in down)), None)
+
+
 def beat_side_oracle(space: FiniteSpace, i: int | str) -> tuple[str, str] | None:
     """The beat side of point i with its witness, testing down before up."""
-    for side, test in (("beat-down", is_down_beat), ("beat-up", is_up_beat)):
+    for side, test in (("beat-down", down_beat_oracle), ("beat-up", up_beat_oracle)):
         witness = test(space, i)
         if witness is not None:
             return side, witness
@@ -632,7 +645,7 @@ def _literally_contractible_oracle(space: FiniteSpace) -> bool:
     contractible iff one point remains."""
     while True:
         for i in range(space.n):
-            if is_down_beat(space, i) is not None or is_up_beat(space, i) is not None:
+            if down_beat_oracle(space, i) is not None or up_beat_oracle(space, i) is not None:
                 space = space.delete(i)
                 break
         else:
@@ -645,11 +658,11 @@ def _check_side_oracle(space: FiniteSpace, label: str, side: str) -> str | None:
     Reads the order only through ``is_leq``."""
     i = space.index(label)
     if side == "beat-down":
-        if is_down_beat(space, i) is None:
+        if down_beat_oracle(space, i) is None:
             return "strict down-set has no maximum"
         return None
     if side == "beat-up":
-        if is_up_beat(space, i) is None:
+        if up_beat_oracle(space, i) is None:
             return "strict up-set has no minimum"
         return None
     others = [j for j in range(space.n) if j != i]
@@ -697,7 +710,7 @@ def verify_simplicial_oracle(cert: SimplicialMoveCertificate) -> ReplayResult:
         if move.direction == "remove":
             if fs not in current:
                 return ReplayResult(False, k, f"{list(move.face)} is not a simplex")
-            cof = current._proper_cofaces(fs)
+            cof = [t for t in current._set if fs < t]
             if len(cof) != 1 or cof[0] != fs | {move.apex}:
                 return ReplayResult(
                     False, k, f"{list(move.face)} is not free with apex {move.apex!r}"
