@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface, in process."""
 
 import contextlib
+import functools
 import inspect
 import io
 import json
@@ -14,7 +15,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finspace.cli import _build_parser, main
@@ -451,11 +452,11 @@ def test_runtime_does_not_import_numpy():
     ]
 
 
-TRIANGLES = "vertices: a b c d\nfacet: a b c\nfacet: b c d\n"
 MUTATION_TOKENS = ("ghost", "a", "b", "", "{", "}", "{}", "#", "a,b", "x#y", "vertices:",
                    "facet:", "start:", "add", "remove", "{a", "b}")
 
 
+@functools.cache
 def _fuzz_inputs() -> dict[str, str]:
     """Small valid complexes and simplicial certificates, as file texts."""
     full = from_facets([["a", "b", "c"]])
@@ -463,34 +464,34 @@ def _fuzz_inputs() -> dict[str, str]:
     expansion = translate_space_collapse(load("wallet"), "x")
     return {
         "tri.cplx": "vertices: a b c\nfacet: a b c\n",
-        "two.cplx": TRIANGLES,
+        "two.cplx": "vertices: a b c d\nfacet: a b c\nfacet: b c d\n",
         "collapse.cert": format_simplicial_certificate(collapse),
         "expansion.cert": format_simplicial_certificate(expansion),
     }
 
 
-def _mutation(data, text: str) -> str:
-    """One token of the text replaced or dropped, or one byte replaced,
+def _mutation(data, text: str) -> bytes:
+    """The text with one token replaced or dropped, or one byte replaced,
     inserted or dropped."""
     if data.draw(st.booleans()):
         parts = re.split(r"(\s+)", text)
         k = data.draw(st.sampled_from(range(0, len(parts), 2)))
         parts[k] = data.draw(st.sampled_from([*MUTATION_TOKENS, *parts[::2]]))
-        return "".join(parts)
+        return "".join(parts).encode()
     raw = text.encode()
     k = data.draw(st.integers(0, len(raw) - 1))
     byte = bytes([data.draw(st.integers(0, 255))])
     kind = data.draw(st.sampled_from(["replace", "insert", "drop"]))
     new = {"replace": byte, "insert": byte + raw[k : k + 1], "drop": b""}[kind]
-    return (raw[:k] + new + raw[k + 1 :]).decode("latin-1")
+    return raw[:k] + new + raw[k + 1 :]
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mutated_complexes_and_certificates_exit_cleanly(data):
     inputs = _fuzz_inputs()
     name = data.draw(st.sampled_from(sorted(inputs)))
-    text = _mutation(data, inputs[name])
+    mutated = _mutation(data, inputs[name])
     if name.endswith(".cplx"):
         pair = data.draw(st.sampled_from([["a,b", "c"], ["a", "b"], ["b,c", "a"], ["a,,b", "c"]]))
         argvs = [["x"], ["subdivide"], ["homology"], ["translate-collapse", "--pair", *pair]]
@@ -499,12 +500,12 @@ def test_mutated_complexes_and_certificates_exit_cleanly(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, name)
         with open(path, "wb") as fh:
-            fh.write(text.encode("latin-1"))
+            fh.write(mutated)
         for argv in argvs:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([argv[0], path, *argv[1:]])
-            assert code in (0, 1, 2, 3), (argv, text)
+            assert code in (0, 1, 2, 3), (argv, mutated)
             if code == 3:
-                assert err.getvalue().count("\n") == 1, (argv, text, err.getvalue())
+                assert err.getvalue().count("\n") == 1, (argv, mutated, err.getvalue())
                 assert "Traceback" not in err.getvalue()
