@@ -17,7 +17,7 @@ Isomorphism runs the engine of ``spaces`` on vertex signatures and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -236,6 +236,7 @@ class SimplicialMap:
     dom: SimplicialComplex
     cod: SimplicialComplex
     vertex_map: tuple[tuple[str, str], ...]
+    _map: dict[str, str] = field(init=False, repr=False, compare=False)
 
     @classmethod
     def from_dict(
@@ -245,6 +246,7 @@ class SimplicialMap:
 
     def __post_init__(self) -> None:
         m = dict(self.vertex_map)
+        object.__setattr__(self, "_map", m)
         if set(m) != set(self.dom.vertices):
             raise ValueError("vertex map must cover exactly the domain vertices")
         cod_vertices = set(self.cod.vertices)
@@ -259,16 +261,14 @@ class SimplicialMap:
         return dict(self.vertex_map)
 
     def image(self, s: Iterable[str]) -> frozenset[str]:
-        m = dict(self.vertex_map)
-        return frozenset(m[v] for v in s)
+        return frozenset(self._map[v] for v in s)
 
     def compose(self, other: "SimplicialMap") -> "SimplicialMap":
         """self after other."""
         if other.cod is not self.dom and other.cod != self.dom:
             raise ValueError("codomain/domain mismatch")
-        m = dict(self.vertex_map)
         return SimplicialMap.from_dict(
-            other.dom, self.cod, {v: m[w] for v, w in other.vertex_map}
+            other.dom, self.cod, {v: self._map[w] for v, w in other.vertex_map}
         )
 
 

@@ -7,8 +7,11 @@ iff j < i (point j lies in every open set containing point i), and bit j of
 mask.  Minimal open sets, closures and Hasse diagrams are read off the
 masks, and the beat, core and isomorphism kernels work on them directly;
 ``is_leq(x, y)`` is the plain accessor for code that reads the order one
-pair at a time.  The one isomorphism engine, ``_first_isomorphism``, also
-serves complexes, on vertex signatures and edge masks.
+pair at a time.  Isomorphism colours are refined once per space and cached
+with it, like its heights and signatures, so comparing one space with many
+others refines each of them once.  The one isomorphism engine,
+``_first_isomorphism``, also serves complexes, on vertex signatures and edge
+masks.
 """
 
 from __future__ import annotations
@@ -273,6 +276,37 @@ class FiniteSpace:
         return (self.n, tuple(sorted(self.signatures())))
 
     @_cached
+    def _colours(self) -> tuple[list[int], tuple[int, ...]]:
+        """Each point's colour after two rounds of neighbourhood refinement
+        of ``signatures()``, and a key with a hash of every round's sorted
+        signatures.
+
+        A round's signature of a point is (its colour, the sorted colours
+        strictly above it, the sorted colours strictly below it), and its
+        new colour is the rank of that signature among the distinct ones.
+        Spaces with equal keys have the same distinct signatures in every
+        round, so their colours compare as if drawn from one table.  A hash
+        collision can only send two non-isomorphic spaces to the engine,
+        which checks every relation and finds no bijection.
+        """
+        key = []
+
+        def ranked(sigs: Sequence) -> list[int]:
+            ordered = sorted(sigs)
+            key.append(hash(tuple(ordered)))
+            rank = {sig: r for r, sig in enumerate(dict.fromkeys(ordered))}
+            return [rank[sig] for sig in sigs]
+
+        nbrs = [([*_members(u)], [*_members(d)]) for u, d in zip(self._up, self._down)]
+        col = ranked(self.signatures())
+        for _ in range(2):
+            col = ranked([
+                (c, tuple(sorted([col[j] for j in above])), tuple(sorted([col[j] for j in below])))
+                for c, (above, below) in zip(col, nbrs)
+            ])
+        return col, tuple(key)
+
+    @_cached
     def linear_extension(self) -> tuple[int, ...]:
         """Deterministic topological order: lowest available index first."""
         return tuple(_kahn(self._down, self._up))
@@ -341,30 +375,6 @@ def from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> Fin
         for i in _members(lower[j]):
             down[j] |= down[i]
     return _trusted(labels, down, _up_sets(down))
-
-
-def _refined_colours(a: FiniteSpace, b: FiniteSpace) -> tuple[list, list]:
-    """Two rounds of neighbourhood refinement of both spaces' base signatures.
-
-    Each round gives every point the colour of (its colour, the sorted
-    colours strictly above it, the sorted colours strictly below it), taken
-    from one table shared by both spaces, so equal colours mean equal
-    refined signatures.
-    """
-    table: dict = {}
-    cols = [[table.setdefault(sig, len(table)) for sig in s.signatures()] for s in (a, b)]
-    for _ in range(2):
-        table = {}
-        for k, s in enumerate((a, b)):
-            c, (down, up) = cols[k], s.masks()
-            cols[k] = [
-                table.setdefault(
-                    (c[i], *(tuple(sorted(c[j] for j in _members(m[i]))) for m in (up, down))),
-                    len(table),
-                )
-                for i in range(s.n)
-            ]
-    return cols[0], cols[1]
 
 
 def _first_isomorphism(
@@ -441,10 +451,15 @@ def is_isomorphic(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
     """Search for an order isomorphism a -> b.
 
     Returns the label mapping if one exists, else None.  Candidates must
-    share the twice-refined (height, up-degree, down-degree) colour; see
-    ``_first_isomorphism`` for the placement and candidate order.
+    share the twice-refined (height, up-degree, down-degree) colour, which
+    each space computes once; spaces whose refinement keys differ are not
+    compared further.  See ``_first_isomorphism`` for the placement and
+    candidate order.
     """
     if a.n != b.n:
         return None
-    image = _first_isomorphism(*_refined_colours(a, b), a.masks(), b.masks())
+    (col_a, key_a), (col_b, key_b) = a._colours(), b._colours()
+    if key_a != key_b:
+        return None
+    image = _first_isomorphism(col_a, col_b, a.masks(), b.masks())
     return None if image is None else {a.labels[i]: b.labels[j] for i, j in enumerate(image)}

@@ -170,15 +170,22 @@ def _perturbed(rng, space: FiniteSpace) -> FiniteSpace:
     return FiniteSpace(space.labels, leq)
 
 
+def _relabelled(data, space: FiniteSpace, prefix: str) -> FiniteSpace:
+    """An isomorphic copy with shuffled indices and new labels that sort in
+    another order."""
+    n = space.n
+    perm = data.draw(st.permutations(range(n)))
+    return FiniteSpace(
+        tuple(f"{prefix}{k}" for k in data.draw(st.permutations(range(n)))),
+        leq_matrix(space)[np.ix_(perm, perm)],
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(0, 10), st.booleans(), st.data())
 def test_isomorphism_matches_the_oracle(rng, n, perturb, data):
     a = _shuffled_poset(rng, data, n)
-    perm = data.draw(st.permutations(range(n)))
-    b = FiniteSpace(
-        tuple(f"b{k}" for k in data.draw(st.permutations(range(n)))),
-        leq_matrix(a)[np.ix_(perm, perm)],
-    )
+    b = _relabelled(data, a, "b")
     if perturb:
         b = _perturbed(rng, b)
     got = is_isomorphic(a, b)
@@ -190,6 +197,26 @@ def test_isomorphism_matches_the_oracle(rng, n, perturb, data):
     assert list(got.items()) == list(want.items())
     image = [b.index(got[lab]) for lab in a.labels]
     assert np.array_equal(leq_matrix(a), leq_matrix(b)[np.ix_(image, image)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 10), st.data())
+def test_isomorphism_with_cached_colours_matches_the_oracle(rng, n, data):
+    # a's colours are refined at its first comparison and reused for the
+    # rest, so they must compare with every other space, not only the first,
+    # and on either side of the call
+    a = _shuffled_poset(rng, data, n)
+    for b in (
+        _relabelled(data, a, "b"),
+        _perturbed(rng, _relabelled(data, a, "c")),
+        a.opposite(),
+        _relabelled(data, a, "d"),
+    ):
+        pair = (b, a) if data.draw(st.booleans()) else (a, b)
+        got, want = is_isomorphic(*pair), isomorphic_oracle(*pair)
+        assert got == want
+        if got is not None:
+            assert list(got.items()) == list(want.items())
 
 
 def test_isomorphism_candidate_order_follows_two_refinement_rounds():

@@ -1,8 +1,10 @@
 import random
+import sys
 
 import numpy as np
 import pytest
 
+from finspace import spaces
 from finspace.spaces import FiniteSpace, from_covers, is_isomorphic
 
 from util import random_poset
@@ -106,6 +108,58 @@ def test_isomorphism_rejects_different_shapes():
     w = from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
     assert is_isomorphic(v, w) is None
     assert is_isomorphic(v, v.opposite()) is None
+
+
+def _refinements(call) -> int:
+    """How many times ``call()`` runs the colour refinement of a space."""
+    code = FiniteSpace._colours.__wrapped__.__code__
+    runs = 0
+
+    def count(frame, event, arg):
+        nonlocal runs
+        runs += event == "call" and frame.f_code is code
+
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(outer)
+    return runs
+
+
+def test_isomorphism_refines_each_space_once():
+    rng = random.Random(5)
+    a = random_poset(rng, 7)
+    others = [
+        FiniteSpace.from_masks(tuple(f"q{k}{i}" for i in range(a.n)), a.masks()[0])
+        for k in range(3)
+    ] + [a.opposite(), a, random_poset(rng, 7)]
+    runs = _refinements(lambda: [is_isomorphic(a, b) for b in others + others])
+    assert runs == len(others)  # a is among the others
+    assert _refinements(lambda: [is_isomorphic(b, a) for b in others]) == 0
+
+
+def test_equal_fingerprints_with_other_refinements_skip_the_engine(monkeypatch):
+    # a two-point chain beside a square, and a fence on six points: both have
+    # three minima and three maxima with the same degrees
+    square = from_covers(
+        ["a", "b", "c", "d", "e", "f"],
+        [("a", "b"), ("c", "e"), ("c", "f"), ("d", "e"), ("d", "f")],
+    )
+    fence = from_covers(
+        ["a", "b", "c", "d", "e", "f"],
+        [("a", "b"), ("c", "b"), ("c", "d"), ("e", "d"), ("e", "f")],
+    )
+    assert square.fingerprint() == fence.fingerprint()
+    assert square._colours()[1] != fence._colours()[1]
+
+    def engine(*args):
+        raise AssertionError("the engine was entered")
+
+    monkeypatch.setattr(spaces, "_first_isomorphism", engine)
+    assert is_isomorphic(square, fence) is None
+    assert is_isomorphic(fence, square) is None
 
 
 def test_subspace_keeps_labels_and_order():
