@@ -17,7 +17,7 @@ from .complexes import (
     complex_isomorphic,
     verify_simplicial_certificate,
 )
-from .corpus import CorpusError, entries, load
+from .corpus import entries, load
 from .fileio import (
     ParseError,
     dot_complex,
@@ -42,7 +42,7 @@ from .functors import (
     translate_simplicial_collapse,
     translate_space_collapse,
 )
-from .homology import homology, homology_space
+from .homology import Inconclusive, homology, homology_space
 from .maps import ContinuousMap
 from .moves import (
     SpaceMove,
@@ -336,9 +336,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, CorpusError, ValueError, KeyError) as exc:
+    except (ParseError, ValueError, KeyError) as exc:
         print(exc, file=sys.stderr)
         return 3
+    except Inconclusive as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 2
     except (MemoryError, RecursionError) as exc:
         print(f"input too large: {type(exc).__name__}", file=sys.stderr)
         return 3

@@ -22,6 +22,7 @@ from .complexes import (
     SimplicialMoveCertificate,
     from_facets,
 )
+from .corpus import load
 from .maps import ContinuousMap
 from .moves import SIDES, SpaceMove, SpaceMoveCertificate
 from .spaces import FiniteSpace, from_covers
@@ -73,8 +74,6 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _example(name: str, want: tuple[type, ...], source: str) -> object:
-    from .corpus import load
-
     try:
         obj = load(name)
     except KeyError as exc:

@@ -293,7 +293,6 @@ def _cone_pair_moves(
     fam: set[frozenset[str]], faces: Iterable[Iterable[str]], apex: str
 ) -> tuple[SimplicialMove, ...]:
     """The moves adding each (S, S + apex); ``fam`` grows by the added simplices."""
-    pairs = []
     seen = set()
     for s in faces:
         fs = frozenset(s)
@@ -304,14 +303,9 @@ def _cone_pair_moves(
         if fs in seen:
             raise ValueError(f"face {sorted(fs)} listed twice")
         seen.add(fs)
-        pairs.append(fs)
-    for fs in pairs:
-        if fs | {apex} in seen:
-            raise ValueError("one face is another plus the apex; not a cone family")
-    pairs.sort(key=lambda s: (len(s), tuple(sorted(s))))
 
     moves = []
-    for fs in pairs:
+    for fs in sorted(seen, key=lambda s: (len(s), tuple(sorted(s)))):
         top = fs | {apex}
         problem = _expansion_problem(fam, fs, top)
         if problem is not None:

@@ -12,15 +12,26 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .complexes import SimplicialComplex
+from .functors import order_complex
 from .moves import core
 
 __all__ = [
     "HomologyReport",
+    "Inconclusive",
     "homology",
     "reduced_homology",
     "homology_space",
     "smith_invariants",
 ]
+
+# Entries one Smith normal form may examine in its pivot scans plus change in
+# its row and column operations; the largest count over the test suite and
+# the benchmark's homology jobs is below a tenth of it.
+MAX_SMITH_WORK = 1_000_000
+
+
+class Inconclusive(Exception):
+    """Smith normal form ran past ``MAX_SMITH_WORK`` before it finished."""
 
 
 @dataclass(frozen=True)
@@ -76,7 +87,9 @@ def smith_invariants(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
     ``rows`` maps row index to {column: value}; zero values are not stored.
     The pivot has the least key (|v|, Markowitz cost, r, c).  Row and then
     column operations leave only remainders mod v beside it; any nonzero one
-    is smaller than |v| and pivots next, so the loop ends.
+    is smaller than |v| and pivots next, so the loop ends.  Each pivot scan
+    counts the entries of every row, each operation the entries of the pivot
+    row; past ``MAX_SMITH_WORK`` of them it raises ``Inconclusive``.
     """
     rows = {r: dict(cs) for r, cs in rows.items() if cs}
     cols: dict[int, set[int]] = {}
@@ -84,11 +97,16 @@ def smith_invariants(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
         for c in cs:
             cols.setdefault(c, set()).add(r)
 
-    units = 0
+    units = work = 0
     diagonal: list[int] = []
     while rows:
+        if work > MAX_SMITH_WORK:
+            raise Inconclusive(
+                f"Smith normal form passed {MAX_SMITH_WORK} matrix entries"
+            )
         best = None
         for r, cs in rows.items():
+            work += len(cs)
             fr = len(cs) - 1
             for c, v in cs.items():
                 key = (abs(v), fr * (len(cols[c]) - 1), r, c)
@@ -100,6 +118,7 @@ def smith_invariants(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
         for r2 in list(cols[c]):
             if r2 == r:
                 continue
+            work += len(pivot_row)
             target = rows[r2]
             q = target[c] // v
             for c2, v2 in pivot_row.items():
@@ -116,6 +135,7 @@ def smith_invariants(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
         if len(cols[c]) > 1:
             continue
         # column c holds only row r, so column operations touch no other row
+        work += len(pivot_row)
         for c2 in list(pivot_row):
             if c2 != c:
                 new = pivot_row[c2] % v
@@ -171,8 +191,6 @@ def homology_space(space, reduced: bool = False) -> HomologyReport:
     collapse X ↘ Y induces a simplicial collapse K(X) ↘ K(Y) (Barmak and
     Minian, arXiv:math/0611158), so both have the same homology; the report
     is padded with trivial groups to the height(X) + 1 dimensions of K(X)."""
-    from .functors import order_complex
-
     report = homology(order_complex(core(space)[0]), reduced=reduced)
     pad = max(space.heights(), default=-1) + 1 - len(report.betti)
     return HomologyReport(report.betti + (0,) * pad, report.torsion + ((),) * pad, reduced)

@@ -27,8 +27,8 @@ from finspace.fileio import (
     format_space_certificate,
     parse_certificate,
 )
-from finspace.functors import translate_space_collapse
-from finspace.moves import SpaceMoveCertificate, core
+from finspace.functors import bridge_space, translate_space_collapse
+from finspace.moves import SpaceMoveCertificate, collapse_search, core
 from finspace.spaces import from_covers
 
 from util import random_poset
@@ -310,6 +310,26 @@ def test_homology_of_a_space_beyond_the_chain_cap(capsys, tmp_path):
     assert captured.err.count("\n") == 1 and captured.err.startswith("too many chains: ")
 
 
+def test_homology_past_the_smith_work_limit_is_inconclusive(capsys, monkeypatch):
+    monkeypatch.setattr(sys.modules["finspace.homology"], "MAX_SMITH_WORK", 10)
+    assert main(["homology", "example:dunce"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("inconclusive: ")
+
+
+def test_homology_of_a_large_core_stops_at_the_smith_work_limit(capsys, tmp_path):
+    # the core has 56 points and 51,482 chains, under the chain cap
+    p = tmp_path / "big.poset"
+    p.write_text(format_space(random_poset(random.Random(1), 78, 0.11)))
+    start = time.process_time()
+    assert main(["homology", str(p)]) == 2
+    assert time.process_time() - start < 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("inconclusive: ")
+
+
 def test_iso_between_relabeled_spaces(capsys, tmp_path):
     a = tmp_path / "a.poset"
     b = tmp_path / "b.poset"
@@ -453,21 +473,33 @@ def test_runtime_does_not_import_numpy():
 
 
 MUTATION_TOKENS = ("ghost", "a", "b", "", "{", "}", "{}", "#", "a,b", "x#y", "vertices:",
-                   "facet:", "start:", "add", "remove", "{a", "b}")
+                   "facet:", "start:", "add", "remove", "{a", "b}", "elements:", "cover:",
+                   "send:", "dom:", "up-weak", "beat-down", "down={a}", "vee.poset")
 
 
 @functools.cache
-def _fuzz_inputs() -> dict[str, str]:
-    """Small valid complexes and simplicial certificates, as file texts."""
+def _fuzz_inputs() -> tuple[dict[str, str], dict[str, str]]:
+    """Small valid files as texts: those that get mutated, then the unmutated
+    files beside them (a map's domain and codomain, the other side of iso)."""
     full = from_facets([["a", "b", "c"]])
-    collapse = collapse_sequence_search(full).certificate
-    expansion = translate_space_collapse(load("wallet"), "x")
-    return {
+    small = from_covers(list("abcde"), [("c", "a"), ("c", "b"), ("d", "c"), ("e", "a")])
+    mutated = {
         "tri.cplx": "vertices: a b c\nfacet: a b c\n",
         "two.cplx": "vertices: a b c d\nfacet: a b c\nfacet: b c d\n",
-        "collapse.cert": format_simplicial_certificate(collapse),
-        "expansion.cert": format_simplicial_certificate(expansion),
+        "collapse.cert": format_simplicial_certificate(collapse_sequence_search(full).certificate),
+        "expansion.cert": format_simplicial_certificate(translate_space_collapse(load("wallet"), "x")),
+        "small.poset": format_space(small),
+        "vee.map": "dom: vee.poset\ncod: two.poset\nsend: b 0\nsend: c 0\nsend: a 1\n",
+        "core.cert": format_space_certificate(core(small)[1]),
+        "wallet-collapse.cert": format_space_certificate(collapse_search(load("wallet")).certificate),
+        "bridge.cert": format_space_certificate(bridge_space(small).expansion),
     }
+    beside = {
+        "fixed.poset": format_space(small),
+        "vee.poset": format_space(load("vee")),
+        "two.poset": format_space(load("sierpinski")),
+    }
+    return mutated, beside
 
 
 def _mutation(data, text: str) -> bytes:
@@ -489,22 +521,32 @@ def _mutation(data, text: str) -> bytes:
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mutated_complexes_and_certificates_exit_cleanly(data):
-    inputs = _fuzz_inputs()
+    inputs, beside = _fuzz_inputs()
     name = data.draw(st.sampled_from(sorted(inputs)))
     mutated = _mutation(data, inputs[name])
     if name.endswith(".cplx"):
         pair = data.draw(st.sampled_from([["a,b", "c"], ["a", "b"], ["b,c", "a"], ["a,,b", "c"]]))
         argvs = [["x"], ["subdivide"], ["homology"], ["translate-collapse", "--pair", *pair]]
+    elif name.endswith(".poset"):
+        point = data.draw(st.sampled_from(["a", "c", "d", "ghost"]))
+        argvs = [["core"], ["core", "--certificate"], ["weak-points"], ["collapse", "--budget", "50"],
+                 ["k"], ["subdivide"], ["bridge"], ["homology"], ["dot"],
+                 ["translate-collapse", "--point", point], ["iso", "fixed.poset"]]
+    elif name.endswith(".map"):
+        argvs = [["cylinder"], ["cylinder", "--collapse"]]
     else:
         argvs = [["verify"]]
     with tempfile.TemporaryDirectory() as tmp:
+        for other, text in beside.items():
+            Path(tmp, other).write_text(text)
         path = os.path.join(tmp, name)
         with open(path, "wb") as fh:
             fh.write(mutated)
         for argv in argvs:
+            rest = [os.path.join(tmp, a) if a.endswith(".poset") else a for a in argv[1:]]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([argv[0], path, *argv[1:]])
+                code = main([argv[0], path, *rest])
             assert code in (0, 1, 2, 3), (argv, mutated)
             if code == 3:
                 assert err.getvalue().count("\n") == 1, (argv, mutated, err.getvalue())

@@ -13,7 +13,8 @@ breadth-first scan that compares every frontier map with every map,
 Smith normal form the two-phase elimination: sparse unit pivots, then a
 dense residue, and complex isomorphism its own earlier backtracker, which
 checks each candidate against every placed vertex through frozenset edge
-sets.  The beat tests are literal scans that read the order one ``is_leq``
+sets; both isomorphism oracles compute their signatures from the order
+matrix or the simplex set, not from the invariants they check.  The beat tests are literal scans that read the order one ``is_leq``
 pair at a time.  The certificate verifiers have their earlier forms, which rebuild
 and revalidate a whole space or complex after every move and read a
 space's order one ``is_leq`` pair at a time.
@@ -31,7 +32,6 @@ from finspace.complexes import (
     SimplicialComplex,
     SimplicialMoveCertificate,
     _expansion_problem,
-    _vertex_signatures,
     dotted_label,
     from_facets,
 )
@@ -531,9 +531,13 @@ def weak_point_oracle(space: FiniteSpace, x: int | str) -> str | None:
 
 
 def refine_signatures_oracle(space: FiniteSpace, rounds: int = 2) -> list:
-    """Iterated neighborhood refinement on top of the base signatures."""
+    """Iterated neighborhood refinement of (height, up-degree, down-degree),
+    all read from the order matrix."""
     strict = leq_matrix(space) & ~np.eye(space.n, dtype=bool)
-    sig: list = list(space.signatures())
+    sig: list = [
+        (h, int(up), int(down))
+        for h, up, down in zip(heights_oracle(space), strict.sum(axis=1), strict.sum(axis=0))
+    ]
     for _ in range(rounds):
         sig = [
             (
@@ -550,8 +554,6 @@ def isomorphic_oracle(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
     """Backtracking over points ordered by refined-signature rarity, with
     candidates in ascending index order and pairwise relation checks."""
     if a.n != b.n:
-        return None
-    if sorted(a.signatures()) != sorted(b.signatures()):
         return None
     sig_a = refine_signatures_oracle(a)
     sig_b = refine_signatures_oracle(b)
@@ -590,14 +592,32 @@ def isomorphic_oracle(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
     return {a.labels[i]: b.labels[image[i]] for i in range(a.n)}
 
 
+def vertex_signatures_oracle(simplices: set[frozenset[str]]) -> dict[str, tuple]:
+    """Per vertex, its simplex counts by dimension, then the sorted counts of
+    its edge neighbours, read from the simplex set."""
+    dim = max(map(len, simplices), default=0) - 1
+    counts: dict[str, list[int]] = {v: [0] * (dim + 1) for s in simplices for v in s}
+    for s in simplices:
+        for v in s:
+            counts[v][len(s) - 1] += 1
+    base = {v: tuple(c) for v, c in counts.items()}
+    nbrs: dict[str, list[tuple]] = {v: [] for v in base}
+    for s in simplices:
+        if len(s) == 2:
+            v, w = s
+            nbrs[v].append(base[w])
+            nbrs[w].append(base[v])
+    return {v: (base[v], tuple(sorted(nbrs[v]))) for v in base}
+
+
 def complex_isomorphic_oracle(
     a: SimplicialComplex, b: SimplicialComplex
 ) -> dict[str, str] | None:
     """Vertex bijection carrying simplices onto simplices, or None."""
     if len(a.vertices) != len(b.vertices) or a.f_vector() != b.f_vector():
         return None
-    sig_a = _vertex_signatures(a)
-    sig_b = _vertex_signatures(b)
+    sig_a = vertex_signatures_oracle(a._set)
+    sig_b = vertex_signatures_oracle(b._set)
     if sorted(sig_a.values()) != sorted(sig_b.values()):
         return None
     buckets: dict[tuple, list[str]] = {}
