@@ -4,11 +4,14 @@ Boundary matrices are reduced over the integers exactly in one sparse
 elimination whose pivot is an entry of least absolute value, fill-in cost
 breaking ties (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001); the
 diagonal left over becomes an invariant factor chain by pairwise gcd and lcm.
+Pivots come from a lazy heap, not a scan of the matrix, and one work count
+bounds all the boundary matrices of a ``homology`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .complexes import SimplicialComplex
@@ -24,9 +27,10 @@ __all__ = [
     "smith_invariants",
 ]
 
-# Entries one Smith normal form may examine in its pivot scans plus change in
-# its row and column operations; the largest count over the test suite and
-# the benchmark's homology jobs is below a tenth of it.
+# Units of work one ``homology`` call may spend on Smith normal forms: one
+# per heap pop and per pivot row entry in an operation.  The largest count of
+# a call that answers is 90,819 in the tests (sd³ of the dunce hat) and 2,264
+# in the benchmark's homology jobs, both below a tenth of it.
 MAX_SMITH_WORK = 1_000_000
 
 
@@ -81,39 +85,52 @@ def _boundary(k: SimplicialComplex, d: int) -> tuple[dict[int, dict[int, int]], 
     return rows, len(lower), len(upper)
 
 
-def smith_invariants(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
+def smith_invariants(
+    rows: dict[int, dict[int, int]], spent: list[int] | None = None
+) -> tuple[int, list[int]]:
     """Rank and invariant factor chain of a sparse integer matrix.
 
     ``rows`` maps row index to {column: value}; zero values are not stored.
-    The pivot has the least key (|v|, Markowitz cost, r, c).  Row and then
-    column operations leave only remainders mod v beside it; any nonzero one
-    is smaller than |v| and pivots next, so the loop ends.  Each pivot scan
-    counts the entries of every row, each operation the entries of the pivot
-    row; past ``MAX_SMITH_WORK`` of them it raises ``Inconclusive``.
+    The pivot is an entry of least |v|, Markowitz cost breaking ties, popped
+    from a lazy min-heap of keys (|v|, cost, r, c) that gets every entry an
+    operation creates or changes and every kept pivot.  A popped key whose
+    entry is gone or holds another |v| is dropped; one whose cost has since
+    grown is pushed again (a fallen cost leaves it the least key).  Row and
+    then column operations leave only remainders mod v beside the pivot; any
+    nonzero one is smaller than |v| and pivots next, so the loop ends.  Each
+    pop, and each pivot row entry in an operation, adds one to ``spent[0]``,
+    which callers may share across matrices; past ``MAX_SMITH_WORK`` it
+    raises ``Inconclusive``.
     """
+    if spent is None:
+        spent = [0]
     rows = {r: dict(cs) for r, cs in rows.items() if cs}
     cols: dict[int, set[int]] = {}
     for r, cs in rows.items():
         for c in cs:
             cols.setdefault(c, set()).add(r)
+    heap = [
+        (abs(v), (len(cs) - 1) * (len(cols[c]) - 1), r, c)
+        for r, cs in rows.items()
+        for c, v in cs.items()
+    ]
+    heapify(heap)
 
-    units = work = 0
+    units = 0
+    work = spent[0]
     diagonal: list[int] = []
     while rows:
         if work > MAX_SMITH_WORK:
-            raise Inconclusive(
-                f"Smith normal form passed {MAX_SMITH_WORK} matrix entries"
-            )
-        best = None
-        for r, cs in rows.items():
-            work += len(cs)
-            fr = len(cs) - 1
-            for c, v in cs.items():
-                key = (abs(v), fr * (len(cols[c]) - 1), r, c)
-                if best is None or key < best:
-                    best = key
-        _, _, r, c = best
-        pivot_row = rows[r]
+            raise Inconclusive(f"Smith normal form passed {MAX_SMITH_WORK} units of work")
+        work += 1
+        size, cost, r, c = heappop(heap)
+        pivot_row = rows.get(r)
+        if pivot_row is None or abs(pivot_row.get(c, 0)) != size:
+            continue
+        now = (len(pivot_row) - 1) * (len(cols[c]) - 1)
+        if now > cost:
+            heappush(heap, (size, now, r, c))
+            continue
         v = pivot_row[c]
         for r2 in list(cols[c]):
             if r2 == r:
@@ -127,12 +144,14 @@ def smith_invariants(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
                     if c2 not in target:
                         cols[c2].add(r2)
                     target[c2] = new
+                    heappush(heap, (abs(new), (len(target) - 1) * (len(cols[c2]) - 1), r2, c2))
                 elif c2 in target:
                     del target[c2]
                     cols[c2].discard(r2)
             if not target:
                 del rows[r2]
         if len(cols[c]) > 1:
+            heappush(heap, (size, (len(pivot_row) - 1) * (len(cols[c]) - 1), r, c))
             continue
         # column c holds only row r, so column operations touch no other row
         work += len(pivot_row)
@@ -141,18 +160,21 @@ def smith_invariants(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
                 new = pivot_row[c2] % v
                 if new:
                     pivot_row[c2] = new
+                    heappush(heap, (abs(new), (len(pivot_row) - 1) * (len(cols[c2]) - 1), r, c2))
                 else:
                     del pivot_row[c2]
                     cols[c2].discard(r)
                     if not cols[c2]:
                         del cols[c2]
         if len(pivot_row) > 1:
+            heappush(heap, (size, 0, r, c))
             continue
         del rows[r], cols[c]
-        if v == 1 or v == -1:
+        if size == 1:
             units += 1
         else:
-            diagonal.append(abs(v))
+            diagonal.append(size)
+    spent[0] = work
 
     # diag(a, b) is equivalent to diag(gcd, lcm); pass i leaves in slot i
     # the gcd of slots i onward, so the slots end up a divisibility chain
@@ -171,8 +193,9 @@ def homology(k: SimplicialComplex, reduced: bool = False) -> HomologyReport:
     counts = list(k.f_vector())
     ranks = [0] * (dim + 2)
     torsion: list[tuple[int, ...]] = [()] * (dim + 1)
+    spent = [0]
     for d in range(1, dim + 1):
-        ranks[d], factors = smith_invariants(_boundary(k, d)[0])
+        ranks[d], factors = smith_invariants(_boundary(k, d)[0], spent)
         torsion[d - 1] = tuple(f for f in factors if f > 1)
     betti = [counts[d] - ranks[d] - ranks[d + 1] for d in range(dim + 1)]
     if reduced:

@@ -27,7 +27,12 @@ from finspace.fileio import (
     format_space_certificate,
     parse_certificate,
 )
-from finspace.functors import bridge_space, translate_space_collapse
+from finspace.functors import (
+    barycentric_subdivision,
+    bridge_space,
+    face_poset,
+    translate_space_collapse,
+)
 from finspace.moves import SpaceMoveCertificate, collapse_search, core
 from finspace.spaces import from_covers
 
@@ -328,6 +333,16 @@ def test_homology_of_a_large_core_stops_at_the_smith_work_limit(capsys, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("inconclusive: ")
+
+
+def test_homology_of_the_twice_subdivided_dunce_hat_face_poset(capsys, tmp_path):
+    # X(sd²(dunce)) is its own core, and its order complex sd³(dunce) has
+    # 10,993 simplices; one Smith work bound covers its boundary matrices
+    sd2 = barycentric_subdivision(barycentric_subdivision(load("dunce")))
+    p = tmp_path / "x-sd2-dunce.poset"
+    p.write_text(format_space(face_poset(sd2)))
+    assert main(["homology", "--reduced", str(p)]) == 0
+    assert capsys.readouterr().out == "H~_0 = 0\nH~_1 = 0\nH~_2 = 0\n"
 
 
 def test_iso_between_relabeled_spaces(capsys, tmp_path):

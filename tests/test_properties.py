@@ -653,6 +653,23 @@ def test_smith_invariants_match_the_two_phase_oracle(rng, boundary, data):
         assert smith_invariants(rows) == smith_oracle(rows)
 
 
+@st.composite
+def _wide_sparse_matrices(draw) -> dict[int, dict[int, int]]:
+    """Up to 20 x 20 with at most six entries a row, four in five of them
+    non-units, so eliminations leave fill-in and remainders mod a non-unit
+    pivot, and heap keys go stale again and again."""
+    nr, nc = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    values = st.sampled_from([2, -2, 3, -3, 4, 6, 9, 12, 1, -1])
+    row = st.dictionaries(st.integers(0, nc - 1), values, max_size=min(nc, 6))
+    return {r: draw(row) for r in range(nr)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_sparse_matrices())
+def test_smith_invariants_of_wider_non_unit_matrices_match_the_oracle(rows):
+    assert smith_invariants(rows) == smith_oracle(rows)
+
+
 def _replayed(cert):
     """The start and every complex after it, each move applied (and
     checked) by elementary_collapse or elementary_expand."""
