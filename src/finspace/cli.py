@@ -47,9 +47,9 @@ from .maps import ContinuousMap
 from .moves import (
     SpaceMove,
     SpaceMoveCertificate,
+    _weak_side,
     collapse_search,
     core,
-    is_weak_point,
     verify_space_certificate,
     weak_points,
 )
@@ -143,15 +143,12 @@ def _cmd_cylinder(args) -> int:
 
 def _cmd_translate(args) -> int:
     if (args.point is None) == (args.pair is None):
-        print("exactly one of --point and --pair is required", file=sys.stderr)
-        return 3
+        raise ValueError("exactly one of --point and --pair is required")
     if args.point is not None:
         space = read_space(args.path)
         cert = translate_space_collapse(space, args.point)
         if args.emit_both_sides:
-            side = is_weak_point(space, args.point)
-            if side == "both":
-                side = "down-weak"
+            side = _weak_side(*space.masks(), space.index(args.point))
             move = SpaceMove("remove", args.point, side)
             print("# space-level move")
             sys.stdout.write(
@@ -205,8 +202,7 @@ def _cmd_iso(args) -> int:
     a = read_space_or_complex(args.a)
     b = read_space_or_complex(args.b)
     if isinstance(a, FiniteSpace) != isinstance(b, FiniteSpace):
-        print("cannot compare a space with a complex", file=sys.stderr)
-        return 3
+        raise ValueError("cannot compare a space with a complex")
     found = (
         is_isomorphic(a, b)
         if isinstance(a, FiniteSpace)

@@ -9,7 +9,8 @@ The two certificate translators live here as well:
 
 * ``translate_space_collapse`` turns the removal of a weak point into an
   explicit sequence of elementary simplicial expansions (read backwards, a
-  collapse of the order complex).
+  collapse of the order complex); an up-weak point is stripped on the
+  swapped masks, the opposite order, which has the same chains.
 * ``translate_simplicial_collapse`` turns the removal of a free pair into
   exactly two weak point removals on the face poset.
 
@@ -33,7 +34,7 @@ from .complexes import (
     is_contiguous,
 )
 from .maps import ContinuousMap, is_distinguished, mapping_cylinder
-from .moves import SpaceMove, SpaceMoveCertificate, _strip_in, is_weak_point
+from .moves import SpaceMove, SpaceMoveCertificate, _strip_in
 from .spaces import FiniteSpace, _members, _trusted, _up_sets
 
 __all__ = [
@@ -58,17 +59,19 @@ __all__ = [
 MAX_CHAINS = 200_000
 
 
-def _chains(space: FiniteSpace) -> list[tuple[int, ...]]:
-    """All nonempty chains as index tuples, ascending in the order.
+def _chains(space: FiniteSpace, alive: int | None = None) -> list[tuple[int, ...]]:
+    """All nonempty chains of the ``alive`` points (default: every point) as
+    index tuples, ascending in the order.
 
     The chains are counted first, and more than ``MAX_CHAINS`` of them is
     refused with a ValueError rather than enumerated.
     """
-    above = [list(_members(m)) for m in space.masks()[1]]
+    alive = (1 << space.n) - 1 if alive is None else alive
+    above = [list(_members(m & alive)) for m in space.masks()[1]]
     # starting[i]: chains whose least point is i.  A point strictly above i
     # has a smaller up-set, so ascending up-set size visits it first.
     starting = [0] * space.n
-    for i in sorted(range(space.n), key=lambda i: len(above[i])):
+    for i in sorted(_members(alive), key=lambda i: len(above[i])):
         starting[i] = 1 + sum(starting[j] for j in above[i])
     total = sum(starting)
     if total > MAX_CHAINS:
@@ -83,7 +86,7 @@ def _chains(space: FiniteSpace) -> list[tuple[int, ...]]:
             grow(j)
         chain.pop()
 
-    for i in range(space.n):
+    for i in _members(alive):
         grow(i)
     return out
 
@@ -317,17 +320,15 @@ def _cone_pair_moves(
 
 
 def _chains_through(
-    space: FiniteSpace, members: Iterable[str], need: Iterable[str], avoid: Iterable[str]
+    space: FiniteSpace, members: int, need: int, avoid: int
 ) -> list[frozenset[str]]:
-    """Chains of the given subspace containing all of ``need``, none of ``avoid``."""
-    sub = space.subspace(space.index(m) for m in members)
-    need = set(need)
-    avoid = set(avoid)
+    """Chains of the ``members`` points containing all of ``need`` and none of
+    ``avoid``, as label sets; all three are masks of the space's points."""
     out = []
-    for c in _chains(sub):
-        s = {sub.labels[i] for i in c}
-        if need <= s and not (avoid & s):
-            out.append(frozenset(s))
+    for c in _chains(space, members):
+        chain = sum(1 << i for i in c)
+        if chain & need == need and not chain & avoid:
+            out.append(frozenset(space.labels[i] for i in c))
     return out
 
 
@@ -336,31 +337,31 @@ def translate_space_collapse(space: FiniteSpace, x: str) -> SimplicialMoveCertif
 
     ``x`` must be a weak point.  The result is a certificate of elementary
     expansions from the smaller order complex to the full one; read in
-    reverse it collapses the order complex onto that of the deletion.  An
-    upward weak point is handled on the opposite space, which has the same
-    chains.
+    reverse it collapses the order complex onto that of the deletion.  The
+    punctured minimal open set of ``x`` is stripped of beat points first; if
+    more than one point survives, the punctured closure is stripped on the
+    swapped masks, that is in the opposite order, which has the same chains.
     """
-    side = is_weak_point(space, x)
-    if side is None:
+    i = space.index(x)
+    down, up = space.masks()
+    # x is weak when stripping beat points off one punctured side, in any
+    # order, leaves a single survivor
+    for below, above in ((down, up), (up, down)):
+        rest, removed = _strip_in(below, above, below[i], list(_members(below[i])), floor=1)
+        if rest.bit_count() == 1:
+            break
+    else:
         raise ValueError(f"{x!r} is not a weak point")
-    work = space if side in ("down-weak", "both") else space.opposite()
 
     start = order_complex(space.delete(x))
-    # x is weak, so its punctured open set is contractible: stripping beat
-    # points in any order leaves a single survivor.
-    punctured = work.masks()[0][work.index(x)]
-    rest, removed = _strip_in(work, punctured, list(_members(punctured)), floor=1)
-    labels = work.labels
-    survivor = labels[rest.bit_length() - 1]
-    cl = set(work.closure(x).labels)
-
+    labels, survivor = space.labels, rest.bit_length() - 1
+    kept = above[i] | 1 << i  # the closure of x in the order whose side was stripped
     fam = set(start._set)
-    first = _chains_through(work, cl, need=[x], avoid=[])
-    moves = list(_cone_pair_moves(fam, first, survivor))
-    kept = {survivor}
+    moves = list(_cone_pair_moves(fam, _chains_through(space, kept, 1 << i, 0), labels[survivor]))
+    kept |= 1 << survivor
     for p, _, w in reversed(removed):
-        kept.add(labels[p])
-        faces = _chains_through(work, cl | kept, need=[x, labels[p]], avoid=[labels[w]])
+        kept |= 1 << p
+        faces = _chains_through(space, kept, 1 << i | 1 << p, 1 << w)
         moves.extend(_cone_pair_moves(fam, faces, labels[w]))
     return SimplicialMoveCertificate(start, tuple(moves))
 

@@ -6,8 +6,8 @@ numbers the continuous maps and keeps, per domain point and codomain point,
 int bitsets of the maps that send it above or below there; the maps
 comparable with u are then one AND per domain point.  A map is
 distinguished when every minimal open set pulls back to a contractible
-subspace; these are the maps whose non-Hausdorff mapping cylinder collapses
-back onto the domain.
+subspace, tested as a mask of the domain's points; these are the maps whose
+non-Hausdorff mapping cylinder collapses back onto the domain.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .spaces import FiniteSpace, _members, _trusted, _up_sets
-from .moves import is_contractible, is_weak_point
+from .moves import _contractible_in, is_weak_point
 
 __all__ = [
     "ContinuousMap",
@@ -279,11 +279,14 @@ class DistinguishedReport:
 
 
 def is_distinguished(f: ContinuousMap) -> DistinguishedReport:
-    """Check contractibility of the preimage of every minimal open set."""
+    """Check contractibility of the preimage of every minimal open set; an
+    empty preimage is not contractible."""
+    dom_masks, cod_down = f.dom.masks(), f.cod.masks()[0]
     verdicts = []
     for j in range(f.cod.n):
-        pre = f.preimage_of_open(j)
-        verdicts.append((f.cod.labels[j], pre.n > 0 and is_contractible(pre)))
+        open_set = cod_down[j] | 1 << j
+        pre = sum(1 << i for i, y in enumerate(f.images) if open_set >> y & 1)
+        verdicts.append((f.cod.labels[j], _contractible_in(*dom_masks, pre)))
     ok = all(v for _, v in verdicts)
     return DistinguishedReport(ok, tuple(verdicts))
 

@@ -2,14 +2,18 @@
 
 A point is a beat point when its strict up-set has a minimum or its strict
 down-set has a maximum; removing one does not change the homotopy type, and
-iterating removals reaches the core.  Outside the verifier, every beat test
-reads one bitmask kernel, ``_beat_in``.  A point is a weak point when its
+iterating removals reaches the core.  A point is a weak point when its
 punctured minimal open set or punctured closure is contractible; removing
-one is an elementary collapse of spaces.  Every operation here that changes
-a space also returns a replayable move record, and the verifier rechecks
-each move against the definitions.  It replays on its own plain sets, the
-labels strictly below and above each point, which a move updates only at the
-points next to it, and it validates one space, the end of the replay.
+one is an elementary collapse of spaces.  Outside the verifier each such
+test is one bitmask kernel, ``_beat_in``, ``_strip_in`` or
+``_contractible_in``, asked as ``(down, up, alive, ...)``: a subspace is an
+``alive`` mask and the opposite order is the swapped pair ``(up, down)``.
+Down is tested before up, so a point weak on both sides is removed as
+down-weak.  Every operation here that changes a space also returns a
+replayable move record, and the verifier rechecks each move against the
+definitions.  It replays on its own plain sets, the labels strictly below
+and above each point, which a move updates only at the points next to it,
+and it validates one space, the end of the replay.
 """
 
 from __future__ import annotations
@@ -148,7 +152,7 @@ def _beat_in(down: Sequence[int], up: Sequence[int], alive: int, i: int) -> tupl
 
 
 def _strip_in(
-    space: FiniteSpace, alive: int, priority: Sequence[int], floor: int = 0
+    down: Sequence[int], up: Sequence[int], alive: int, priority: Sequence[int], floor: int = 0
 ) -> tuple[int, list[tuple[int, str, int]]]:
     """Remove the first beat point in ``priority``, which lists the ``alive``
     points in order of preference, until none is left or ``floor`` remain.
@@ -157,7 +161,6 @@ def _strip_in(
     Removing x changes the strict down-set or up-set only of the points
     comparable to x, so only those are tested again.
     """
-    down, up = space.masks()
     rank = {i: r for r, i in enumerate(priority)}
     beats: dict[int, tuple[str, int]] = {}
     queue: list[tuple[int, int]] = []  # (rank, point), stale once not in beats
@@ -184,9 +187,18 @@ def _strip_in(
     return alive, removed
 
 
-def _contractible_in(space: FiniteSpace, alive: int) -> bool:
+def _contractible_in(down: Sequence[int], up: Sequence[int], alive: int) -> bool:
     """True iff the subspace on the ``alive`` points has a one-point core."""
-    return _strip_in(space, alive, list(_members(alive)), floor=1)[0].bit_count() == 1
+    return _strip_in(down, up, alive, list(_members(alive)), floor=1)[0].bit_count() == 1
+
+
+def _weak_side(down: Sequence[int], up: Sequence[int], i: int) -> str | None:
+    """'down-weak' or 'up-weak' for point i, testing down first, or None."""
+    if _contractible_in(down, up, down[i]):
+        return "down-weak"
+    if _contractible_in(down, up, up[i]):
+        return "up-weak"
+    return None
 
 
 def _beat_side(space: FiniteSpace, i: int | str) -> tuple[str, str] | None:
@@ -204,18 +216,6 @@ def beat_points(space: FiniteSpace) -> list[str]:
 # -- cores and contractibility --------------------------------------------
 
 
-def _strip_beats(
-    space: FiniteSpace, priority: Sequence[str], floor: int = 0
-) -> tuple[FiniteSpace, list[tuple[SpaceMove, str]]]:
-    """Remove the first beat point in ``priority`` until none is left or the
-    space is down to ``floor`` points; returns each removal with its witness."""
-    labels = space.labels
-    order = [space.index(l) for l in priority]
-    alive, removed = _strip_in(space, (1 << space.n) - 1, order, floor)
-    rest = space if not removed else space.subspace(_members(alive))
-    return rest, [(SpaceMove("remove", labels[x], side), labels[w]) for x, side, w in removed]
-
-
 def core(
     space: FiniteSpace, order: Sequence[int | str] | None = None
 ) -> tuple[FiniteSpace, SpaceMoveCertificate]:
@@ -226,18 +226,20 @@ def core(
     The certificate records every removal; the core itself is unique up to
     isomorphism no matter the order.
     """
-    priority = list(space.labels)
+    priority = list(range(space.n))
     if order is not None:
-        priority = [space.labels[space.index(x)] for x in order]
-        if sorted(priority) != sorted(space.labels):
+        priority = [space.index(x) for x in order]
+        if sorted(priority) != list(range(space.n)):
             raise ValueError("order must mention every point exactly once")
-    current, removed = _strip_beats(space, priority)
-    return current, SpaceMoveCertificate(space, tuple(move for move, _ in removed))
+    alive, removed = _strip_in(*space.masks(), (1 << space.n) - 1, priority)
+    moves = tuple(SpaceMove("remove", space.labels[x], side) for x, side, _ in removed)
+    current = space.subspace(_members(alive)) if removed else space
+    return current, SpaceMoveCertificate(space, moves)
 
 
 def is_contractible(space: FiniteSpace) -> bool:
     """True iff the core is a single point.  Exact, never a homology proxy."""
-    return _contractible_in(space, (1 << space.n) - 1)
+    return _contractible_in(*space.masks(), (1 << space.n) - 1)
 
 
 # -- weak points -----------------------------------------------------------
@@ -251,15 +253,10 @@ def is_weak_point(space: FiniteSpace, x: int | str) -> str | None:
     """
     i = space.index(x)
     down, up = space.masks()
-    d = _contractible_in(space, down[i])
-    u = _contractible_in(space, up[i])
-    if d and u:
+    side = _weak_side(down, up, i)
+    if side == "down-weak" and _contractible_in(down, up, up[i]):
         return "both"
-    if d:
-        return "down-weak"
-    if u:
-        return "up-weak"
-    return None
+    return side
 
 
 def weak_points(space: FiniteSpace) -> list[tuple[str, str]]:
@@ -273,12 +270,11 @@ def weak_points(space: FiniteSpace) -> list[tuple[str, str]]:
 
 
 def _classify_for_removal(space: FiniteSpace, i: int) -> str | None:
-    """Strongest applicable side for removing point i, or None."""
-    beat = _beat_side(space, i)
-    if beat is not None:
-        return beat[0]
-    side = is_weak_point(space, i)
-    return "down-weak" if side == "both" else side
+    """Strongest applicable side for removing point i, or None: a beat side
+    before a weak one, and down before up."""
+    down, up = space.masks()
+    beat = _beat_in(down, up, (1 << space.n) - 1, i)
+    return beat[0] if beat is not None else _weak_side(down, up, i)
 
 
 def remove_weak_point(space: FiniteSpace, x: int | str) -> tuple[FiniteSpace, SpaceMove]:

@@ -109,6 +109,11 @@ TRANSLATE_CASES = [
     (6, "p5", "down-weak", 1, "ac2ec74f87763fca"),
     (6, "p6", "both", 10, "20df82bd34540df4"),
     (6, "p7", "down-weak", 10, "475ba0fc623c1ab1"),
+    # up-weak points with a point of F_x - x that is beat on both sides, so
+    # the certificate depends on which side the strip tests first
+    (34, "p0", "up-weak", 11, "6e637337c1e70189"),
+    (36, "p0", "up-weak", 5, "ac860b511ef7377e"),
+    (53, "p0", "up-weak", 6, "b2cebfd9665597d2"),
     ("wallet", "x", "down-weak", 5, "c930960c4ea0426d"),
 ]
 

@@ -40,8 +40,9 @@ from finspace.homology import _boundary, homology, homology_space, smith_invaria
 from finspace.maps import ContinuousMap, _all_continuous_maps, fence_homotopic
 from finspace.moves import (
     SIDES,
+    SpaceMove,
     _beat_side,
-    _strip_beats,
+    _strip_in,
     collapse_search,
     core,
     is_contractible,
@@ -50,7 +51,7 @@ from finspace.moves import (
     is_weak_point,
     verify_space_certificate,
 )
-from finspace.spaces import FiniteSpace, from_covers, is_isomorphic
+from finspace.spaces import FiniteSpace, _members, from_covers, is_isomorphic
 
 from util import (
     all_chains_brute,
@@ -146,10 +147,15 @@ def test_beat_and_weak_sides_match_the_oracle(rng, n, data):
 def test_beat_stripping_matches_the_oracle(rng, n, data):
     space = _shuffled_poset(rng, data, n)
     priority = data.draw(st.permutations(space.labels))
+    order = [space.index(l) for l in priority]
+    labels = space.labels
     for floor in (0, 1):
-        rest, removed = _strip_beats(space, priority, floor)
+        alive, removed = _strip_in(*space.masks(), (1 << space.n) - 1, order, floor)
+        rest = space.subspace(_members(alive))
         want_rest, want_removed = strip_beats_oracle(space, priority, floor)
-        assert removed == want_removed
+        assert [
+            (SpaceMove("remove", labels[x], side), labels[w]) for x, side, w in removed
+        ] == want_removed
         assert rest.labels == want_rest.labels and rest == want_rest
 
 
