@@ -323,11 +323,16 @@ def _chains_through(
     space: FiniteSpace, members: int, need: int, avoid: int
 ) -> list[frozenset[str]]:
     """Chains of the ``members`` points containing all of ``need`` and none of
-    ``avoid``, as label sets; all three are masks of the space's points."""
+    ``avoid``, as label sets; all three are masks of the space's points.
+    Only the points comparable with every ``need`` point are enumerated."""
+    down, up = space.masks()
+    members &= ~avoid
+    for p in _members(need):
+        members &= down[p] | up[p] | 1 << p
     out = []
     for c in _chains(space, members):
         chain = sum(1 << i for i in c)
-        if chain & need == need and not chain & avoid:
+        if chain & need == need:
             out.append(frozenset(space.labels[i] for i in c))
     return out
 

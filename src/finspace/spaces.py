@@ -4,20 +4,23 @@ A finite T0 space is stored as its specialization order, given by two
 tuples of per-point int bitmasks ``(down, up)``: bit j of ``down[i]`` is set
 iff j < i (point j lies in every open set containing point i), and bit j of
 ``up[i]`` iff i < j.  Removing a point drops one bit position from every
-mask.  Minimal open sets, closures and Hasse diagrams are read off the
-masks, and the beat, core and isomorphism kernels work on them directly;
-``is_leq(x, y)`` is the plain accessor for code that reads the order one
-pair at a time.  Isomorphism colours are refined once per space and cached
-with it, like its heights and signatures, so comparing one space with many
-others refines each of them once.  The one isomorphism engine,
-``_first_isomorphism``, also serves complexes, on vertex signatures and edge
-masks.
+mask: ``delete`` keeps the bits below it and shifts those above it down by
+one.  Minimal open sets, closures and Hasse diagrams are read off the
+masks, heights are peeled off them level by level, and the beat, core and
+isomorphism kernels work on them directly; ``is_leq(x, y)`` is the plain
+accessor for code that reads the order one pair at a time.  Isomorphism
+colours are refined once per space and cached with it, like its heights
+and signatures, so comparing one space with many others refines each of
+them once; refinement stops as soon as the colours are all distinct or a
+round splits no class.  The one isomorphism engine, ``_first_isomorphism``,
+also serves complexes, on vertex signatures and edge masks.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import operator
 import re
 from typing import Callable, Iterable, Iterator, Sequence
@@ -130,10 +133,16 @@ class FiniteSpace:
         shape = tuple(getattr(leq, "shape", ())) or (len(leq), *({len(row) for row in leq} or {0}))
         if shape != (n, n):
             raise ValueError(f"relation shape {shape} does not match {n} labels")
-        rows = [list(row) for row in leq]
-        if not all(rows[i][i] for i in range(n)):
+        rows = leq.tolist() if hasattr(leq, "tolist") else leq
+        if not all(row[i] for i, row in enumerate(rows)):
             raise ValueError("relation is not reflexive")
-        down = [sum(1 << i for i in range(n) if rows[i][j] and i != j) for j in range(n)]
+        down = [0] * n
+        points = range(n)
+        for i, row in enumerate(rows):
+            bit = 1 << i
+            for j in itertools.compress(points, row):
+                down[j] |= bit
+            down[i] ^= bit
         self._set(labels, down, _checked_up_sets(down))
 
     def _set(self, labels: tuple[str, ...], down: Sequence[int], up: Sequence[int]) -> None:
@@ -232,9 +241,16 @@ class FiniteSpace:
         return self._induced(sorted({self.index(m) for m in members}))
 
     def delete(self, x: int | str) -> "FiniteSpace":
-        """Subspace with one point removed."""
+        """Subspace with one point removed: every mask keeps its bits below
+        the point's index and shifts those above it down by one."""
         i = self.index(x)
-        return self._induced([j for j in range(self.n) if j != i])
+        low = (1 << i) - 1
+        high = ~low
+
+        def cut(masks: tuple[int, ...]) -> list[int]:
+            return [m & low | m >> 1 & high for m in masks[:i] + masks[i + 1:]]
+
+        return _trusted(self.labels[:i] + self.labels[i + 1:], cut(self._down), cut(self._up))
 
     # -- structure --------------------------------------------------------
 
@@ -256,10 +272,24 @@ class FiniteSpace:
 
     @_cached
     def heights(self) -> tuple[int, ...]:
-        """Length of the longest chain strictly below each point."""
-        h = [0] * self.n
-        for j in self.linear_extension():
-            h[j] = 1 + max((h[i] for i in _members(self._down[j])), default=-1)
+        """Length of the longest chain strictly below each point.
+
+        Level k holds the points with a chain of k points strictly below
+        them: level 1 those with a nonempty strict down-set, level k + 1
+        those of level k whose down-set meets level k.  A point's height is
+        the last level it is in; no linear extension is needed.
+        """
+        down = self._down
+        h = [0] * len(down)
+        level = [i for i, d in enumerate(down) if d]
+        k = 0
+        while level:
+            k += 1
+            mask = 0
+            for i in level:
+                h[i] = k
+                mask |= 1 << i
+            level = [i for i in level if down[i] & mask]
         return tuple(h)
 
     @_cached
@@ -277,17 +307,25 @@ class FiniteSpace:
 
     @_cached
     def _colours(self) -> tuple[list[int], tuple[int, ...]]:
-        """Each point's colour after two rounds of neighbourhood refinement
-        of ``signatures()``, and a key with a hash of every round's sorted
-        signatures.
+        """Each point's colour after at most two rounds of neighbourhood
+        refinement of ``signatures()``, and a key with a hash of every
+        round's sorted signatures.
 
         A round's signature of a point is (its colour, the sorted colours
         strictly above it, the sorted colours strictly below it), and its
         new colour is the rank of that signature among the distinct ones.
-        Spaces with equal keys have the same distinct signatures in every
-        round, so their colours compare as if drawn from one table.  A hash
-        collision can only send two non-isomorphic spaces to the engine,
-        which checks every relation and finds no bijection.
+        Refinement stops early once the colours are all distinct or a round
+        splits no class.  A round's partition depends only on the previous
+        partition and refines it, so from then on every round gives the same
+        partition: the stopped colours are those of two rounds up to
+        renaming.  The engine reads colours only through their classes
+        (bucket sizes, then indices, and candidates in index order), so it
+        returns the same first bijection.  Isomorphic spaces stop at the
+        same round, so their keys stay comparable.  Spaces with equal keys
+        have the same distinct signatures in every round, so their colours
+        compare as if drawn from one table.  A hash collision can only send
+        two non-isomorphic spaces to the engine, which checks every relation
+        and finds no bijection.
         """
         key = []
 
@@ -297,13 +335,18 @@ class FiniteSpace:
             rank = {sig: r for r, sig in enumerate(dict.fromkeys(ordered))}
             return [rank[sig] for sig in sigs]
 
-        nbrs = [([*_members(u)], [*_members(d)]) for u, d in zip(self._up, self._down)]
         col = ranked(self.signatures())
-        for _ in range(2):
-            col = ranked([
-                (c, tuple(sorted([col[j] for j in above])), tuple(sorted([col[j] for j in below])))
-                for c, (above, below) in zip(col, nbrs)
-            ])
+        classes = max(col, default=-1) + 1
+        if classes < self.n:
+            nbrs = [([*_members(u)], [*_members(d)]) for u, d in zip(self._up, self._down)]
+            for _ in range(2):
+                col = ranked([
+                    (c, tuple(sorted([col[j] for j in above])), tuple(sorted([col[j] for j in below])))
+                    for c, (above, below) in zip(col, nbrs)
+                ])
+                before, classes = classes, max(col) + 1
+                if classes in (before, self.n):
+                    break
         return col, tuple(key)
 
     @_cached
@@ -451,9 +494,9 @@ def is_isomorphic(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
     """Search for an order isomorphism a -> b.
 
     Returns the label mapping if one exists, else None.  Candidates must
-    share the twice-refined (height, up-degree, down-degree) colour, which
-    each space computes once; spaces whose refinement keys differ are not
-    compared further.  See ``_first_isomorphism`` for the placement and
+    share the refined (height, up-degree, down-degree) colour, which each
+    space computes once (see ``FiniteSpace._colours``); spaces whose
+    refinement keys differ are not compared further.  See ``_first_isomorphism`` for the placement and
     candidate order.
     """
     if a.n != b.n:

@@ -1,5 +1,6 @@
 """Property-based tests: punctured sets, the barycentric subdivision, the
-bitmask poset and its kernels against their numpy oracles, and the complex
+bitmask poset and its kernels against their numpy oracles, isomorphism
+colour classes against two rounds of signature refinement, and the complex
 side (facets, free pairs, order complexes, homology through the core)
 against pairwise scans and the validating constructor, fence search
 against the scan that compares every pair of maps, point lookup against
@@ -77,6 +78,7 @@ from util import (
     random_complex,
     random_monotone_map,
     random_poset,
+    refine_signatures_oracle,
     smith_oracle,
     strip_beats_oracle,
     up_beat_oracle,
@@ -223,6 +225,50 @@ def test_isomorphism_with_cached_colours_matches_the_oracle(rng, n, data):
         assert got == want
         if got is not None:
             assert list(got.items()) == list(want.items())
+
+
+def _colouring_case(rng, data, kind: str, n: int) -> FiniteSpace:
+    """A shuffled poset of the given kind: random, several disjoint copies
+    of one small poset (rich in automorphisms), a chain or an antichain."""
+    if kind == "random":
+        leq = leq_matrix(random_poset(rng, n, rng.random()))
+    elif kind == "copies":
+        part = leq_matrix(random_poset(rng, rng.randint(1, 4), rng.random()))
+        leq = np.kron(np.eye(max(n // len(part), 1), dtype=bool), part)
+    elif kind == "chain":
+        leq = np.triu(np.ones((n, n), dtype=bool))
+    else:
+        leq = np.eye(n, dtype=bool)
+    perm = data.draw(st.permutations(range(len(leq))))
+    labels = data.draw(st.permutations([f"p{i}" for i in range(len(leq))]))
+    return FiniteSpace(tuple(labels), leq[np.ix_(perm, perm)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(["random", "copies", "chain", "antichain"]),
+    st.integers(0, 12),
+    st.data(),
+)
+def test_colour_classes_are_those_of_two_refinement_rounds(rng, kind, n, data):
+    space = _colouring_case(rng, data, kind, n)
+    col, key = space._colours()
+    sig = refine_signatures_oracle(space, 2)
+    assert all((col[i] == col[j]) == (sig[i] == sig[j]) for i in range(space.n) for j in range(i))
+    # refinement stops after the first round that leaves the colours all
+    # distinct or splits no class, with one key entry per round run
+    classes = [len(set(refine_signatures_oracle(space, r))) for r in range(3)]
+    stop = next(
+        (r for r in (0, 1) if classes[r] == space.n or r and classes[r] == classes[r - 1]), 2
+    )
+    assert len(key) == stop + 1
+    if kind == "chain":
+        assert stop == 0
+    elif kind == "antichain" and space.n >= 2:
+        assert stop == 1
+    copy = _relabelled(data, space, "q")
+    assert copy._colours()[1] == key
 
 
 def test_isomorphism_candidate_order_follows_two_refinement_rounds():

@@ -7,7 +7,7 @@ import pytest
 from finspace import spaces
 from finspace.spaces import FiniteSpace, from_covers, is_isomorphic
 
-from util import random_poset
+from util import heights_oracle, leq_matrix, random_poset
 
 
 def chain(n):
@@ -183,3 +183,61 @@ def test_heights():
     s = from_covers(["a", "b", "c", "d"], [("c", "a"), ("c", "b"), ("d", "c")])
     h = {s.labels[i]: v for i, v in enumerate(s.heights())}
     assert h == {"d": 0, "c": 1, "a": 2, "b": 2}
+    antichain = from_covers([f"a{i}" for i in range(6)], [])
+    for space in (from_covers([], []), chain(1), chain(40), antichain):
+        assert space.heights() == heights_oracle(space)
+    assert chain(40).heights()[-1] == 39
+    assert antichain.heights() == (0,) * 6
+
+
+def _matrix_forms(leq: np.ndarray) -> list:
+    """The same relation as a NumPy bool and int array, and as nested
+    Python lists of bools and of ints."""
+    return [leq, leq.astype(np.int64), leq.tolist(), leq.astype(int).tolist()]
+
+
+def test_matrix_forms_build_the_same_space():
+    rng = random.Random(23)
+    for n in (0, 1, 2, 5, 9):
+        s = random_poset(rng, n, 0.4)
+        for form in _matrix_forms(leq_matrix(s)):
+            assert FiniteSpace(s.labels, form).masks() == s.masks()
+
+
+def _broken(kind: str) -> np.ndarray:
+    leq = np.eye(3, dtype=bool)
+    if kind == "shape":
+        return leq[:2]
+    if kind == "reflexive":
+        leq[2, 2] = False
+    elif kind == "antisymmetric":
+        leq[0, 1] = leq[1, 0] = True
+    else:
+        leq[0, 1] = leq[1, 2] = True
+    return leq
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("shape", r"relation shape \(2, 3\) does not match 3 labels"),
+        ("reflexive", "relation is not reflexive"),
+        ("antisymmetric", "relation is not antisymmetric"),
+        ("transitive", "relation is not transitive"),
+    ],
+)
+def test_matrix_forms_reject_a_broken_relation_alike(kind, message):
+    for form in _matrix_forms(_broken(kind)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteSpace(("a", "b", "c"), form)
+
+
+def test_delete_at_the_ends_and_of_the_only_point():
+    s = random_poset(random.Random(29), 7, 0.4)
+    for space, i in ((s, 0), (s, s.n - 1), (chain(1), 0)):
+        leq = leq_matrix(space)
+        rest = [j for j in range(space.n) if j != i]
+        want = FiniteSpace([space.labels[j] for j in rest], leq[np.ix_(rest, rest)])
+        got = space.delete(i)
+        assert got.labels == want.labels and got.masks() == want.masks()
+    assert chain(1).delete(0).masks() == ((), ())
