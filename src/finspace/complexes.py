@@ -4,9 +4,11 @@ Every simplex is materialized (not only facets), because face posets, free
 pair detection and move replay all need the full family.  An elementary
 collapse removes a free pair: a simplex S whose only proper coface is
 S + {a}, which is then necessarily maximal and one dimension higher.
-Facets, free pairs and collapses (in search too) read one cofacet index,
-built once, that maps S to each a with S + {a} a simplex: facets are missing
-from it, and S is free when it has exactly one such a.  The constructor
+Facets, free pairs, collapses (in search too) and face posets read one face
+index, built once: each simplex's position in ``simplices`` and the ascending
+positions of its cofacets, the simplices one vertex larger that contain it.
+Facets have no cofacet, S is free when it has exactly one, and the face
+poset's masks are those lists closed upward and downward.  The constructor
 validates families from outside; ``from_facets``, ``cone`` and the moves
 check only what they add.  The certificate verifier replays on its own
 plain set of simplices, rescans it for the cofaces of every removed face,
@@ -80,13 +82,30 @@ class SimplicialComplex:
         self._memo: dict = {}
 
     @_cached
-    def _cofacet_index(self) -> dict[frozenset[str], list[str]]:
-        """Each face of codimension one (the empty one too) and its apexes."""
-        index: dict[frozenset[str], list[str]] = {}
-        for t in self._set:
-            for v in t:
-                index.setdefault(t - {v}, []).append(v)
-        return index
+    def _faces(self) -> tuple[dict[frozenset[str], int], list[list[int]]]:
+        """Each simplex's position in ``simplices``, and per position the
+        ascending positions of its cofacets."""
+        where = {s: i for i, s in enumerate(self.simplices)}
+        cofacets: list[list[int]] = [[] for _ in where]
+        for i, t in enumerate(self.simplices):
+            if len(t) > 1:
+                for v in t:
+                    cofacets[where[t - {v}]].append(i)
+        return where, cofacets
+
+    def _inclusions(self) -> tuple[list[int], list[int]]:
+        """The strict down- and up-set masks of the simplices ordered by
+        inclusion: the cofacet lists closed ascending and descending."""
+        cofacets = self._faces()[1]
+        down = [0] * len(cofacets)
+        for i, above in enumerate(cofacets):
+            for j in above:
+                down[j] |= down[i] | 1 << i
+        up = [0] * len(cofacets)
+        for i in reversed(range(len(cofacets))):
+            for j in cofacets[i]:
+                up[i] |= up[j] | 1 << j
+        return down, up
 
     # -- queries ---------------------------------------------------------
 
@@ -108,10 +127,11 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max((len(s) for s in self._set), default=0) - 1
+        """The largest simplex dimension (simplices are sorted by size); -1 when empty."""
+        return len(self.simplices[-1]) - 1 if self.simplices else -1
 
     def f_vector(self) -> tuple[int, ...]:
-        counts = [0] * (self.dim + 1 if self._set else 0)
+        counts = [0] * (self.dim + 1)
         for s in self._set:
             counts[len(s) - 1] += 1
         return tuple(counts)
@@ -124,8 +144,8 @@ class SimplicialComplex:
 
     def facets(self) -> tuple[tuple[str, ...], ...]:
         """Maximal simplices in canonical order."""
-        index = self._cofacet_index()
-        return tuple(tuple(sorted(s)) for s in self.simplices if s not in index)
+        cofacets = self._faces()[1]
+        return tuple(tuple(sorted(s)) for s, c in zip(self.simplices, cofacets) if not c)
 
     def proper_cofaces(self, s: Iterable[str]) -> tuple[tuple[str, ...], ...]:
         """The simplices strictly containing s, in canonical order."""
@@ -141,12 +161,15 @@ class SimplicialComplex:
 
         Uniqueness forces S + {a} to be maximal and one dimension higher, so
         these are exactly the legal elementary collapses, in canonical order.
-        One apex suffices: every proper coface contains some S + {b}, and
-        S + {a, b} would make S + {b} a second, so S is free iff its entry is [a].
+        One cofacet suffices: every proper coface contains some cofacet
+        S + {b}, and S + {a, b} would make S + {b} a second, so S is free iff
+        its face index entry lists exactly one cofacet, whose extra vertex is a.
         """
-        index = self._cofacet_index()
+        simplices, cofacets = self.simplices, self._faces()[1]
         return [
-            (tuple(sorted(s)), a[0]) for s in self.simplices if len(a := index.get(s, ())) == 1
+            (tuple(sorted(s)), min(simplices[c[0]] - s))
+            for s, c in zip(simplices, cofacets)
+            if len(c) == 1
         ]
 
     def elementary_collapse(
@@ -154,13 +177,14 @@ class SimplicialComplex:
     ) -> tuple["SimplicialComplex", "SimplicialMove"]:
         """Remove the free pair (face, face + {apex})."""
         fs = frozenset(face)
-        if fs not in self._set:
+        where, cofacets = self._faces()
+        if fs not in where:
             raise ValueError(f"{sorted(fs)} is not a simplex here")
-        apexes = self._cofacet_index().get(fs, ())
-        if len(apexes) != 1:
+        above = cofacets[where[fs]]
+        if len(above) != 1:
             n = len(self.proper_cofaces(fs))
             raise ValueError(f"{sorted(fs)} is not free: {n} proper cofaces")
-        (found,) = apexes
+        (found,) = self.simplices[above[0]] - fs
         if apex is not None and apex != found:
             raise ValueError(f"coface vertex is {found!r}, not {apex!r}")
         smaller = SimplicialComplex._trusted(self._set - {fs, fs | {found}})

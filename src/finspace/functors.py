@@ -1,9 +1,10 @@
 """Passage between finite spaces and simplicial complexes.
 
 The order complex of a space has the nonempty chains as simplices; the face
-poset of a complex orders the simplices by inclusion.  Round trips produce
-barycentric subdivisions, and the comparison map sending a chain to its
-maximum is distinguished.
+poset of a complex orders the simplices by inclusion, read off the complex's
+face index.  Round trips produce barycentric subdivisions: the subdivision of
+a space is the face poset of its order complex, built from that complex, and
+the comparison map sending a chain to its maximum is distinguished.
 
 The two certificate translators live here as well:
 
@@ -35,7 +36,7 @@ from .complexes import (
 )
 from .maps import ContinuousMap, is_distinguished, mapping_cylinder
 from .moves import SpaceMove, SpaceMoveCertificate, _strip_in
-from .spaces import FiniteSpace, _members, _trusted, _up_sets
+from .spaces import FiniteSpace, _members, _trusted
 
 __all__ = [
     "order_complex",
@@ -100,57 +101,33 @@ def order_complex(space: FiniteSpace) -> SimplicialComplex:
     )
 
 
-def _inclusion_poset(
-    sets: Sequence[frozenset], labels: tuple[str, ...], clash: str
-) -> FiniteSpace:
-    """``sets`` ordered by inclusion, named by distinct ``labels``; ``clash``
-    is the error raised when two labels coincide.
-
-    ``sets`` come in order of size and hold every nonempty one-smaller
-    subset of each member, so the sets below s are its one-smaller subsets
-    and the sets below those.
-    """
-    if len(set(labels)) != len(labels):
-        raise ValueError(clash)
-    where = {s: i for i, s in enumerate(sets)}
-    down = [0] * len(sets)
-    for i, s in enumerate(sets):
-        if len(s) > 1:
-            for v in s:
-                j = where[s - {v}]
-                down[i] |= down[j] | 1 << j
-    return _trusted(labels, down, _up_sets(down))
-
-
 def face_poset(k: SimplicialComplex) -> FiniteSpace:
-    """The simplices of ``k`` ordered by inclusion.
+    """The simplices of ``k`` ordered by inclusion, read off its face index.
 
     Points are named by joining the sorted vertex names with dots, which is
     what makes the subdivision identities literal equalities.
     """
     labels = tuple(dotted_label(s) for s in k.simplices)
-    return _inclusion_poset(
-        k.simplices, labels, "dotted simplex names collide; rename the vertices"
-    )
+    if len(set(labels)) != len(labels):
+        raise ValueError("dotted simplex names collide; rename the vertices")
+    return _trusted(labels, *k._inclusions())
 
 
 def _subdivision(
     space: FiniteSpace, name: Callable[[Sequence[str]], str]
 ) -> tuple[FiniteSpace, tuple[int, ...]]:
-    """The nonempty chains ordered by inclusion, and each chain's maximum.
+    """The face poset of the order complex, and each chain's maximum.
 
-    Chains come by size and then by their sorted labels; ``name`` gets each
-    chain's labels in ascending order.
+    Chains come in the complex's canonical order; ``name`` gets each chain's
+    labels in ascending order, which is by height.
     """
-    chains = sorted(
-        _chains(space),
-        key=lambda c: (len(c), tuple(sorted(space.labels[i] for i in c))),
-    )
-    labels = tuple(name([space.labels[i] for i in c]) for c in chains)
-    sub = _inclusion_poset(
-        [frozenset(c) for c in chains], labels, "chain names collide; rename the points"
-    )
-    return sub, tuple(c[-1] for c in chains)
+    k = order_complex(space)
+    height = dict(zip(space.labels, space.heights()))
+    chains = [sorted(s, key=height.__getitem__) for s in k.simplices]
+    labels = tuple(name(c) for c in chains)
+    if len(set(labels)) != len(labels):
+        raise ValueError("chain names collide; rename the points")
+    return _trusted(labels, *k._inclusions()), tuple(space.index(c[-1]) for c in chains)
 
 
 def space_subdivision(space: FiniteSpace) -> FiniteSpace:
@@ -386,7 +363,8 @@ def translate_simplicial_collapse(
         raise ValueError("apex lies in the face")
     if fs not in k:
         raise ValueError(f"{sorted(fs)} is not a simplex here")
-    if k._cofacet_index().get(fs) != [apex]:
+    where, cofacets = k._faces()
+    if cofacets[where[fs]] != [where.get(top)]:
         raise ValueError("not a free pair: the face must have exactly one proper coface")
     start = face_poset(k)
     moves = (

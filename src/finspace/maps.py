@@ -98,12 +98,6 @@ class ContinuousMap:
         """The same assignment viewed between the opposite spaces."""
         return ContinuousMap(self.dom.opposite(), self.cod.opposite(), self.images)
 
-    def preimage_of_open(self, y: int | str) -> FiniteSpace:
-        """Subspace of the domain that maps into the minimal open set of y."""
-        j = self.cod.index(y)
-        keep = [i for i in range(self.dom.n) if self.cod.is_leq(self.images[i], j)]
-        return self.dom.subspace(keep)
-
 
 def _images_in(f: ContinuousMap, g: ContinuousMap) -> tuple[int, ...]:
     """g's images in the index frames of f's (label-equal) spaces, by label."""

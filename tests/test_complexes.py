@@ -32,6 +32,15 @@ def test_closure_is_enforced():
         from_facets([[]])
 
 
+def test_dim_of_empty_single_and_mixed_complexes():
+    empty = SimplicialComplex([])
+    assert empty.dim == -1 and empty.f_vector() == ()
+    point = from_facets([["a"]])
+    assert point.dim == 0 and point.f_vector() == (1,)
+    mixed = from_facets([["a", "b", "c"], ["c", "d"], ["e"], ["f", "g", "h", "i"]])
+    assert mixed.dim == 3 and mixed.f_vector() == (9, 10, 5, 1)
+
+
 def test_f_vector_and_euler():
     assert FULL_TRIANGLE.f_vector() == (3, 3, 1)
     assert FULL_TRIANGLE.euler_characteristic() == 1
@@ -95,8 +104,8 @@ def test_certificate_replay_and_tampering():
 
 
 def test_verifier_rescans_cofaces_and_revalidates(monkeypatch):
-    # the fast paths the verifier checks: the cofacet index behind facets and
-    # free pairs, and the unchecked construction of search children
+    # the fast paths the verifier checks: the face index behind facets, free
+    # pairs and face posets, and the unchecked construction of search children
     collapse = collapse_sequence_search(FULL_TRIANGLE).certificate
     wallet = load("wallet")
     translated = translate_space_collapse(wallet, "x")
@@ -105,7 +114,8 @@ def test_verifier_rescans_cofaces_and_revalidates(monkeypatch):
     def refuse(*args):
         raise AssertionError("the verifier used a fast path")
 
-    monkeypatch.setattr(SimplicialComplex, "_cofacet_index", refuse)
+    monkeypatch.setattr(SimplicialComplex, "_faces", refuse)
+    monkeypatch.setattr(SimplicialComplex, "_inclusions", refuse)
     monkeypatch.setattr(SimplicialComplex, "_trusted", refuse)
     res = verify_simplicial_certificate(collapse)
     assert res.ok and len(res.final) == 1

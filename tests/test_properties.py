@@ -30,8 +30,10 @@ from finspace.functors import (
     _chains,
     barycentric_subdivision,
     bridge_space,
+    chain_label,
     cylinder_certificates,
     face_poset,
+    h_map,
     order_complex,
     space_subdivision,
     translate_simplicial_collapse,
@@ -383,6 +385,13 @@ def test_inclusion_posets_match_the_pairwise_oracle(rng, n_vertices, n_facets, n
     chains = sorted(all_chains_brute(space), key=lambda c: (len(c), tuple(sorted(c))))
     want = FiniteSpace(tuple(dotted_label(c) for c in chains), inclusion_order(chains))
     assert _same(space_subdivision(space), want)
+    # each chain ascending: its points by how many chain points lie below them
+    ascending = [
+        sorted(c, key=lambda x: sum(space.is_leq(y, x) for y in c)) for c in chains
+    ]
+    assert h_map(space).images == tuple(space.index(c[-1]) for c in ascending)
+    labels = bridge_space(space).cylinder.labels[: len(chains)]
+    assert labels == tuple("L:" + chain_label(c) for c in ascending)
 
 
 @settings(max_examples=150, deadline=None)
