@@ -93,6 +93,7 @@ def parse_space(text: str, source: str = "<string>") -> FiniteSpace:
 
 def _space_from_lines(lines: list[tuple[int, str]], source: str) -> FiniteSpace:
     elements: list[str] | None = None
+    known: set[str] = set()
     covers: list[tuple[str, str]] = []
     head_line = None
     for no, line in lines:
@@ -101,6 +102,7 @@ def _space_from_lines(lines: list[tuple[int, str]], source: str) -> FiniteSpace:
             if elements is not None:
                 raise ParseError(source, no, "second elements: line")
             elements = parts[1:]
+            known = set(elements)
             head_line = no
         elif parts[0] == "cover:":
             if len(parts) != 3:
@@ -108,7 +110,7 @@ def _space_from_lines(lines: list[tuple[int, str]], source: str) -> FiniteSpace:
             if elements is None:
                 raise ParseError(source, no, "cover: before elements:")
             for p in parts[1:]:
-                if p not in elements:
+                if p not in known:
                     raise ParseError(source, no, f"unknown point {p!r}")
             covers.append((parts[1], parts[2]))
         else:

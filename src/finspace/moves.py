@@ -8,6 +8,9 @@ one is an elementary collapse of spaces.  Outside the verifier each such
 test is one bitmask kernel, ``_beat_in``, ``_strip_in`` or
 ``_contractible_in``, asked as ``(down, up, alive, ...)``: a subspace is an
 ``alive`` mask and the opposite order is the swapped pair ``(up, down)``.
+``_strip_in`` removes beat points in a priority order, which the core
+certificate records; ``_contractible_in`` only needs the size of the core,
+which is the same in every order, so it removes beat points on sight.
 Down is tested before up, so a point weak on both sides is removed as
 down-weak.  Every operation here that changes a space also returns a
 replayable move record, and the verifier rechecks each move against the
@@ -188,8 +191,23 @@ def _strip_in(
 
 
 def _contractible_in(down: Sequence[int], up: Sequence[int], alive: int) -> bool:
-    """True iff the subspace on the ``alive`` points has a one-point core."""
-    return _strip_in(down, up, alive, list(_members(alive)), floor=1)[0].bit_count() == 1
+    """True iff the subspace on the ``alive`` points has a one-point core.
+
+    Strips beat points on sight: ``todo`` holds the points that may be beat,
+    at first all of them; each is tested once, removed if it is beat, and a
+    removal puts back only the alive points comparable to it, the only ones
+    whose strict down-set or up-set it changed.  When ``todo`` is empty no
+    alive point is beat, so ``alive`` is a core.  Any order of removals will
+    do: the core is unique up to homeomorphism (Stong), so its size is too.
+    """
+    todo = alive
+    while todo and alive & (alive - 1):
+        x = todo.bit_length() - 1
+        todo ^= 1 << x
+        if _beat_in(down, up, alive, x) is not None:
+            alive ^= 1 << x
+            todo |= (down[x] | up[x]) & alive
+    return alive.bit_count() == 1
 
 
 def _weak_side(down: Sequence[int], up: Sequence[int], i: int) -> str | None:

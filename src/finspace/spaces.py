@@ -390,8 +390,11 @@ def _trusted(labels: tuple[str, ...], down: Sequence[int], up: Sequence[int]) ->
 def from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> FiniteSpace:
     """Build a space from cover pairs ``(x, y)`` meaning x < y.
 
-    The transitive closure ORs the down-sets of the lower covers along a
-    topological order; cycles are rejected because they break antisymmetry.
+    Each point's masks start as its lower and upper covers, and one
+    topological order of the pairs closes both: a down-set ORs in the
+    down-sets of its lower covers forward along the order, an up-set those
+    of its upper covers backward along it.  Cycles are rejected because they
+    break antisymmetry.
     """
     labels = tuple(labels)
     index = {}
@@ -401,7 +404,8 @@ def from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> Fin
             raise ValueError(f"duplicate label {lab!r}")
         index[lab] = i
     n = len(labels)
-    lower = [0] * n  # bit i of lower[j]: (i, j) is a cover pair
+    down = [0] * n  # bit i of down[j]: (i, j) is a cover pair, until closed
+    up = [0] * n  # bit j of up[i]: (i, j) is a cover pair, until closed
     for lo, hi in covers:
         if lo not in index:
             raise ValueError(f"unknown label {lo!r} in cover pair")
@@ -409,15 +413,23 @@ def from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> Fin
             raise ValueError(f"unknown label {hi!r} in cover pair")
         if lo == hi:
             raise ValueError(f"cover pair ({lo!r}, {hi!r}) relates a point to itself")
-        lower[index[hi]] |= 1 << index[lo]
-    order = _kahn(lower, _up_sets(lower))
+        i, j = index[lo], index[hi]
+        down[j] |= 1 << i
+        up[i] |= 1 << j
+    order = _kahn(down, up)
     if len(order) != n:
         raise ValueError("cover pairs contain a cycle")
-    down = list(lower)
-    for j in order:
-        for i in _members(lower[j]):
-            down[j] |= down[i]
-    return _trusted(labels, down, _up_sets(down))
+    for j in order:  # the points below j are closed before it
+        d = down[j]
+        for i in _members(d):
+            d |= down[i]
+        down[j] = d
+    for i in reversed(order):  # the points above i are closed before it
+        u = up[i]
+        for j in _members(u):
+            u |= up[j]
+        up[i] = u
+    return _trusted(labels, down, up)
 
 
 def _first_isomorphism(

@@ -282,3 +282,29 @@ def test_core_retests_only_points_comparable_to_each_removal(monkeypatch):
         bound += sum(1 for j in alive if space.is_leq(x, j) or space.is_leq(j, x))
     assert smaller.n < space.n
     assert space.n <= calls <= bound
+
+
+def test_contractibility_retests_only_points_comparable_to_each_removal(monkeypatch):
+    space = random_poset(random.Random(1), 200, 0.05)
+    down, up = space.masks()
+    calls = bound = 0
+    beat_in = moves._beat_in
+
+    def counted(down, up, alive, i):
+        nonlocal calls, bound
+        calls += 1
+        beat = beat_in(down, up, alive, i)
+        if beat is not None:
+            bound += ((down[i] | up[i]) & alive).bit_count()
+        return beat
+
+    monkeypatch.setattr(moves, "_beat_in", counted)
+    verdicts = []
+    for i in range(space.n):
+        for alive in (down[i], up[i]):
+            calls = 0
+            bound = alive.bit_count()
+            verdicts.append(moves._contractible_in(down, up, alive))
+            assert calls <= bound
+            assert calls or alive & (alive - 1) == 0
+    assert True in verdicts and False in verdicts

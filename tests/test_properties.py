@@ -9,6 +9,7 @@ elimination, complex isomorphism against its earlier backtracker,
 homology along every move of a certificate, and both certificate
 verifiers against their earlier forms on valid and mutated certificates."""
 
+import random
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -45,6 +46,7 @@ from finspace.moves import (
     SIDES,
     SpaceMove,
     _beat_side,
+    _contractible_in,
     _strip_in,
     collapse_search,
     core,
@@ -161,6 +163,23 @@ def test_beat_stripping_matches_the_oracle(rng, n, data):
             (SpaceMove("remove", labels[x], side), labels[w]) for x, side, w in removed
         ] == want_removed
         assert rest.labels == want_rest.labels and rest == want_rest
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 14), st.data())
+def test_contractible_in_matches_the_oracle_on_any_mask_and_the_opposite(rng, n, data):
+    # every punctured set, which is contractible more often than not, and
+    # some random masks
+    space = _shuffled_poset(rng, data, n)
+    down, up = space.masks()
+    drawn = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4))
+    for alive in (*down, *up, *drawn):
+        sub = space.subspace(_members(alive))
+        assert _contractible_in(down, up, alive) == contractible_oracle(sub)
+        assert _contractible_in(up, down, alive) == contractible_oracle(sub.opposite())
+    assert not _contractible_in(down, up, 0) and not _contractible_in(up, down, 0)
+    for i in range(n):
+        assert _contractible_in(down, up, 1 << i) and _contractible_in(up, down, 1 << i)
 
 
 def _perturbed(rng, space: FiniteSpace) -> FiniteSpace:
@@ -369,6 +388,30 @@ def test_from_covers_matches_the_closure_oracle(rng, n, data):
             from_covers(space.labels, pairs)
         return
     assert _same(from_covers(space.labels, pairs), want)
+
+
+@pytest.mark.parametrize("n", [30, 60, 120])
+def test_from_covers_closes_both_masks_beyond_hypothesis_sizes(n):
+    # shuffled covers plus transitive pairs, which change nothing, then one
+    # reversed pair, which closes a cycle; under shuffled labels the index
+    # order no longer extends the order
+    for seed in range(3):
+        rng = random.Random(seed)
+        space = random_poset(rng, n, 3 / n)
+        covers = set(space.covers())
+        transitive = [
+            (space.labels[i], space.labels[j])
+            for j, d in enumerate(space.masks()[0])
+            for i in _members(d)
+            if (i, j) not in covers
+        ]
+        pairs = space.hasse_edges() + rng.sample(transitive, min(5, len(transitive)))
+        rng.shuffle(pairs)
+        assert from_covers(space.labels, pairs).masks() == space.masks()
+        assert from_covers(rng.sample(space.labels, n), pairs) == space
+        lo, hi = rng.choice(pairs)
+        with pytest.raises(ValueError, match="^cover pairs contain a cycle$"):
+            from_covers(space.labels, pairs + [(hi, lo)])
 
 
 @settings(max_examples=80, deadline=None)
