@@ -329,7 +329,7 @@ def translate_space_collapse(space: FiniteSpace, x: str) -> SimplicialMoveCertif
     # x is weak when stripping beat points off one punctured side, in any
     # order, leaves a single survivor
     for below, above in ((down, up), (up, down)):
-        rest, removed = _strip_in(below, above, below[i], list(_members(below[i])), floor=1)
+        rest, removed = _strip_in(below, above, below[i], floor=1)
         if rest.bit_count() == 1:
             break
     else:

@@ -8,9 +8,10 @@ one is an elementary collapse of spaces.  Outside the verifier each such
 test is one bitmask kernel, ``_beat_in``, ``_strip_in`` or
 ``_contractible_in``, asked as ``(down, up, alive, ...)``: a subspace is an
 ``alive`` mask and the opposite order is the swapped pair ``(up, down)``.
-``_strip_in`` removes beat points in a priority order, which the core
-certificate records; ``_contractible_in`` only needs the size of the core,
-which is the same in every order, so it removes beat points on sight.
+``_strip_in`` removes beat points on sight, always the lowest beat point
+in index order, retesting only the points comparable to each removal;
+``core`` runs it on masks relabelled so that index order is the order it
+is given, and ``_contractible_in`` is the same strip stopped at one point.
 Down is tested before up, so a point weak on both sides is removed as
 down-weak.  Every operation here that changes a space also returns a
 replayable move record, and the verifier rechecks each move against the
@@ -21,7 +22,6 @@ and it validates one space, the end of the replay.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -155,59 +155,39 @@ def _beat_in(down: Sequence[int], up: Sequence[int], alive: int, i: int) -> tupl
 
 
 def _strip_in(
-    down: Sequence[int], up: Sequence[int], alive: int, priority: Sequence[int], floor: int = 0
+    down: Sequence[int], up: Sequence[int], alive: int, floor: int = 0
 ) -> tuple[int, list[tuple[int, str, int]]]:
-    """Remove the first beat point in ``priority``, which lists the ``alive``
-    points in order of preference, until none is left or ``floor`` remain.
+    """Remove the lowest beat point of the ``alive`` points until none is
+    left or ``floor`` remain.
 
     Returns the surviving mask and each removal as (point, side, witness).
-    Removing x changes the strict down-set or up-set only of the points
-    comparable to x, so only those are tested again.
+    ``todo`` holds the points that may be beat, at first all of them; its
+    lowest is tested, removed if it is beat, and a removal puts back only
+    the alive points comparable to it, the only ones whose strict down-set
+    or up-set it changed.  A point outside ``todo`` is not beat, so the
+    lowest beat point in ``todo`` is the lowest of all.
     """
-    rank = {i: r for r, i in enumerate(priority)}
-    beats: dict[int, tuple[str, int]] = {}
-    queue: list[tuple[int, int]] = []  # (rank, point), stale once not in beats
-
-    def test(j: int) -> None:
-        beat = _beat_in(down, up, alive, j)
-        if beat is None:
-            beats.pop(j, None)
-        else:
-            if j not in beats:
-                heapq.heappush(queue, (rank[j], j))
-            beats[j] = beat
-
-    for i in priority:
-        test(i)
+    todo = alive
     removed: list[tuple[int, str, int]] = []
-    while alive.bit_count() > floor and queue:
-        x = heapq.heappop(queue)[1]
-        if x in beats:
-            removed.append((x, *beats.pop(x)))
-            alive &= ~(1 << x)
-            for j in _members((down[x] | up[x]) & alive):
-                test(j)
+    while todo and alive.bit_count() > floor:
+        low = todo & -todo
+        todo ^= low
+        x = low.bit_length() - 1
+        beat = _beat_in(down, up, alive, x)
+        if beat is not None:
+            removed.append((x, *beat))
+            alive ^= low
+            todo |= (down[x] | up[x]) & alive
     return alive, removed
 
 
 def _contractible_in(down: Sequence[int], up: Sequence[int], alive: int) -> bool:
     """True iff the subspace on the ``alive`` points has a one-point core.
 
-    Strips beat points on sight: ``todo`` holds the points that may be beat,
-    at first all of them; each is tested once, removed if it is beat, and a
-    removal puts back only the alive points comparable to it, the only ones
-    whose strict down-set or up-set it changed.  When ``todo`` is empty no
-    alive point is beat, so ``alive`` is a core.  Any order of removals will
-    do: the core is unique up to homeomorphism (Stong), so its size is too.
-    """
-    todo = alive
-    while todo and alive & (alive - 1):
-        x = todo.bit_length() - 1
-        todo ^= 1 << x
-        if _beat_in(down, up, alive, x) is not None:
-            alive ^= 1 << x
-            todo |= (down[x] | up[x]) & alive
-    return alive.bit_count() == 1
+    The strip stops early at one point; the order of its removals does not
+    matter, because the core is unique up to homeomorphism (Stong), so its
+    size is too."""
+    return _strip_in(down, up, alive, 1)[0].bit_count() == 1
 
 
 def _weak_side(down: Sequence[int], up: Sequence[int], i: int) -> str | None:
@@ -239,19 +219,25 @@ def core(
 ) -> tuple[FiniteSpace, SpaceMoveCertificate]:
     """Remove beat points until none remain.
 
-    The scan prefers the earliest point in ``order`` (default: ascending
-    index) and down-beat before up-beat, so the result is deterministic.
-    The certificate records every removal; the core itself is unique up to
-    isomorphism no matter the order.
+    Each step removes the earliest beat point in ``order`` (default:
+    ascending index), down-beat before up-beat, so the result is
+    deterministic: the strip runs on the masks relabelled so that its point
+    r is ``order[r]``.  The certificate records every removal; the core
+    itself is unique up to isomorphism no matter the order.
     """
-    priority = list(range(space.n))
+    down, up = space.masks()
+    frame: Sequence[int] = range(space.n)  # point r of the strip is frame[r]
     if order is not None:
-        priority = [space.index(x) for x in order]
-        if sorted(priority) != list(range(space.n)):
+        frame = [space.index(x) for x in order]
+        if sorted(frame) != list(range(space.n)):
             raise ValueError("order must mention every point exactly once")
-    alive, removed = _strip_in(*space.masks(), (1 << space.n) - 1, priority)
-    moves = tuple(SpaceMove("remove", space.labels[x], side) for x, side, _ in removed)
-    current = space.subspace(_members(alive)) if removed else space
+        rank = {i: r for r, i in enumerate(frame)}
+        down, up = (
+            [sum(1 << rank[j] for j in _members(masks[i])) for i in frame] for masks in (down, up)
+        )
+    alive, removed = _strip_in(down, up, (1 << space.n) - 1)
+    moves = tuple(SpaceMove("remove", space.labels[frame[x]], side) for x, side, _ in removed)
+    current = space.subspace(frame[r] for r in _members(alive)) if removed else space
     return current, SpaceMoveCertificate(space, moves)
 
 
@@ -504,8 +490,11 @@ def _budgeted_search(start, expand, at_goal, fingerprint, isomorphic, budget):
     ``expand`` yields (move, child) pairs in preference order; a child that
     ``isomorphic`` matches (not None) with a seen state of the same
     ``fingerprint`` is pruned.  Returns (move path or None, whether the
-    search ended within ``budget`` nodes, nodes expanded).
+    search ended within ``budget`` nodes, nodes expanded).  A negative
+    ``budget`` is refused with ValueError.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     seen: dict = {}
 
     def visit(state) -> bool:

@@ -98,6 +98,13 @@ def test_collapse_conclusive_failure_exits_one(capsys):
 def test_collapse_budget_exhaustion_exits_two(capsys, wallet_file):
     assert main(["collapse", wallet_file, "--budget", "1"]) == 2
     assert "budget" in capsys.readouterr().err
+    assert main(["collapse", wallet_file, "--budget", "0"]) == 2
+    assert capsys.readouterr().err == "inconclusive: budget of 0 nodes ran out\n"
+
+
+def test_collapse_negative_budget_exits_three(capsys, wallet_file):
+    assert main(["collapse", wallet_file, "--budget", "-1"]) == 3
+    assert capsys.readouterr() == ("", "budget must be at least 0, got -1\n")
 
 
 def test_verify_rejects_tampered_certificate(capsys, tmp_path):

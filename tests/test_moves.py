@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from finspace import moves
+from finspace.complexes import collapse_sequence_search, from_facets
 from finspace.functors import bridge_space
 from finspace.moves import (
     SpaceMove,
@@ -197,6 +198,12 @@ def test_collapse_search_budget_is_reported():
     res = collapse_search(WALLET, budget=2)
     assert res.certificate is None
     assert not res.conclusive
+    triangle = from_facets([("a", "b", "c")])
+    for search, start in ((collapse_search, WALLET), (collapse_sequence_search, triangle)):
+        with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
+            search(start, budget=-1)
+        res = search(start, budget=0)
+        assert (res.certificate, res.conclusive, res.nodes) == (None, False, 1)
 
 
 def test_collapse_search_with_target():
@@ -273,15 +280,19 @@ def test_core_retests_only_points_comparable_to_each_removal(monkeypatch):
         return beat_in(*args)
 
     monkeypatch.setattr(moves, "_beat_in", counted)
-    smaller, cert = core(space)
-    alive = set(range(space.n))
-    bound = space.n
-    for move in cert.moves:
-        x = space.index(move.label)
-        alive.discard(x)
-        bound += sum(1 for j in alive if space.is_leq(x, j) or space.is_leq(j, x))
-    assert smaller.n < space.n
-    assert space.n <= calls <= bound
+    shuffled = list(space.labels)
+    random.Random(2).shuffle(shuffled)
+    for order in (None, shuffled):  # index order, then masks relabelled by order
+        calls = 0
+        smaller, cert = core(space, order=order)
+        alive = set(range(space.n))
+        bound = space.n
+        for move in cert.moves:
+            x = space.index(move.label)
+            alive.discard(x)
+            bound += sum(1 for j in alive if space.is_leq(x, j) or space.is_leq(j, x))
+        assert smaller.n < space.n
+        assert space.n <= calls <= bound
 
 
 def test_contractibility_retests_only_points_comparable_to_each_removal(monkeypatch):

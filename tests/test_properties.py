@@ -152,17 +152,21 @@ def test_beat_and_weak_sides_match_the_oracle(rng, n, data):
 @given(st.randoms(use_true_random=False), st.integers(1, 12), st.data())
 def test_beat_stripping_matches_the_oracle(rng, n, data):
     space = _shuffled_poset(rng, data, n)
-    priority = data.draw(st.permutations(space.labels))
-    order = [space.index(l) for l in priority]
     labels = space.labels
-    for floor in (0, 1):
-        alive, removed = _strip_in(*space.masks(), (1 << space.n) - 1, order, floor)
+    for floor in (0, 1):  # the kernel strips in index order
+        alive, removed = _strip_in(*space.masks(), (1 << space.n) - 1, floor)
         rest = space.subspace(_members(alive))
-        want_rest, want_removed = strip_beats_oracle(space, priority, floor)
+        want_rest, want_removed = strip_beats_oracle(space, labels, floor)
         assert [
             (SpaceMove("remove", labels[x], side), labels[w]) for x, side, w in removed
         ] == want_removed
         assert rest.labels == want_rest.labels and rest == want_rest
+    # core strips in a drawn order on relabelled masks
+    priority = data.draw(st.permutations(labels))
+    rest, cert = core(space, order=priority)
+    want_rest, want_removed = strip_beats_oracle(space, priority, 0)
+    assert list(cert.moves) == [move for move, _ in want_removed]
+    assert rest.labels == want_rest.labels and rest == want_rest
 
 
 @settings(max_examples=150, deadline=None)
