@@ -30,7 +30,7 @@ from .complexes import (
     SimplicialMap,
     SimplicialMove,
     SimplicialMoveCertificate,
-    _expansion_problem,
+    _key,
     dotted_label,
     is_contiguous,
 )
@@ -51,7 +51,6 @@ __all__ = [
     "bridge_space",
     "CylinderCertificates",
     "cylinder_certificates",
-    "expand_cone_pairs",
     "translate_space_collapse",
     "translate_simplicial_collapse",
 ]
@@ -218,7 +217,7 @@ def _cylinder_routes(
     is distinguished."""
     cyl = mapping_cylinder(f)
     dom, cod = f.dom, f.cod
-    start = FiniteSpace.from_masks(tuple("R:" + l for l in cod.labels), cod.masks()[0])
+    start = _trusted(tuple("R:" + l for l in cod.labels), *cod.masks())
     dom_down, cod_up = dom.masks()[0], cod.masks()[1]
     adds = []
     for i in dom.linear_extension():
@@ -257,45 +256,6 @@ def bridge_space(space: FiniteSpace) -> CylinderCertificates:
 # -- weak point removal as a simplicial collapse --------------------------------
 
 
-def expand_cone_pairs(
-    base: SimplicialComplex, faces: Iterable[Sequence[str]], apex: str
-) -> SimplicialMoveCertificate:
-    """Certificate adding the pairs (S, S + apex) onto the base complex.
-
-    Every face must be new, apex-free, and no face may be another plus the
-    apex.  Faces are sorted by size; the run is simulated so an impossible
-    family fails here rather than at replay time.
-    """
-    return SimplicialMoveCertificate(base, _cone_pair_moves(set(base._set), faces, apex))
-
-
-def _cone_pair_moves(
-    fam: set[frozenset[str]], faces: Iterable[Iterable[str]], apex: str
-) -> tuple[SimplicialMove, ...]:
-    """The moves adding each (S, S + apex); ``fam`` grows by the added simplices."""
-    seen = set()
-    for s in faces:
-        fs = frozenset(s)
-        if apex in fs:
-            raise ValueError(f"face {sorted(fs)} contains the apex")
-        if fs in fam:
-            raise ValueError(f"face {sorted(fs)} is already present")
-        if fs in seen:
-            raise ValueError(f"face {sorted(fs)} listed twice")
-        seen.add(fs)
-
-    moves = []
-    for fs in sorted(seen, key=lambda s: (len(s), tuple(sorted(s)))):
-        top = fs | {apex}
-        problem = _expansion_problem(fam, fs, top)
-        if problem is not None:
-            raise ValueError(f"cannot expand by {sorted(fs)} + {apex!r}: {problem}")
-        fam.add(fs)
-        fam.add(top)
-        moves.append(SimplicialMove("add", tuple(sorted(fs)), apex))
-    return tuple(moves)
-
-
 def _chains_through(
     space: FiniteSpace, members: int, need: int, avoid: int
 ) -> list[frozenset[str]]:
@@ -323,6 +283,10 @@ def translate_space_collapse(space: FiniteSpace, x: str) -> SimplicialMoveCertif
     punctured minimal open set of ``x`` is stripped of beat points first; if
     more than one point survives, the punctured closure is stripped on the
     swapped masks, that is in the opposite order, which has the same chains.
+    The survivor, then the witness of each removal in reverse, is the apex
+    of the pairs added next, smaller faces first.  The moves are emitted
+    without simulating them: the paper's theorem says they replay, and
+    ``verify_simplicial_certificate`` checks that they do.
     """
     i = space.index(x)
     down, up = space.masks()
@@ -335,17 +299,19 @@ def translate_space_collapse(space: FiniteSpace, x: str) -> SimplicialMoveCertif
     else:
         raise ValueError(f"{x!r} is not a weak point")
 
-    start = order_complex(space.delete(x))
     labels, survivor = space.labels, rest.bit_length() - 1
     kept = above[i] | 1 << i  # the closure of x in the order whose side was stripped
-    fam = set(start._set)
-    moves = list(_cone_pair_moves(fam, _chains_through(space, kept, 1 << i, 0), labels[survivor]))
+    cones = [(labels[survivor], _chains_through(space, kept, 1 << i, 0))]
     kept |= 1 << survivor
     for p, _, w in reversed(removed):
         kept |= 1 << p
-        faces = _chains_through(space, kept, 1 << i | 1 << p, 1 << w)
-        moves.extend(_cone_pair_moves(fam, faces, labels[w]))
-    return SimplicialMoveCertificate(start, tuple(moves))
+        cones.append((labels[w], _chains_through(space, kept, 1 << i | 1 << p, 1 << w)))
+    moves = tuple(
+        SimplicialMove("add", tuple(sorted(fs)), apex)
+        for apex, faces in cones
+        for fs in sorted(faces, key=_key)
+    )
+    return SimplicialMoveCertificate(order_complex(space.delete(x)), moves)
 
 
 def translate_simplicial_collapse(

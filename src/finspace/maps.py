@@ -7,7 +7,8 @@ int bitsets of the maps that send it above or below there; the maps
 comparable with u are then one AND per domain point.  A map is
 distinguished when every minimal open set pulls back to a contractible
 subspace, tested as a mask of the domain's points; these are the maps whose
-non-Hausdorff mapping cylinder collapses back onto the domain.
+non-Hausdorff mapping cylinder collapses back onto the domain.  Membership
+evidence is replayed on label sets, as certificates are, not on those masks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .spaces import FiniteSpace, _members, _trusted, _up_sets
-from .moves import _contractible_in, is_weak_point
+from .moves import _contractible_in, _label_sets, _literally_contractible
 
 __all__ = [
     "ContinuousMap",
@@ -356,21 +357,26 @@ def verify_membership_evidence(ev: MembershipEvidence) -> tuple[bool, str]:
         if f.compose(g) != ContinuousMap.identity(f.cod):
             return False, "witness is not a right inverse"
         return True, ""
-    if ev.kind == "distinguished":
-        rep = is_distinguished(f)
-        return rep.ok, "" if rep.ok else f"preimage fails at {rep.failing[0]!r}"
-    if ev.kind == "op-distinguished":
-        rep = is_op_distinguished(f)
-        return rep.ok, "" if rep.ok else f"dual preimage fails at {rep.failing[0]!r}"
+    if ev.kind in ("distinguished", "op-distinguished"):
+        # every U_y (every F_y, dually) pulls back to a contractible subspace
+        dual = ev.kind == "op-distinguished"
+        (below, above), (cod_below, cod_above) = _label_sets(f.dom), _label_sets(f.cod)
+        if dual:
+            below, above, cod_below = above, below, cod_above
+        image = f.label_map()
+        for y in f.cod.labels:
+            pre = {x for x in below if image[x] == y or image[x] in cod_below[y]}
+            if not _literally_contractible(below, above, pre):
+                return False, f"{'dual ' if dual else ''}preimage fails at {y!r}"
+        return True, ""
     if ev.kind == "elementary-expansion-inclusion":
         if len(ev.witnesses) != 1 or not isinstance(ev.witnesses[0], str):
             return False, "expected the weak point label as the single witness"
         x = ev.witnesses[0]
-        try:
-            side = is_weak_point(f.cod, x)
-        except KeyError:
+        below, above = _label_sets(f.cod)
+        if x not in below:
             return False, f"no point {x!r} in the codomain"
-        if side is None:
+        if not any(_literally_contractible(below, above, side[x]) for side in (below, above)):
             return False, f"{x!r} is not a weak point"
         if f.dom != f.cod.delete(x):
             return False, "domain is not the codomain minus the weak point"

@@ -10,8 +10,8 @@ test is one bitmask kernel, ``_beat_in``, ``_strip_in`` or
 ``alive`` mask and the opposite order is the swapped pair ``(up, down)``.
 ``_strip_in`` removes beat points on sight, always the lowest beat point
 in index order, retesting only the points comparable to each removal;
-``core`` runs it on masks relabelled so that index order is the order it
-is given, and ``_contractible_in`` is the same strip stopped at one point.
+``core`` is that strip, and ``_contractible_in`` is the same strip stopped
+at one point.
 Down is tested before up, so a point weak on both sides is removed as
 down-weak.  Every operation here that changes a space also returns a
 replayable move record, and the verifier rechecks each move against the
@@ -199,45 +199,26 @@ def _weak_side(down: Sequence[int], up: Sequence[int], i: int) -> str | None:
     return None
 
 
-def _beat_side(space: FiniteSpace, i: int | str) -> tuple[str, str] | None:
-    """The beat side of point i with its witness, testing down before up."""
-    down, up = space.masks()
-    beat = _beat_in(down, up, (1 << space.n) - 1, space.index(i))
-    return None if beat is None else (beat[0], space.labels[beat[1]])
-
-
 def beat_points(space: FiniteSpace) -> list[str]:
     """Labels of all beat points, in index order."""
-    return [space.labels[i] for i in range(space.n) if _beat_side(space, i) is not None]
+    down, up, full = *space.masks(), (1 << space.n) - 1
+    return [space.labels[i] for i in range(space.n) if _beat_in(down, up, full, i) is not None]
 
 
 # -- cores and contractibility --------------------------------------------
 
 
-def core(
-    space: FiniteSpace, order: Sequence[int | str] | None = None
-) -> tuple[FiniteSpace, SpaceMoveCertificate]:
+def core(space: FiniteSpace) -> tuple[FiniteSpace, SpaceMoveCertificate]:
     """Remove beat points until none remain.
 
-    Each step removes the earliest beat point in ``order`` (default:
-    ascending index), down-beat before up-beat, so the result is
-    deterministic: the strip runs on the masks relabelled so that its point
-    r is ``order[r]``.  The certificate records every removal; the core
-    itself is unique up to isomorphism no matter the order.
+    Each step removes the lowest beat point in index order, down-beat before
+    up-beat, so the result is deterministic; a space indexed in another
+    order strips in that order.  The certificate records every removal; the
+    core itself is unique up to isomorphism no matter the order.
     """
-    down, up = space.masks()
-    frame: Sequence[int] = range(space.n)  # point r of the strip is frame[r]
-    if order is not None:
-        frame = [space.index(x) for x in order]
-        if sorted(frame) != list(range(space.n)):
-            raise ValueError("order must mention every point exactly once")
-        rank = {i: r for r, i in enumerate(frame)}
-        down, up = (
-            [sum(1 << rank[j] for j in _members(masks[i])) for i in frame] for masks in (down, up)
-        )
-    alive, removed = _strip_in(down, up, (1 << space.n) - 1)
-    moves = tuple(SpaceMove("remove", space.labels[frame[x]], side) for x, side, _ in removed)
-    current = space.subspace(frame[r] for r in _members(alive)) if removed else space
+    alive, removed = _strip_in(*space.masks(), (1 << space.n) - 1)
+    moves = tuple(SpaceMove("remove", space.labels[x], side) for x, side, _ in removed)
+    current = space.subspace(_members(alive)) if removed else space
     return current, SpaceMoveCertificate(space, moves)
 
 
@@ -333,6 +314,16 @@ def add_weak_point(
 
 
 # -- certificate replay ------------------------------------------------------
+
+
+def _label_sets(space: FiniteSpace) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """The labels strictly below and above each point, keyed in the label
+    order of the space."""
+    labels = space.labels
+    down, up = space.masks()
+    below = {x: {labels[j] for j in _members(d)} for x, d in zip(labels, down)}
+    above = {x: {labels[j] for j in _members(u)} for x, u in zip(labels, up)}
+    return below, above
 
 
 def _has_extreme(points: set[str], toward: dict[str, set[str]]) -> bool:
@@ -442,10 +433,7 @@ def verify_space_certificate(cert: SpaceMoveCertificate) -> ReplayResult:
     hold the labels strictly below and above p, keyed in the label order of
     the space, and are built once from the start's masks.  The one space it
     validates is the end, ``ReplayResult.final``."""
-    labels = cert.start.labels
-    down, up = cert.start.masks()
-    below = {x: {labels[j] for j in _members(d)} for x, d in zip(labels, down)}
-    above = {x: {labels[j] for j in _members(u)} for x, u in zip(labels, up)}
+    below, above = _label_sets(cert.start)
     for k, move in enumerate(cert.moves):
         if move.direction == "remove":
             if move.label not in below:

@@ -82,6 +82,16 @@ def test_expand_validates_boundary_presence():
         two_points.elementary_expand(["a", "b"], "c")  # edge ab missing
 
 
+def test_expand_validates_face_and_apex():
+    point = from_facets([("a",)])
+    bigger, move = point.elementary_expand(("z",), "a")
+    assert bigger.f_vector() == (2, 1) and move.direction == "add"
+    with pytest.raises(ValueError, match="already present"):
+        point.elementary_expand(("a",), "z")  # face already present
+    with pytest.raises(ValueError, match="lies in the face"):
+        point.elementary_expand(("z", "a"), "a")  # apex inside the face
+
+
 def test_certificate_replay_and_tampering():
     seq = []
     k = FULL_TRIANGLE

@@ -13,7 +13,6 @@ from finspace.functors import (
     chain_label,
     contiguity_fence,
     cylinder_certificates,
-    expand_cone_pairs,
     face_poset,
     h_map,
     induced_continuous,
@@ -205,19 +204,6 @@ def test_translate_simplicial_collapse_rejects_shared_faces():
     k = from_facets([("a", "b", "c"), ("b", "c", "d")])
     with pytest.raises(ValueError):
         translate_simplicial_collapse(k, ("b", "c"), "a")
-
-
-def test_expand_cone_pairs_validation():
-    k = from_facets([("a",)])
-    cert = expand_cone_pairs(k, [("z",)], "a")
-    res = verify_simplicial_certificate(cert)
-    assert res.ok and res.final.f_vector() == (2, 1)
-    with pytest.raises(ValueError):
-        expand_cone_pairs(k, [("a",)], "a")  # face already present
-    with pytest.raises(ValueError):
-        expand_cone_pairs(k, [("z",), ("z",)], "a")  # duplicate
-    with pytest.raises(ValueError):
-        expand_cone_pairs(k, [("z", "a")], "a")  # apex inside the face
 
 
 def test_contiguity_fence_between_close_maps():

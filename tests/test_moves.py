@@ -93,12 +93,10 @@ def test_core_is_idempotent_and_unique():
         assert verify_space_certificate(cert).ok
         again, cert2 = core(c1)
         assert again == c1 and len(cert2.moves) == 0
-        order = list(range(s.n))
+        order = list(s.labels)
         rng.shuffle(order)
-        c2, _ = core(s, order=order)
+        c2, _ = core(from_covers(order, s.hasse_edges()))  # indexed, so stripped, in order
         assert is_isomorphic(c1, c2) is not None
-        with pytest.raises(ValueError, match="exactly once"):
-            core(s, order=list(s.labels) + [s.labels[0]])
 
 
 def test_contractible_iff_core_is_a_point():
@@ -282,17 +280,17 @@ def test_core_retests_only_points_comparable_to_each_removal(monkeypatch):
     monkeypatch.setattr(moves, "_beat_in", counted)
     shuffled = list(space.labels)
     random.Random(2).shuffle(shuffled)
-    for order in (None, shuffled):  # index order, then masks relabelled by order
+    for s in (space, from_covers(shuffled, space.hasse_edges())):  # two index orders
         calls = 0
-        smaller, cert = core(space, order=order)
-        alive = set(range(space.n))
-        bound = space.n
+        smaller, cert = core(s)
+        alive = set(range(s.n))
+        bound = s.n
         for move in cert.moves:
-            x = space.index(move.label)
+            x = s.index(move.label)
             alive.discard(x)
-            bound += sum(1 for j in alive if space.is_leq(x, j) or space.is_leq(j, x))
-        assert smaller.n < space.n
-        assert space.n <= calls <= bound
+            bound += sum(1 for j in alive if s.is_leq(x, j) or s.is_leq(j, x))
+        assert smaller.n < s.n
+        assert s.n <= calls <= bound
 
 
 def test_contractibility_retests_only_points_comparable_to_each_removal(monkeypatch):

@@ -6,8 +6,10 @@ against pairwise scans and the validating constructor, fence search
 against the scan that compares every pair of maps, point lookup against
 its path without the int shortcut, Smith normal form against the two-phase
 elimination, complex isomorphism against its earlier backtracker,
-homology along every move of a certificate, and both certificate
-verifiers against their earlier forms on valid and mutated certificates."""
+homology along every move of a certificate, both certificate verifiers
+against their earlier forms on valid and mutated certificates, membership
+evidence replayed on the definitions against the bitmask kernels, and the
+weak-point translation against the simplicial verifier."""
 
 import random
 from dataclasses import replace
@@ -41,11 +43,19 @@ from finspace.functors import (
     translate_space_collapse,
 )
 from finspace.homology import _boundary, homology, homology_space, smith_invariants
-from finspace.maps import ContinuousMap, _all_continuous_maps, fence_homotopic
+from finspace.maps import (
+    ContinuousMap,
+    MembershipEvidence,
+    _all_continuous_maps,
+    fence_homotopic,
+    is_distinguished,
+    is_op_distinguished,
+    verify_membership_evidence,
+)
 from finspace.moves import (
     SIDES,
     SpaceMove,
-    _beat_side,
+    _beat_in,
     _contractible_in,
     _strip_in,
     collapse_search,
@@ -140,8 +150,10 @@ def test_barycentric_subdivision_rejects_dotted_name_collisions():
 @given(st.randoms(use_true_random=False), st.integers(1, 10), st.data())
 def test_beat_and_weak_sides_match_the_oracle(rng, n, data):
     space = _shuffled_poset(rng, data, n)
-    for x in space.labels:
-        assert _beat_side(space, x) == beat_side_oracle(space, x)
+    down, up = space.masks()
+    for i, x in enumerate(space.labels):
+        beat = _beat_in(down, up, (1 << n) - 1, i)
+        assert (beat and (beat[0], space.labels[beat[1]])) == beat_side_oracle(space, x)
         assert is_up_beat(space, x) == up_beat_oracle(space, x)
         assert is_down_beat(space, x) == down_beat_oracle(space, x)
         assert is_weak_point(space, x) == weak_point_oracle(space, x)
@@ -161,12 +173,13 @@ def test_beat_stripping_matches_the_oracle(rng, n, data):
             (SpaceMove("remove", labels[x], side), labels[w]) for x, side, w in removed
         ] == want_removed
         assert rest.labels == want_rest.labels and rest == want_rest
-    # core strips in a drawn order on relabelled masks
+    # the space indexed in a drawn order strips in that order
     priority = data.draw(st.permutations(labels))
-    rest, cert = core(space, order=priority)
+    rest, cert = core(from_covers(priority, space.hasse_edges()))
     want_rest, want_removed = strip_beats_oracle(space, priority, 0)
     assert list(cert.moves) == [move for move, _ in want_removed]
-    assert rest.labels == want_rest.labels and rest == want_rest
+    assert rest.labels == tuple(x for x in priority if x in want_rest._index)
+    assert rest == want_rest
 
 
 @settings(max_examples=150, deadline=None)
@@ -965,3 +978,40 @@ def test_simplicial_replay_matches_the_oracle(rng, data):
         step = next(k for k, m in enumerate(cert.moves) if "x y" in m.face)
         want = (False, step, want[1], None)
     assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 7), st.integers(1, 6), st.data())
+def test_membership_evidence_agrees_with_the_kernels(rng, n, m, data):
+    f = random_monotone_map(rng, _shuffled_poset(rng, data, n), _shuffled_poset(rng, data, m))
+    for kind, test, prefix in (
+        ("distinguished", is_distinguished, ""),
+        ("op-distinguished", is_op_distinguished, "dual "),
+    ):
+        rep = test(f)
+        ok, why = verify_membership_evidence(MembershipEvidence(kind, f))
+        assert ok == rep.ok
+        assert why == ("" if ok else f"{prefix}preimage fails at {rep.failing[0]!r}")
+    space = f.dom
+    for x in space.labels:
+        sub = space.delete(x)
+        inclusion = ContinuousMap.from_labels(sub, space, {l: l for l in sub.labels})
+        ev = MembershipEvidence("elementary-expansion-inclusion", inclusion, (x,))
+        assert verify_membership_evidence(ev)[0] == (weak_point_oracle(space, x) is not None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 7), st.integers(0, 3), st.data())
+def test_translated_weak_point_removal_replays_onto_the_order_complex(rng, n, beats, data):
+    space = _with_beat_points(rng, _shuffled_poset(rng, data, n), beats)
+    for s in (space, space.opposite()):  # a down-weak point of one is up-weak in the other
+        weak = [x for x in s.labels if weak_point_oracle(s, x)]
+        if not weak:
+            continue
+        x = data.draw(st.sampled_from(weak))
+        cert = translate_space_collapse(s, x)
+        assert cert.start == order_complex(s.delete(x))
+        assert all(move.direction == "add" for move in cert.moves)
+        res = verify_simplicial_certificate(cert)
+        assert res.ok, res.reason
+        assert res.final == order_complex(s)
