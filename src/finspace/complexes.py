@@ -4,11 +4,13 @@ Every simplex is materialized (not only facets), because face posets, free
 pair detection and move replay all need the full family.  An elementary
 collapse removes a free pair: a simplex S whose only proper coface is
 S + {a}, which is then necessarily maximal and one dimension higher.
-Facets, free pairs, collapses (in search too) and face posets read one face
-index, built once: each simplex's position in ``simplices`` and the ascending
-positions of its cofacets, the simplices one vertex larger that contain it.
-Facets have no cofacet, S is free when it has exactly one, and the face
-poset's masks are those lists closed upward and downward.  The constructor
+Free pairs, collapses (in search too), face posets and the facets of a
+complex built from outside read one face index, built once: each simplex's
+position in ``simplices`` and the ascending positions of its cofacets, the
+simplices one vertex larger that contain it.  Facets have no cofacet, S is
+free when it has exactly one, and the face poset's masks are those lists
+closed upward and downward.  An order complex is given its facets, the
+maximal chains, by the functor that builds it.  The constructor
 validates families from outside; ``from_facets``, ``cone`` and the moves
 check only what they add.  The certificate verifier replays on its own
 plain set of simplices, rescans it for the cofaces of every removed face,
@@ -77,8 +79,10 @@ class SimplicialComplex:
 
     def _fill(self, fam: frozenset[frozenset[str]]) -> None:
         self._set = fam
-        self.simplices = tuple(sorted(fam, key=_key))
-        self.vertices = tuple(sorted({v for s in fam for v in s}))
+        simplices = sorted(fam, key=sorted)  # the order of _key, in two stable sorts
+        simplices.sort(key=len)
+        self.simplices = tuple(simplices)
+        self.vertices = tuple(sorted(frozenset().union(*fam)))
         self._memo: dict = {}
 
     @_cached
@@ -99,12 +103,15 @@ class SimplicialComplex:
         cofacets = self._faces()[1]
         down = [0] * len(cofacets)
         for i, above in enumerate(cofacets):
+            below = down[i] | 1 << i
             for j in above:
-                down[j] |= down[i] | 1 << i
+                down[j] |= below
         up = [0] * len(cofacets)
         for i in reversed(range(len(cofacets))):
+            u = 0
             for j in cofacets[i]:
-                up[i] |= up[j] | 1 << j
+                u |= up[j] | 1 << j
+            up[i] = u
         return down, up
 
     # -- queries ---------------------------------------------------------
@@ -142,8 +149,13 @@ class SimplicialComplex:
     def simplices_of_dim(self, d: int) -> tuple[tuple[str, ...], ...]:
         return tuple(tuple(sorted(s)) for s in self.simplices if len(s) == d + 1)
 
+    @_cached
     def facets(self) -> tuple[tuple[str, ...], ...]:
-        """Maximal simplices in canonical order."""
+        """Maximal simplices in canonical order.
+
+        An order complex comes with its maximal chains stored here; any other
+        complex takes the face index entries with no cofacet, once.
+        """
         cofacets = self._faces()[1]
         return tuple(tuple(sorted(s)) for s, c in zip(self.simplices, cofacets) if not c)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Iterable
 
 from .complexes import (
     SimplicialComplex,

@@ -1,10 +1,13 @@
 """Passage between finite spaces and simplicial complexes.
 
-The order complex of a space has the nonempty chains as simplices; the face
-poset of a complex orders the simplices by inclusion, read off the complex's
-face index.  Round trips produce barycentric subdivisions: the subdivision of
-a space is the face poset of its order complex, built from that complex, and
-the comparison map sending a chain to its maximum is distinguished.
+The order complex of a space has the nonempty chains as simplices and the
+maximal chains as facets; the face poset of a complex orders the simplices by
+inclusion, read off the complex's face index, whose cofacets are its covers.
+Each is built with the facets or covers it already knows stored, so printing
+it rebuilds neither.  Round trips produce barycentric subdivisions: the
+subdivision of a space is the face poset of its order complex, built from
+that complex, and the comparison map sending a chain to its maximum is
+distinguished.
 
 The two certificate translators live here as well:
 
@@ -36,7 +39,7 @@ from .complexes import (
 )
 from .maps import ContinuousMap, is_distinguished, mapping_cylinder
 from .moves import SpaceMove, SpaceMoveCertificate, _strip_in
-from .spaces import FiniteSpace, _members, _trusted
+from .spaces import FiniteSpace, _members, _store, _trusted
 
 __all__ = [
     "order_complex",
@@ -59,15 +62,21 @@ __all__ = [
 MAX_CHAINS = 200_000
 
 
-def _chains(space: FiniteSpace, alive: int | None = None) -> list[tuple[int, ...]]:
+def _chains(
+    space: FiniteSpace, alive: int | None = None, maximal: list | None = None
+) -> list[tuple[int, ...]]:
     """All nonempty chains of the ``alive`` points (default: every point) as
-    index tuples, ascending in the order.
+    index tuples, ascending in the order.  The maximal ones, whose least point
+    is minimal, every step a cover and greatest point maximal among the
+    ``alive`` points, are also appended to ``maximal`` when it is given.
 
     The chains are counted first, and more than ``MAX_CHAINS`` of them is
     refused with a ValueError rather than enumerated.
     """
     alive = (1 << space.n) - 1 if alive is None else alive
-    above = [list(_members(m & alive)) for m in space.masks()[1]]
+    maximal = [] if maximal is None else maximal
+    down, up = space.masks()
+    above = [list(_members(m & alive)) for m in up]
     # starting[i]: chains whose least point is i.  A point strictly above i
     # has a smaller up-set, so ascending up-set size visits it first.
     starting = [0] * space.n
@@ -86,22 +95,51 @@ def _chains(space: FiniteSpace, alive: int | None = None) -> list[tuple[int, ...
             grow(j)
         chain.pop()
 
+    def climb(i: int) -> None:  # the chain so far steps along covers from a minimal point
+        chain.append(i)
+        out.append(tuple(chain))
+        if not above[i]:
+            maximal.append(out[-1])
+        strictly_above = up[i] & alive
+        for j in above[i]:
+            if down[j] & strictly_above:  # something alive lies between i and j
+                grow(j)
+            else:
+                climb(j)
+        chain.pop()
+
     for i in _members(alive):
-        grow(i)
+        (grow if down[i] & alive else climb)(i)
     return out
 
 
 def order_complex(space: FiniteSpace) -> SimplicialComplex:
     """The complex whose simplices are the nonempty chains of the space;
-    they are closed under faces and carry checked labels, so none is rechecked."""
+    they are closed under faces and carry checked labels, so none is rechecked.
+
+    Its facets are the maximal chains, marked during the one enumeration of
+    the chains and stored with the complex in canonical order.
+    """
     labels = space.labels
-    return SimplicialComplex._trusted(
-        frozenset(frozenset([labels[i] for i in c]) for c in _chains(space))
+    maximal: list[tuple[int, ...]] = []
+    k = SimplicialComplex._trusted(
+        frozenset(frozenset([labels[i] for i in c]) for c in _chains(space, maximal=maximal))
     )
+    facets = (tuple(sorted([labels[i] for i in c])) for c in maximal)
+    return _store(k, SimplicialComplex.facets, tuple(sorted(facets, key=lambda f: (len(f), f))))
+
+
+def _inclusion_poset(k: SimplicialComplex, labels: tuple[str, ...]) -> FiniteSpace:
+    """The simplices of ``k`` ordered by inclusion under ``labels``, with the
+    face index's cofacet lists stored as its covers."""
+    cofacets = k._faces()[1]
+    covers = tuple([(i, j) for i, above in enumerate(cofacets) for j in above])
+    return _store(_trusted(labels, *k._inclusions()), FiniteSpace.covers, covers)
 
 
 def face_poset(k: SimplicialComplex) -> FiniteSpace:
-    """The simplices of ``k`` ordered by inclusion, read off its face index.
+    """The simplices of ``k`` ordered by inclusion, read off its face index,
+    whose cofacet lists are stored as the poset's covers.
 
     Points are named by joining the sorted vertex names with dots, which is
     what makes the subdivision identities literal equalities.
@@ -109,7 +147,7 @@ def face_poset(k: SimplicialComplex) -> FiniteSpace:
     labels = tuple(dotted_label(s) for s in k.simplices)
     if len(set(labels)) != len(labels):
         raise ValueError("dotted simplex names collide; rename the vertices")
-    return _trusted(labels, *k._inclusions())
+    return _inclusion_poset(k, labels)
 
 
 def _subdivision(
@@ -126,7 +164,7 @@ def _subdivision(
     labels = tuple(name(c) for c in chains)
     if len(set(labels)) != len(labels):
         raise ValueError("chain names collide; rename the points")
-    return _trusted(labels, *k._inclusions()), tuple(space.index(c[-1]) for c in chains)
+    return _inclusion_poset(k, labels), tuple(space.index(c[-1]) for c in chains)
 
 
 def space_subdivision(space: FiniteSpace) -> FiniteSpace:

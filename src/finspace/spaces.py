@@ -6,12 +6,13 @@ iff j < i (point j lies in every open set containing point i), and bit j of
 ``up[i]`` iff i < j.  Removing a point drops one bit position from every
 mask: ``delete`` keeps the bits below it and shifts those above it down by
 one.  Minimal open sets, closures and Hasse diagrams are read off the
-masks, heights are peeled off them level by level, and the beat, core and
-isomorphism kernels work on them directly; ``is_leq(x, y)`` is the plain
+masks (a builder that already holds the covers stores them instead, through
+``_store``), heights are peeled off them level by level, and the beat, core
+and isomorphism kernels work on them directly; ``is_leq(x, y)`` is the plain
 accessor for code that reads the order one pair at a time.  Isomorphism
-colours are refined once per space and cached with it, like its heights
-and signatures, so comparing one space with many others refines each of
-them once; refinement stops as soon as the colours are all distinct or a
+colours are refined once per space and cached with it, like its heights,
+signatures and covers, so comparing one space with many others refines each
+of them once; refinement stops as soon as the colours are all distinct or a
 round splits no class.  The one isomorphism engine, ``_first_isomorphism``,
 also serves complexes, on vertex signatures and edge masks.
 """
@@ -99,7 +100,7 @@ def _kahn(down: Sequence[int], up: Sequence[int]) -> list[int]:
 
 
 def _cached(method):
-    """Compute a method's value once per (immutable) space."""
+    """Compute a method's value once per (immutable) space or complex."""
 
     @functools.wraps(method)
     def get(self):
@@ -108,6 +109,14 @@ def _cached(method):
         return self._memo[method]
 
     return get
+
+
+def _store(obj, cached, value):
+    """Give ``obj`` the value of its ``_cached`` method ``cached``, held
+    already by the builder of ``obj``, so that the method never computes it;
+    returns ``obj``."""
+    obj._memo[cached.__wrapped__] = value
+    return obj
 
 
 class FiniteSpace:
@@ -254,9 +263,15 @@ class FiniteSpace:
 
     # -- structure --------------------------------------------------------
 
-    def covers(self) -> list[tuple[int, int]]:
+    @_cached
+    def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs ``(i, j)``, j covering i (i < j, nothing between),
-        sorted by index pairs."""
+        sorted by index pairs.
+
+        A face poset or subdivision comes with the cofacet lists of its face
+        index stored here; any other space reads its covers off the up-set
+        masks, once.
+        """
         up = self._up
         out = []
         for i, u in enumerate(up):
@@ -264,7 +279,7 @@ class FiniteSpace:
             for j in _members(u):
                 above |= up[j]
             out.extend((i, j) for j in _members(u & ~above))
-        return out
+        return tuple(out)
 
     def hasse_edges(self) -> list[tuple[str, str]]:
         """Cover pairs ``(x, y)`` with x < y, sorted by index pairs."""

@@ -10,13 +10,12 @@ from itertools import combinations
 
 import numpy as np
 
-from finspace.complexes import cone, from_facets, verify_simplicial_certificate
+from finspace.complexes import cone, verify_simplicial_certificate
 from finspace.corpus import entries, load
 from finspace.functors import (
     bridge_space,
     cylinder_certificates,
     face_poset,
-    h_map,
     order_complex,
     space_subdivision,
     translate_simplicial_collapse,

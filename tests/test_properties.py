@@ -404,7 +404,9 @@ def test_from_covers_matches_the_closure_oracle(rng, n, data):
         with pytest.raises(ValueError, match=f"^{exc}$"):
             from_covers(space.labels, pairs)
         return
-    assert _same(from_covers(space.labels, pairs), want)
+    got = from_covers(space.labels, pairs)
+    assert _same(got, want)
+    assert list(got.covers()) == covers_oracle(want)
 
 
 @pytest.mark.parametrize("n", [30, 60, 120])
@@ -439,12 +441,16 @@ def test_from_covers_closes_both_masks_beyond_hypothesis_sizes(n):
 def test_inclusion_posets_match_the_pairwise_oracle(rng, n_vertices, n_facets, n, data):
     k = random_complex(rng, n_vertices, n_facets, max_simplices=20)
     want = FiniteSpace(tuple(dotted_label(s) for s in k.simplices), inclusion_order(k.simplices))
-    assert _same(face_poset(k), want)
+    got = face_poset(k)
+    assert _same(got, want)
+    assert list(got.covers()) == covers_oracle(want)
 
     space = _shuffled_poset(rng, data, n)
     chains = sorted(all_chains_brute(space), key=lambda c: (len(c), tuple(sorted(c))))
     want = FiniteSpace(tuple(dotted_label(c) for c in chains), inclusion_order(chains))
-    assert _same(space_subdivision(space), want)
+    got = space_subdivision(space)
+    assert _same(got, want)
+    assert list(got.covers()) == covers_oracle(want)
     # each chain ascending: its points by how many chain points lie below them
     ascending = [
         sorted(c, key=lambda x: sum(space.is_leq(y, x) for y in c)) for c in chains
@@ -458,7 +464,7 @@ def test_inclusion_posets_match_the_pairwise_oracle(rng, n_vertices, n_facets, n
 @given(st.randoms(use_true_random=False), st.integers(0, 10), st.data())
 def test_structure_matches_the_matrix_oracles(rng, n, data):
     a = _shuffled_poset(rng, data, n)
-    assert a.covers() == covers_oracle(a)
+    assert list(a.covers()) == covers_oracle(a)
     assert a.hasse_edges() == [(a.labels[i], a.labels[j]) for i, j in covers_oracle(a)]
     assert a.heights() == heights_oracle(a)
     assert a.linear_extension() == tuple(linear_extension_oracle(a))
@@ -542,7 +548,7 @@ def test_continuous_maps_match_the_matrix_oracle(rng, n, m, data):
 def test_facets_and_free_pairs_match_the_pairwise_scans(rng, n_vertices, n_facets, n, data):
     k = random_complex(rng, n_vertices, n_facets, max_simplices=20)
     chains = order_complex(_shuffled_poset(rng, data, n))
-    for c in (k, chains):
+    for c in (k, chains, barycentric_subdivision(k)):
         assert c.facets() == facets_oracle(c)
         pairs = free_pairs_oracle(c)
         assert c.free_pairs() == pairs
