@@ -15,14 +15,15 @@ validates families from outside; ``from_facets``, ``cone`` and the moves
 check only what they add.  The certificate verifier replays on its own
 plain set of simplices, rescans it for the cofaces of every removed face,
 and validates one complex, the end of the replay.
-Isomorphism runs the engine of ``spaces`` on vertex signatures and the
-1-skeleton as edge bitmasks.
+Each complex caches its isomorphism invariants, as a space does: vertex
+signatures, a fingerprint (f-vector and sorted signatures) that rules pairs
+out and buckets search states, and edge bitmasks for the engine of ``spaces``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Mapping
 
 from .moves import ReplayResult, SearchResult, _budgeted_search
@@ -217,6 +218,47 @@ class SimplicialComplex:
         bigger = SimplicialComplex._trusted(self._set | {fs, top})
         return bigger, SimplicialMove("add", tuple(sorted(fs)), apex)
 
+    # -- isomorphism invariants, computed once per complex ------------------
+
+    @_cached
+    def _signatures(self) -> list[tuple]:
+        """Per-vertex isomorphism invariant, in vertex order: the simplex
+        count by dimension, refined by the neighbours' counts."""
+        base: dict[str, list[int]] = {v: [0] * (self.dim + 1) for v in self.vertices}
+        for s in self.simplices:
+            for v in s:
+                base[v][len(s) - 1] += 1
+        sig = {v: tuple(c) for v, c in base.items()}
+        # one refinement round over edge neighborhoods
+        nbrs: dict[str, list[tuple]] = {v: [] for v in self.vertices}
+        for s in self.simplices:
+            if len(s) == 2:
+                v, w = s
+                nbrs[v].append(sig[w])
+                nbrs[w].append(sig[v])
+        return [(sig[v], tuple(sorted(nbrs[v]))) for v in self.vertices]
+
+    @_cached
+    def _fingerprint(self) -> tuple:
+        """Isomorphism-invariant key: complexes whose keys differ are not
+        isomorphic, and the collapse search buckets its states by it."""
+        return (self.f_vector(), tuple(sorted(self._signatures())))
+
+    @_cached
+    def _edges(self) -> list[int]:
+        """The 1-skeleton as per-vertex adjacency bitmasks, in vertex order."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        adj = [0] * len(index)
+        # simplices are sorted by size, so the edges follow the vertices
+        for s in islice(self.simplices, len(index), None):
+            if len(s) > 2:
+                break
+            v, w = s
+            i, j = index[v], index[w]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return adj
+
 
 def _expansion_problem(
     fam: frozenset[frozenset[str]], fs: frozenset[str], top: frozenset[str]
@@ -321,45 +363,14 @@ def is_contiguous(f: SimplicialMap, g: SimplicialMap) -> bool:
 # -- isomorphism ------------------------------------------------------------
 
 
-@_cached
-def _vertex_signatures(k: SimplicialComplex) -> dict[str, tuple]:
-    """Per-vertex isomorphism invariant, computed once per complex: the
-    simplex count by dimension, refined by the neighbours' counts."""
-    dim = k.dim
-    base: dict[str, list[int]] = {v: [0] * (dim + 1) for v in k.vertices}
-    for s in k.simplices:
-        for v in s:
-            base[v][len(s) - 1] += 1
-    sig = {v: tuple(c) for v, c in base.items()}
-    # one refinement round over edge neighborhoods
-    nbrs: dict[str, list[tuple]] = {v: [] for v in k.vertices}
-    for s in k.simplices:
-        if len(s) == 2:
-            v, w = s
-            nbrs[v].append(sig[w])
-            nbrs[w].append(sig[v])
-    return {v: (sig[v], tuple(sorted(nbrs[v]))) for v in k.vertices}
-
-
 def complex_isomorphic(
     a: SimplicialComplex, b: SimplicialComplex
 ) -> dict[str, str] | None:
     """Vertex bijection carrying simplices onto simplices, or None: the first
-    bijection keeping signatures and edges that maps each simplex onto one."""
-    f = a.f_vector()  # f[0] counts the vertices
-    if f != b.f_vector():
+    bijection keeping signatures and edges that maps each simplex onto one.
+    Complexes whose fingerprints differ are not compared further."""
+    if a._fingerprint() != b._fingerprint():
         return None
-    edges = sum(f[1:2])  # f[1], or 0 without edges
-
-    def edge_masks(k: SimplicialComplex) -> list[int]:
-        # simplices are sorted by size, so the edges follow the vertices
-        index = {v: i for i, v in enumerate(k.vertices)}
-        adj = [0] * len(index)
-        for v, w in k.simplices[len(index) : len(index) + edges]:
-            i, j = index[v], index[w]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        return adj
 
     def named(image: list[int]) -> dict[str, str]:
         return dict(zip(a.vertices, (b.vertices[j] for j in image)))
@@ -369,11 +380,7 @@ def complex_isomorphic(
         return {frozenset(map(image_of.get, s)) for s in a.simplices} == b._set
 
     image = _first_isomorphism(
-        list(_vertex_signatures(a).values()),  # in vertex order
-        list(_vertex_signatures(b).values()),
-        (edge_masks(a),),
-        (edge_masks(b),),
-        onto,
+        a._signatures(), b._signatures(), (a._edges(),), (b._edges(),), onto
     )
     return None if image is None else named(image)
 
@@ -473,11 +480,8 @@ def collapse_sequence_search(
                 child, move = c.elementary_collapse(face, apex)
                 yield move, child
 
-    def fingerprint(c: SimplicialComplex) -> tuple:
-        return (c.f_vector(), tuple(sorted(_vertex_signatures(c).values())))
-
     path, conclusive, nodes = _budgeted_search(
-        k, expand, at_goal, fingerprint, complex_isomorphic, budget
+        k, expand, at_goal, SimplicialComplex._fingerprint, complex_isomorphic, budget
     )
     cert = None if path is None else SimplicialMoveCertificate(k, path)
     return SearchResult(cert, conclusive, nodes)

@@ -66,9 +66,9 @@ def _chains(
     space: FiniteSpace, alive: int | None = None, maximal: list | None = None
 ) -> list[tuple[int, ...]]:
     """All nonempty chains of the ``alive`` points (default: every point) as
-    index tuples, ascending in the order.  The maximal ones, whose least point
-    is minimal, every step a cover and greatest point maximal among the
-    ``alive`` points, are also appended to ``maximal`` when it is given.
+    index tuples, ascending in the order.  The maximal ones, those with no
+    alive point outside them comparable with every member, are also appended
+    to ``maximal`` when it is given.
 
     The chains are counted first, and more than ``MAX_CHAINS`` of them is
     refused with a ValueError rather than enumerated.
@@ -85,31 +85,23 @@ def _chains(
     total = sum(starting)
     if total > MAX_CHAINS:
         raise ValueError(f"too many chains: {total} exceed the limit of {MAX_CHAINS}")
+    near = [d | u for d, u in zip(down, up)]  # the points comparable with each
     out: list[tuple[int, ...]] = []
     chain: list[int] = []
 
-    def grow(i: int) -> None:
+    def grow(i: int, free: int) -> None:
+        # free: the alive points comparable with every point of the chain so far
         chain.append(i)
         out.append(tuple(chain))
-        for j in above[i]:
-            grow(j)
-        chain.pop()
-
-    def climb(i: int) -> None:  # the chain so far steps along covers from a minimal point
-        chain.append(i)
-        out.append(tuple(chain))
-        if not above[i]:
+        free &= near[i]
+        if not free:
             maximal.append(out[-1])
-        strictly_above = up[i] & alive
         for j in above[i]:
-            if down[j] & strictly_above:  # something alive lies between i and j
-                grow(j)
-            else:
-                climb(j)
+            grow(j, free)
         chain.pop()
 
     for i in _members(alive):
-        (grow if down[i] & alive else climb)(i)
+        grow(i, alive)
     return out
 
 
@@ -298,18 +290,19 @@ def _chains_through(
     space: FiniteSpace, members: int, need: int, avoid: int
 ) -> list[frozenset[str]]:
     """Chains of the ``members`` points containing all of ``need`` and none of
-    ``avoid``, as label sets; all three are masks of the space's points.
-    Only the points comparable with every ``need`` point are enumerated."""
+    ``avoid``, as label sets; all three are masks of the space's points, and
+    ``need`` is a chain.  Each is the join of ``need`` with a chain, possibly
+    empty, of the other members outside ``avoid`` comparable with every
+    ``need`` point."""
     down, up = space.masks()
-    members &= ~avoid
+    rest = members & ~avoid & ~need
     for p in _members(need):
-        members &= down[p] | up[p] | 1 << p
-    out = []
-    for c in _chains(space, members):
-        chain = sum(1 << i for i in c)
-        if chain & need == need:
-            out.append(frozenset(space.labels[i] for i in c))
-    return out
+        rest &= down[p] | up[p]
+    labels = space.labels
+    base = [labels[p] for p in _members(need)]
+    return [frozenset(base)] + [
+        frozenset(base + [labels[i] for i in c]) for c in _chains(space, rest)
+    ]
 
 
 def translate_space_collapse(space: FiniteSpace, x: str) -> SimplicialMoveCertificate:

@@ -44,9 +44,13 @@ def _check_label(label: str) -> str:
 
 
 def _checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
-    labels = tuple(_check_label(l) for l in labels)
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate labels")
+    """The labels as a tuple, each checked in turn; the first repeat is named."""
+    labels = tuple(labels)
+    seen = set()
+    for l in labels:
+        if _check_label(l) in seen:
+            raise ValueError(f"duplicate label {l!r}")
+        seen.add(l)
     return labels
 
 
@@ -411,13 +415,8 @@ def from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> Fin
     of its upper covers backward along it.  Cycles are rejected because they
     break antisymmetry.
     """
-    labels = tuple(labels)
-    index = {}
-    for i, lab in enumerate(labels):
-        _check_label(lab)
-        if lab in index:
-            raise ValueError(f"duplicate label {lab!r}")
-        index[lab] = i
+    labels = _checked_labels(labels)
+    index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     down = [0] * n  # bit i of down[j]: (i, j) is a cover pair, until closed
     up = [0] * n  # bit j of up[i]: (i, j) is a cover pair, until closed

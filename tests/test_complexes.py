@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from finspace import complexes
 from finspace.complexes import (
     SimplicialComplex,
     SimplicialMap,
@@ -231,6 +232,21 @@ def test_complex_isomorphism():
         relabeled = from_facets([[names[v] for v in f] for f in k.facets()])
         assert complex_isomorphic(k, relabeled) is not None
 
+
+def test_equal_f_vectors_with_other_signatures_skip_the_engine(monkeypatch):
+    # an edge beside a 4-cycle, and a path on six vertices: both have two
+    # vertices of degree 1 and four of degree 2, but only the path joins them
+    square = from_facets([["a", "b"], ["c", "e"], ["c", "f"], ["d", "e"], ["d", "f"]])
+    path = from_facets([["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "f"]])
+    assert square.f_vector() == path.f_vector() == (6, 5)
+    assert sorted(square._signatures()) != sorted(path._signatures())
+
+    def engine(*args):
+        raise AssertionError("the engine was entered")
+
+    monkeypatch.setattr(complexes, "_first_isomorphism", engine)
+    assert complex_isomorphic(square, path) is None
+    assert complex_isomorphic(path, square) is None
 
 def test_dotted_label_sorts():
     assert dotted_label(frozenset(["b", "a"])) == "a.b"
