@@ -2,9 +2,12 @@
 
 Homotopy between maps is certified by comparability fences: a sequence of
 maps in which consecutive entries are pointwise comparable.  Fence search
-numbers the continuous maps and keeps, per domain point and codomain point,
-int bitsets of the maps that send it above or below there; the maps
-comparable with u are then one AND per domain point.  A map is
+enumerates the continuous maps depth first along a linear extension of the
+domain, dropping each partial map that leaves a point above no room, and
+keeps them as rows in that position order.  Per position and codomain point
+it builds, one column of images at a time, int bitsets of the maps that
+send it above or below there; the maps comparable with u are then one AND
+per position.  The table is refused past ``TABLE_BIT_LIMIT`` bits.  A map is
 distinguished when every minimal open set pulls back to a contractible
 subspace, tested as a mask of the domain's points; these are the maps whose
 non-Hausdorff mapping cylinder collapses back onto the domain.  Membership
@@ -14,6 +17,7 @@ evidence is replayed on label sets, as certificates are, not on those masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .spaces import FiniteSpace, _members, _trusted, _up_sets
@@ -34,6 +38,9 @@ __all__ = [
 ]
 
 EXHAUSTIVE_LIMIT = 10**6
+# one comparability table of 2**27 bits is 16 MiB; fence search holds two
+TABLE_BIT_LIMIT = 2**27
+_ZEROS = b"0" * 256
 
 
 @dataclass(frozen=True)
@@ -143,30 +150,85 @@ def is_valid_fence(fence: Iterable[ContinuousMap]) -> bool:
     return True
 
 
-def _all_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> list[tuple[int, ...]]:
-    """Every continuous map, enumerated deterministically."""
+def _continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> list[tuple[int, ...]]:
+    """Every continuous map as a row in position order: entry k is the image
+    of ``dom.linear_extension()[k]``.
+
+    A depth-first search places the points along the linear extension, each
+    image in ascending index order, so the rows come in the lexicographic
+    order of that assignment.  ``room[q]`` holds the images left for
+    position q: the AND of the closed up-sets of the images of the placed
+    points below it, so a placed point takes its options from its own
+    ``room``.  Placing a point narrows the ``room`` of every point above
+    it, and an image that would leave one of them empty is never placed
+    (it is not under that room): such a partial map has no completion, so
+    no map is lost and the order of those kept is that of the unpruned
+    search.  The last point's images extend each partial map at once.
+    """
+    n = dom.n
+    if n < 2:
+        return [(j,) for j in range(cod.n)] if n else [()]
     order = dom.linear_extension()
-    below = [list(_members(d)) for d in dom.masks()[0]]
-    closed_up = [u | 1 << j for j, u in enumerate(cod.masks()[1])]
+    pos = [0] * n
+    for k, i in enumerate(order):
+        pos[i] = k
+    up = dom.masks()[1]
+    above = [[pos[q] for q in _members(up[i])] for i in order]
+    cod_down, cod_up = cod.masks()
+    closed_up = [u | 1 << j for j, u in enumerate(cod_up)]
+    closed_down = [d | 1 << j for j, d in enumerate(cod_down)]
+    under: dict[int, int] = {}  # a room -> the images at or below one of its members
+    ends: dict[int, list[tuple[int]]] = {}  # the last point's room -> its images as 1-tuples
+    last = n - 1
     out: list[tuple[int, ...]] = []
-    assign = [-1] * dom.n
+    assign = [0] * n
 
-    def place(k: int) -> None:
-        if k == dom.n:
-            out.append(tuple(assign))
-            return
-        i = order[k]
-        # the points below i come earlier in the linear extension
-        allowed = (1 << cod.n) - 1
-        for p in below[i]:
-            allowed &= closed_up[assign[p]]
-        for j in _members(allowed):
-            assign[i] = j
-            place(k + 1)
-            assign[i] = -1
+    def place(k: int, room: list[int]) -> None:
+        ups = above[k]
+        # j leaves q some room iff j lies under room[q]
+        options = room[k]
+        for q in ups:
+            r = room[q]
+            if r not in under:
+                reach = 0
+                for y in _members(r):
+                    reach |= closed_down[y]
+                under[r] = reach
+            options &= under[r]
+        for j in _members(options):
+            assign[k] = j
+            cut = closed_up[j]
+            narrowed = room[:]
+            for q in ups:
+                narrowed[q] &= cut
+            if k + 1 < last:
+                place(k + 1, narrowed)
+            else:
+                r = narrowed[last]
+                if r not in ends:
+                    ends[r] = [(y,) for y in _members(r)]
+                out.extend(map(tuple(assign[:last]).__add__, ends[r]))
 
-    place(0)
+    place(0, [(1 << cod.n) - 1] * n)
     return out
+
+
+def _columns(maps: list[tuple[int, ...]], k: int, ys: int) -> list[int]:
+    """Row y of the result has bit v set iff ``maps[v][k] == y``, for y < ys.
+
+    Each base-256 digit of the images at position k, last map first, is one
+    ``bytes`` column, translated to ASCII ``1`` where it matches y's digit
+    and ``0`` elsewhere, and read by ``int(..., 2)``.  A row is the AND of
+    its digits' matches.
+    """
+    rows = [-1] * ys
+    for shift in range(0, max(8, (ys - 1).bit_length()), 8):
+        digit = [y >> shift & 255 for y in range(ys)]
+        column = bytes(map(digit.__getitem__, map(itemgetter(k), reversed(maps))))
+        for y in range(ys):
+            b = digit[y]
+            rows[y] &= int(column.translate(_ZEROS[:b] + b"1" + _ZEROS[b + 1:]), 2)
+    return rows
 
 
 def fence_homotopic(
@@ -175,15 +237,22 @@ def fence_homotopic(
     """Search for a comparability fence from f to g with at most ``budget`` steps.
 
     Two fast positive paths first (equality, direct comparability).  When the
-    whole mapping space is enumerable (|cod| ** |dom| small enough) a
-    breadth-first search decides fence-connectedness, so absence is
-    conclusive there; otherwise absence is reported inconclusive.
+    whole mapping space is enumerable (|cod| ** |dom| at most
+    ``EXHAUSTIVE_LIMIT``) and its table fits (|dom| * |cod| * maps at most
+    ``TABLE_BIT_LIMIT`` bits) a breadth-first search decides
+    fence-connectedness, so absence is conclusive there; otherwise absence
+    is reported inconclusive.
 
-    Bit v of ``geq[i][y]`` (``leq[i][y]``) is set when the v-th enumerated
-    map sends i to or above (below) y, so the unseen maps above u are the
-    AND of ``geq[i][u[i]]`` over i with the unseen set.  Each level's new
-    maps are taken in ascending v, the order of a scan over all maps, so
-    the BFS parents, hence the fence, are those of that scan.
+    Maps are numbered as ``_continuous_maps`` enumerates them and kept as
+    rows in its position order; only the returned fence goes back to point
+    order.  Bit v of ``geq[k][y]`` (``leq[k][y]``) is set when the v-th map
+    sends position k to or above (below) y, so the unseen maps above u are
+    the AND of ``geq[k][u[k]]`` over k with the unseen set.  The rows are
+    built a column at a time by ``_columns``.  Each level's new maps are
+    taken in ascending v, the order of a scan over all maps, so the BFS
+    parents, hence the fence, are those of that scan.  A level keeps its
+    maps and their parents in two lists, and the fence walks back through
+    them.
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise ValueError("maps must share domain and codomain")
@@ -195,42 +264,41 @@ def fence_homotopic(
     if budget < 2 or f.cod.n ** max(f.dom.n, 1) > EXHAUSTIVE_LIMIT:
         return FenceResult(None, False)
 
-    maps = _all_continuous_maps(f.dom, f.cod)
-    # at[i][y]: bit v set iff maps[v] sends point i to y, filled byte by byte
-    at = [[bytearray(len(maps) + 7 >> 3) for _ in range(f.cod.n)] for _ in range(f.dom.n)]
-    for v, images in enumerate(maps):
-        byte, bit = v >> 3, 1 << (v & 7)
-        for rows, y in zip(at, images):
-            rows[y][byte] |= bit
-    at = [[int.from_bytes(row, "little") for row in rows] for rows in at]
+    maps = _continuous_maps(f.dom, f.cod)
+    if f.dom.n * f.cod.n * len(maps) > TABLE_BIT_LIMIT:
+        return FenceResult(None, False)
+    geq = [_columns(maps, k, f.cod.n) for k in range(f.dom.n)]
 
-    # each cover y < z ORs geq[i][z] into geq[i][y] down a linear extension; leq dually, up it
+    # each cover y < z ORs geq[k][z] into geq[k][y] down a linear extension; leq dually, up it
     pos = {y: k for k, y in enumerate(f.cod.linear_extension())}
     covers = sorted(f.cod.covers(), key=lambda c: pos[c[0]])
-    geq, leq = at, [list(rows) for rows in at]
+    leq = [list(rows) for rows in geq]
     for above, below in zip(geq, leq):
         for y, z in reversed(covers):
             above[y] |= above[z]
         for y, z in covers:
             below[z] |= below[y]
 
-    start, goal = maps.index(f.images), maps.index(target)
-    parent = {start: -1}
+    order = f.dom.linear_extension()
+    start = maps.index(tuple(f.images[i] for i in order))
+    goal = maps.index(tuple(target[i] for i in order))
+    # each level keeps its maps and their parents, in the order met
+    levels = []
     unseen = (1 << len(maps)) - 1 ^ 1 << start
     frontier = [start]
     depth = 0
     cut = False
-    while frontier and goal not in parent:
+    while frontier and unseen >> goal & 1:
         depth += 1
         if depth > budget:
             cut = True
             break
-        nxt = []
+        nxt, up = [], []
         for u in frontier:
             above = below = unseen
-            for i, y in enumerate(maps[u]):
-                above &= geq[i][y]
-                below &= leq[i][y]
+            for k, y in enumerate(maps[u]):
+                above &= geq[k][y]
+                below &= leq[k][y]
             new = above | below
             unseen ^= new
             # bit v is character v of the reversed binary string, so the maps
@@ -238,19 +306,21 @@ def fence_homotopic(
             bits = bin(new)[:1:-1]
             v = bits.find("1")
             while v >= 0:
-                parent[v] = u
                 nxt.append(v)
+                up.append(u)
                 v = bits.find("1", v + 1)
+        levels.append((nxt, up))
         frontier = nxt
-    if goal not in parent:
+    if unseen >> goal & 1:
         return FenceResult(None, not cut)
-    chain = []
-    v = goal
-    while v != -1:
-        chain.append(v)
-        v = parent[v]
+    chain = [goal]
+    for met, up in reversed(levels):
+        chain.append(up[met.index(chain[-1])])
+    point = [0] * f.dom.n
+    for k, i in enumerate(order):
+        point[i] = k
     fence = tuple(
-        ContinuousMap(f.dom, f.cod, maps[v]) for v in reversed(chain)
+        ContinuousMap(f.dom, f.cod, tuple(maps[v][k] for k in point)) for v in reversed(chain)
     )
     return FenceResult(fence, True)
 

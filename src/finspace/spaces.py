@@ -158,9 +158,14 @@ class FiniteSpace:
             down[i] ^= bit
         self._set(labels, down, _checked_up_sets(down))
 
-    def _set(self, labels: tuple[str, ...], down: Sequence[int], up: Sequence[int]) -> None:
+    def _set(
+        self, labels: tuple[str, ...], down: Sequence[int], up: Sequence[int],
+        index: dict[str, int] | None = None,
+    ) -> None:
+        """Store the order; ``index`` is the label -> index dict of
+        ``labels`` when the caller has built it already."""
         self.labels = labels
-        self._index = {lab: i for i, lab in enumerate(labels)}
+        self._index = {lab: i for i, lab in enumerate(labels)} if index is None else index
         self._down = tuple(down)
         self._up = tuple(up)
         self._memo: dict = {}
@@ -244,7 +249,7 @@ class FiniteSpace:
 
     def opposite(self) -> "FiniteSpace":
         """The same points with the order reversed (open and closed swap)."""
-        return _trusted(self.labels, self._up, self._down)
+        return _trusted(self.labels, self._up, self._down, self._index)
 
     def subspace(self, members: Iterable[int | str]) -> "FiniteSpace":
         """Subspace on the given points, with the induced order.
@@ -399,10 +404,13 @@ class FiniteSpace:
         return f"FiniteSpace({self.n} points)"
 
 
-def _trusted(labels: tuple[str, ...], down: Sequence[int], up: Sequence[int]) -> FiniteSpace:
+def _trusted(
+    labels: tuple[str, ...], down: Sequence[int], up: Sequence[int],
+    index: dict[str, int] | None = None,
+) -> FiniteSpace:
     """A space from masks already known to be a valid order on valid labels."""
     space = FiniteSpace.__new__(FiniteSpace)
-    space._set(labels, down, up)
+    space._set(labels, down, up, index)
     return space
 
 
@@ -443,7 +451,7 @@ def from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> Fin
         for j in _members(u):
             u |= up[j]
         up[i] = u
-    return _trusted(labels, down, up)
+    return _trusted(labels, down, up, index)
 
 
 def _first_isomorphism(

@@ -1,12 +1,18 @@
+import os
 import random
+import sys
 import time
 from itertools import product
 
 import pytest
 
+import finspace
+from finspace import maps
 from finspace.maps import (
     ContinuousMap,
+    FenceResult,
     MembershipEvidence,
+    _continuous_maps,
     fence_homotopic,
     is_distinguished,
     is_op_distinguished,
@@ -18,7 +24,7 @@ from finspace.maps import (
 from finspace.moves import is_weak_point
 from finspace.spaces import from_covers
 
-from util import fence_oracle, random_monotone_map, random_poset
+from util import continuous_maps_oracle, fence_oracle, random_monotone_map, random_poset
 
 SIERP = from_covers(["0", "1"], [("0", "1")])
 VEE = from_covers(["b", "c", "a"], [("b", "a"), ("c", "a")])
@@ -147,6 +153,103 @@ def test_fence_antichain6_into_chain6_stays_within_a_second():
     # the fence of the pairwise scan in fence_oracle, which takes seconds on this input
     assert [m.images for m in res.fence] == [(0, 1, 2, 3, 4, 5), (0,) * 6, (5, 4, 3, 2, 1, 0)]
     assert res.conclusive
+
+
+def _zigzag_covers(prefix: str, n: int) -> list[tuple[str, str]]:
+    """The covers of the zigzag z0 < z1 > z2 < z3 ... on n points."""
+    return [
+        (f"{prefix}{i}", f"{prefix}{i + 1}") if i % 2 == 0 else (f"{prefix}{i + 1}", f"{prefix}{i}")
+        for i in range(n - 1)
+    ]
+
+
+def _zigzag(n: int, seed: int):
+    """The zigzag on z0 ... z(n-1), stored in a shuffled index order."""
+    labels = [f"z{i}" for i in range(n)]
+    random.Random(seed).shuffle(labels)
+    return from_covers(labels, _zigzag_covers("z", n))
+
+
+def _calls_into_finspace(call) -> int:
+    """How many Python frames (generator resumptions too) ``call()`` enters
+    in the finspace package."""
+    root = os.path.dirname(finspace.__file__)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_filename.startswith(root)
+
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(outer)
+    return calls
+
+
+def test_enumeration_never_places_an_image_that_leaves_a_point_above_no_room():
+    # six minima under one top into a 7-point antichain: the seven constant
+    # maps; a search that expands all 7 ** 6 partial maps of the minima
+    # enters 686,342 frames here
+    dom = from_covers([f"m{i}" for i in range(6)] + ["top"], [(f"m{i}", "top") for i in range(6)])
+    cod = from_covers([f"c{i}" for i in range(7)], [])
+    got = []
+    calls = _calls_into_finspace(lambda: got.extend(_continuous_maps(dom, cod)))
+    assert got == [(j,) * 7 for j in range(7)]
+    assert calls < 1000
+
+
+def test_fence_search_into_a_codomain_past_256_points():
+    # image indices past 255 take two base-256 digits in the column build
+    pt = from_covers(["x"], [])
+    zigzag = _zigzag(300, 4)
+    f = ContinuousMap.from_labels(pt, zigzag, {"x": "z0"})
+    for end, budget in (("z10", 16), ("z299", 16), ("z299", 300)):
+        g = ContinuousMap.from_labels(pt, zigzag, {"x": end})
+        res = fence_homotopic(f, g, budget)
+        assert res == fence_oracle(f, g, budget)
+    assert [m("x") for m in res.fence] == [f"z{i}" for i in range(300)]
+    # two zigzags side by side: no fence, and the answer is conclusive
+    labels = [f"z{i}" for i in range(150)] + [f"w{i}" for i in range(150)]
+    random.Random(5).shuffle(labels)
+    split = from_covers(labels, _zigzag_covers("z", 150) + _zigzag_covers("w", 150))
+    f = ContinuousMap.from_labels(pt, split, {"x": "z7"})
+    g = ContinuousMap.from_labels(pt, split, {"x": "w140"})
+    res = fence_homotopic(f, g, budget=300)
+    assert res == fence_oracle(f, g, budget=300) == FenceResult(None, True)
+
+
+def test_fence_search_from_the_empty_domain():
+    empty = from_covers([], [])
+    cod = _zigzag(5, 1)
+    assert _continuous_maps(empty, cod) == [()] == continuous_maps_oracle(empty, cod)
+    f = ContinuousMap(empty, cod, ())
+    res = fence_homotopic(f, ContinuousMap(empty, cod, ()))
+    assert res == fence_oracle(f, f) == FenceResult((f,), True)
+
+
+def test_fence_search_refuses_a_table_past_its_bit_limit(monkeypatch):
+    # a point into the zigzag z0 < z1 > z2 < z3 > z4: five maps, so the
+    # table has 1 * 5 * 5 = 25 bits
+    pt = from_covers(["x"], [])
+    zigzag = _zigzag(5, 2)
+    f = ContinuousMap.from_labels(pt, zigzag, {"x": "z0"})
+    g = ContinuousMap.from_labels(pt, zigzag, {"x": "z4"})
+    monkeypatch.setattr(maps, "TABLE_BIT_LIMIT", 25)
+    assert [m("x") for m in fence_homotopic(f, g).fence] == ["z0", "z1", "z2", "z3", "z4"]
+    monkeypatch.setattr(maps, "TABLE_BIT_LIMIT", 24)
+    assert fence_homotopic(f, g) == FenceResult(None, False)
+    # a point into an antichain of N points has N maps and N * N table bits,
+    # past the limit from N = 11,586 on, although N is under EXHAUSTIVE_LIMIT
+    monkeypatch.undo()
+    n = 11_586
+    assert n * n > maps.TABLE_BIT_LIMIT >= (n - 1) ** 2 and n <= maps.EXHAUSTIVE_LIMIT
+    anti = from_covers([f"a{i}" for i in range(n)], [])
+    f = ContinuousMap.constant(pt, anti, "a0")
+    g = ContinuousMap.constant(pt, anti, "a1")
+    assert fence_homotopic(f, g) == FenceResult(None, False)
 
 
 def test_is_valid_fence_rejects_gaps():

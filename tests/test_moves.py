@@ -255,9 +255,9 @@ def test_replay_builds_one_space_at_the_end(monkeypatch):
     built = []
     fill = FiniteSpace._set
 
-    def counted(self, labels, down, up):
+    def counted(self, labels, *order):
         built.append(labels)
-        fill(self, labels, down, up)
+        fill(self, labels, *order)
 
     monkeypatch.setattr(FiniteSpace, "_set", counted)
     for cert, direction in ((collapse, "remove"), (expansion, "add")):

@@ -37,6 +37,23 @@ def test_from_covers_detects_cycles():
         from_covers(["a", "b"], [("a", "b"), ("b", "a")])
 
 
+def test_from_covers_builds_its_label_index_once(monkeypatch):
+    # the dict that checks the cover labels becomes the space's own index,
+    # and the opposite shares it
+    handed = []
+    fill = FiniteSpace._set
+
+    def spy(self, labels, down, up, index=None):
+        handed.append(index)
+        fill(self, labels, down, up, index)
+
+    monkeypatch.setattr(FiniteSpace, "_set", spy)
+    space = from_covers(["b", "a", "c"], [("a", "b"), ("c", "b")])
+    assert handed == [{"b": 0, "a": 1, "c": 2}]
+    assert space.opposite()._index is space._index is handed[0]
+    assert space.index("c") == 2 and space.is_leq("a", "b")
+
+
 def test_minimal_open_and_closure():
     s = from_covers(["a", "b", "c", "d"], [("c", "a"), ("c", "b"), ("d", "c")])
     assert set(s.minimal_open("a").labels) == {"a", "c", "d"}

@@ -37,9 +37,9 @@ from finspace.complexes import (
 )
 from finspace.maps import (
     EXHAUSTIVE_LIMIT,
+    TABLE_BIT_LIMIT,
     ContinuousMap,
     FenceResult,
-    _all_continuous_maps,
     pointwise_leq,
 )
 from finspace.moves import (
@@ -182,7 +182,8 @@ def continuous_maps_oracle(dom: FiniteSpace, cod: FiniteSpace) -> list[tuple[int
 
 def fence_oracle(f: ContinuousMap, g: ContinuousMap, budget: int = 16) -> FenceResult:
     """Breadth-first fence search that compares each frontier map with every
-    continuous map, in enumeration order, coordinate by coordinate."""
+    continuous map of ``continuous_maps_oracle``, in its order, coordinate by
+    coordinate; refused, as fence search is, past either of its limits."""
     if f.dom != g.dom or f.cod != g.cod:
         raise ValueError("maps must share domain and codomain")
     if f.images == g.images:
@@ -192,7 +193,9 @@ def fence_oracle(f: ContinuousMap, g: ContinuousMap, budget: int = 16) -> FenceR
     if budget < 2 or f.cod.n ** max(f.dom.n, 1) > EXHAUSTIVE_LIMIT:
         return FenceResult(None, False)
 
-    maps = _all_continuous_maps(f.dom, f.cod)
+    maps = continuous_maps_oracle(f.dom, f.cod)
+    if f.dom.n * f.cod.n * len(maps) > TABLE_BIT_LIMIT:
+        return FenceResult(None, False)
     index = {m: i for i, m in enumerate(maps)}
     closed_up = [u | 1 << j for j, u in enumerate(f.cod.masks()[1])]
 
