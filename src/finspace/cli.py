@@ -20,6 +20,7 @@ from .complexes import (
 from .corpus import entries, load
 from .fileio import (
     ParseError,
+    _format_facets,
     dot_complex,
     dot_space,
     format_complex,
@@ -33,11 +34,10 @@ from .fileio import (
     read_space_or_complex,
 )
 from .functors import (
-    barycentric_subdivision,
+    _maximal_chains,
     bridge_space,
     cylinder_certificates,
     face_poset,
-    order_complex,
     space_subdivision,
     translate_simplicial_collapse,
     translate_space_collapse,
@@ -95,8 +95,14 @@ def _cmd_collapse(args) -> int:
     return 2
 
 
+def _write_order_complex(space: FiniteSpace) -> None:
+    """Print K(space): its vertices are the points, its facets the maximal
+    chains, walked without building the other chains."""
+    sys.stdout.write(_format_facets(sorted(space.labels), _maximal_chains(space)))
+
+
 def _cmd_k(args) -> int:
-    sys.stdout.write(format_complex(order_complex(read_space(args.poset))))
+    _write_order_complex(read_space(args.poset))
     return 0
 
 
@@ -110,7 +116,7 @@ def _cmd_subdivide(args) -> int:
     if isinstance(obj, FiniteSpace):
         sys.stdout.write(format_space(space_subdivision(obj)))
     else:
-        sys.stdout.write(format_complex(barycentric_subdivision(obj)))
+        _write_order_complex(face_poset(obj))
     return 0
 
 

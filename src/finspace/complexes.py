@@ -9,8 +9,10 @@ complex built from outside read one face index, built once: each simplex's
 position in ``simplices`` and the ascending positions of its cofacets, the
 simplices one vertex larger that contain it.  Facets have no cofacet, S is
 free when it has exactly one, and the face poset's masks are those lists
-closed upward and downward.  An order complex is given its facets, the
-maximal chains, by the functor that builds it.  The constructor
+closed upward and downward.  The start complex of a translated weak-point
+removal is given its facets, the maximal chains, by the functors' walk up
+the covers; every other complex, order complexes included, reads them off
+the face index.  The constructor
 validates families from outside; ``from_facets``, ``cone`` and the moves
 check only what they add.  The certificate verifier replays on its own
 plain set of simplices, rescans it for the cofaces of every removed face,
@@ -154,8 +156,9 @@ class SimplicialComplex:
     def facets(self) -> tuple[tuple[str, ...], ...]:
         """Maximal simplices in canonical order.
 
-        An order complex comes with its maximal chains stored here; any other
-        complex takes the face index entries with no cofacet, once.
+        The start of a translated weak-point removal comes with its maximal
+        chains stored here; any other complex takes the face index entries
+        with no cofacet, once.
         """
         cofacets = self._faces()[1]
         return tuple(tuple(sorted(s)) for s, c in zip(self.simplices, cofacets) if not c)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import re
+from typing import Iterable
 
 from .complexes import (
     SimplicialComplex,
@@ -177,9 +178,14 @@ def read_complex(path: str) -> SimplicialComplex:
 
 
 def format_complex(k: SimplicialComplex) -> str:
-    lines = ["vertices: " + " ".join(k.vertices)]
-    for f in k.facets():
-        lines.append("facet: " + " ".join(f))
+    return _format_facets(k.vertices, k.facets())
+
+
+def _format_facets(vertices: Iterable[str], facets: Iterable[Iterable[str]]) -> str:
+    """The ``.cplx`` text of a complex given by its vertices and facets, each
+    already in canonical order."""
+    lines = ["vertices: " + " ".join(vertices)]
+    lines.extend("facet: " + " ".join(f) for f in facets)
     return "\n".join(lines) + "\n"
 
 

@@ -2,9 +2,10 @@
 
 The order complex of a space has the nonempty chains as simplices and the
 maximal chains as facets; the face poset of a complex orders the simplices by
-inclusion, read off the complex's face index, whose cofacets are its covers.
-Each is built with the facets or covers it already knows stored, so printing
-it rebuilds neither.  Round trips produce barycentric subdivisions: the
+inclusion, read off the complex's face index, whose cofacets are its covers
+and are stored with it.  The maximal chains are reached on their own by a
+walk up the covers, so K(X) is printed from its vertices and facets without
+building its other chains.  Round trips produce barycentric subdivisions: the
 subdivision of a space is the face poset of its order complex, built from
 that complex, and the comparison map sending a chain to its maximum is
 distinguished.
@@ -62,21 +63,11 @@ __all__ = [
 MAX_CHAINS = 200_000
 
 
-def _chains(
-    space: FiniteSpace, alive: int | None = None, maximal: list | None = None
-) -> list[tuple[int, ...]]:
-    """All nonempty chains of the ``alive`` points (default: every point) as
-    index tuples, ascending in the order.  The maximal ones, those with no
-    alive point outside them comparable with every member, are also appended
-    to ``maximal`` when it is given.
-
-    The chains are counted first, and more than ``MAX_CHAINS`` of them is
-    refused with a ValueError rather than enumerated.
-    """
-    alive = (1 << space.n) - 1 if alive is None else alive
-    maximal = [] if maximal is None else maximal
-    down, up = space.masks()
-    above = [list(_members(m & alive)) for m in up]
+def _counted_above(space: FiniteSpace, alive: int) -> list[list[int]]:
+    """Each point's strict up-set within the ``alive`` points, as an
+    ascending index list, once the chains of the alive points are counted;
+    more than ``MAX_CHAINS`` of them is refused with a ValueError."""
+    above = [list(_members(m & alive)) for m in space.masks()[1]]
     # starting[i]: chains whose least point is i.  A point strictly above i
     # has a smaller up-set, so ascending up-set size visits it first.
     starting = [0] * space.n
@@ -85,23 +76,59 @@ def _chains(
     total = sum(starting)
     if total > MAX_CHAINS:
         raise ValueError(f"too many chains: {total} exceed the limit of {MAX_CHAINS}")
-    near = [d | u for d, u in zip(down, up)]  # the points comparable with each
-    out: list[tuple[int, ...]] = []
-    chain: list[int] = []
+    return above
 
-    def grow(i: int, free: int) -> None:
-        # free: the alive points comparable with every point of the chain so far
-        chain.append(i)
-        out.append(tuple(chain))
-        free &= near[i]
-        if not free:
-            maximal.append(out[-1])
-        for j in above[i]:
-            grow(j, free)
-        chain.pop()
+
+def _chains(space: FiniteSpace, alive: int | None = None) -> list[tuple[int, ...]]:
+    """All nonempty chains of the ``alive`` points (default: every point) as
+    index tuples, ascending in the order, each chain followed by its
+    extensions upward.  They are counted, and refused past ``MAX_CHAINS``,
+    before any is built."""
+    alive = (1 << space.n) - 1 if alive is None else alive
+    above = _counted_above(space, alive)
+    out: list[tuple[int, ...]] = []
+
+    def grow(chain: tuple[int, ...]) -> None:
+        out.append(chain)
+        for j in above[chain[-1]]:
+            grow(chain + (j,))
 
     for i in _members(alive):
-        grow(i, alive)
+        grow((i,))
+    return out
+
+
+def _maximal_chains(space: FiniteSpace) -> list[tuple[str, ...]]:
+    """The facets of the order complex, the maximal chains, as sorted label
+    tuples in canonical order, without building the other chains.
+
+    A chain is maximal exactly when it climbs by covers from a minimal point
+    to a maximal one, so a depth-first walk up the covers from each minimal
+    point meets each facet once and nothing else.  The chains are counted and
+    refused as in ``_chains`` first, which bounds the height, and with it the
+    walk's depth, to 17: a chain of h points has 2**h - 1 subchains.
+    """
+    _counted_above(space, (1 << space.n) - 1)
+    upper: list[list[int]] = [[] for _ in range(space.n)]
+    for i, j in space.covers():
+        upper[i].append(j)
+    labels = space.labels
+    out: list[tuple[str, ...]] = []
+    chain: list[str] = []
+
+    def climb(i: int) -> None:
+        chain.append(labels[i])
+        if upper[i]:
+            for j in upper[i]:
+                climb(j)
+        else:
+            out.append(tuple(sorted(chain)))
+        chain.pop()
+
+    for i, below in enumerate(space.masks()[0]):
+        if not below:
+            climb(i)
+    out.sort(key=lambda f: (len(f), f))
     return out
 
 
@@ -109,16 +136,14 @@ def order_complex(space: FiniteSpace) -> SimplicialComplex:
     """The complex whose simplices are the nonempty chains of the space;
     they are closed under faces and carry checked labels, so none is rechecked.
 
-    Its facets are the maximal chains, marked during the one enumeration of
-    the chains and stored with the complex in canonical order.
+    Only the family is built: its facets, when asked for, come from the face
+    index as for any complex.  Printing K(X) needs only its vertices and
+    facets, which ``_maximal_chains`` gives without this family.
     """
     labels = space.labels
-    maximal: list[tuple[int, ...]] = []
-    k = SimplicialComplex._trusted(
-        frozenset(frozenset([labels[i] for i in c]) for c in _chains(space, maximal=maximal))
+    return SimplicialComplex._trusted(
+        frozenset(frozenset([labels[i] for i in c]) for c in _chains(space))
     )
-    facets = (tuple(sorted([labels[i] for i in c])) for c in maximal)
-    return _store(k, SimplicialComplex.facets, tuple(sorted(facets, key=lambda f: (len(f), f))))
 
 
 def _inclusion_poset(k: SimplicialComplex, labels: tuple[str, ...]) -> FiniteSpace:
@@ -317,7 +342,9 @@ def translate_space_collapse(space: FiniteSpace, x: str) -> SimplicialMoveCertif
     The survivor, then the witness of each removal in reverse, is the apex
     of the pairs added next, smaller faces first.  The moves are emitted
     without simulating them: the paper's theorem says they replay, and
-    ``verify_simplicial_certificate`` checks that they do.
+    ``verify_simplicial_certificate`` checks that they do.  The start
+    complex, which the certificate prints, carries the facets of the cover
+    walk.
     """
     i = space.index(x)
     down, up = space.masks()
@@ -342,7 +369,10 @@ def translate_space_collapse(space: FiniteSpace, x: str) -> SimplicialMoveCertif
         for apex, faces in cones
         for fs in sorted(faces, key=_key)
     )
-    return SimplicialMoveCertificate(order_complex(space.delete(x)), moves)
+    smaller = space.delete(x)
+    start = order_complex(smaller)
+    _store(start, SimplicialComplex.facets, tuple(_maximal_chains(smaller)))
+    return SimplicialMoveCertificate(start, moves)
 
 
 def translate_simplicial_collapse(

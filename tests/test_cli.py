@@ -20,9 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finspace.cli import _build_parser, main
-from finspace.complexes import SimplicialMoveCertificate, collapse_sequence_search, from_facets
+from finspace.complexes import (
+    SimplicialComplex,
+    SimplicialMoveCertificate,
+    collapse_sequence_search,
+    from_facets,
+)
 from finspace.corpus import load
 from finspace.fileio import (
+    format_complex,
     format_simplicial_certificate,
     format_space,
     format_space_certificate,
@@ -37,7 +43,7 @@ from finspace.functors import (
 from finspace.moves import SpaceMoveCertificate, collapse_search, core
 from finspace.spaces import from_covers
 
-from util import random_poset
+from util import all_chains_brute, barycentric_oracle, random_complex, random_poset
 
 WALLET_POSET = """elements: t1 t2 x t4 m1 m2 m3 m4 c1 c2 c3
 cover: m1 t1
@@ -156,7 +162,7 @@ def test_resource_exhaustion_exits_three(capsys, monkeypatch, error):
     def blow_up(space):
         raise error()
 
-    monkeypatch.setattr("finspace.cli.order_complex", blow_up)
+    monkeypatch.setattr("finspace.cli._maximal_chains", blow_up)
     assert main(["k", "example:vee"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("input too large")
@@ -169,6 +175,18 @@ def test_order_complex_with_too_many_chains_exits_three(capsys, tmp_path):
     p.write_text(format_space(random_poset(random.Random(1), 200, 0.05)))
     start = time.process_time()
     assert main(["k", str(p)]) == 3
+    assert time.process_time() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("too many chains: ")
+
+
+def test_subdividing_a_complex_with_too_many_chains_exits_three(capsys, tmp_path):
+    # the 8-vertex simplex: 255 faces and 1,091,669 chains of faces
+    p = tmp_path / "simplex.cplx"
+    p.write_text("vertices: a b c d e f g h\nfacet: a b c d e f g h\n")
+    start = time.process_time()
+    assert main(["subdivide", str(p)]) == 3
     assert time.process_time() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -473,6 +491,63 @@ def test_example_listing_and_rendering(capsys):
     assert main(["example", "wallet"]) == 0
     assert "elements:" in capsys.readouterr().out
     assert main(["example", "no_such_example"]) == 3
+
+
+def _run(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _relabelled(rng, data, space):
+    """The space under fresh labels, listed in a drawn order that differs
+    from label order and need not extend the partial order."""
+    labels = data.draw(st.permutations([f"p{i}" for i in range(space.n)]))
+    name = dict(zip(space.labels, labels))
+    pairs = [(name[x], name[y]) for x, y in space.hasse_edges()]
+    rng.shuffle(pairs)
+    return from_covers(data.draw(st.permutations(labels)), pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 8), st.data())
+def test_k_prints_the_complex_of_all_chains(rng, n, data):
+    shape = data.draw(st.sampled_from(["random", "chain", "antichain", "copies"]))
+    p = {"chain": 1.0, "antichain": 0.0}.get(shape, rng.random())
+    x = random_poset(rng, n // 2 if shape == "copies" else n, p)
+    if shape == "copies":
+        x = from_covers(
+            [f"{c}{l}" for c in "ab" for l in x.labels],
+            [(f"{c}{u}", f"{c}{v}") for c in "ab" for u, v in x.hasse_edges()],
+        )
+    x = _relabelled(rng, data, x)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.poset")
+        Path(path).write_text(format_space(x))
+        assert _run(["k", path]) == (0, format_complex(SimplicialComplex(all_chains_brute(x))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6), st.integers(1, 5))
+def test_subdivide_prints_the_oracle_subdivision_of_a_complex(rng, n_vertices, n_facets):
+    k = random_complex(rng, n_vertices, n_facets, max_simplices=20)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "k.cplx")
+        Path(path).write_text(format_complex(k))
+        assert _run(["subdivide", path]) == (0, format_complex(barycentric_oracle(k)))
+
+
+def test_k_and_subdivide_build_no_chain_family(monkeypatch):
+    argvs = [["k", "example:wallet"], ["k", "example:sd3"], ["subdivide", "example:dunce"]]
+    before = [_run(argv) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chain family was built")
+
+    monkeypatch.setattr("finspace.functors._chains", refuse)
+    assert [_run(argv) for argv in argvs] == before
+    assert all(code == 0 for code, _ in before)
 
 
 NO_NUMPY_RUN = """
