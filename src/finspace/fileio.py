@@ -145,6 +145,7 @@ def parse_complex(text: str, source: str = "<string>") -> SimplicialComplex:
 
 def _complex_from_lines(lines: list[tuple[int, str]], source: str) -> SimplicialComplex:
     vertices: list[str] | None = None
+    known: set[str] = set()
     facets: list[list[str]] = []
     for no, line in lines:
         parts = line.split()
@@ -152,13 +153,14 @@ def _complex_from_lines(lines: list[tuple[int, str]], source: str) -> Simplicial
             if vertices is not None:
                 raise ParseError(source, no, "second vertices: line")
             vertices = parts[1:]
+            known = set(vertices)
         elif parts[0] == "facet:":
             if len(parts) < 2:
                 raise ParseError(source, no, "facet: needs at least one vertex")
             if vertices is None:
                 raise ParseError(source, no, "facet: before vertices:")
             for p in parts[1:]:
-                if p not in vertices:
+                if p not in known:
                     raise ParseError(source, no, f"unknown vertex {p!r}")
             facets.append(parts[1:])
         else:

@@ -14,7 +14,9 @@ colours are refined once per space and cached with it, like its heights,
 signatures and covers, so comparing one space with many others refines each
 of them once; refinement stops as soon as the colours are all distinct or a
 round splits no class.  The one isomorphism engine, ``_first_isomorphism``,
-also serves complexes, on vertex signatures and edge masks.
+also serves complexes, on vertex signatures and edge masks; it searches only
+when some colour is shared, and checks the one bijection all-distinct
+colours force.  The matrix constructor builds both masks in one row walk.
 """
 
 from __future__ import annotations
@@ -71,19 +73,25 @@ def _up_sets(down: Sequence[int]) -> list[int]:
     return up
 
 
+def _check_order(down: Sequence[int], up: Sequence[int]) -> None:
+    """Check that the irreflexive relation ``down``, with converse ``up``, is
+    antisymmetric and transitive: down[j] ⊆ down[i] whenever j < i."""
+    if any(d & u for d, u in zip(down, up)):
+        raise ValueError("relation is not antisymmetric")
+    if any(down[j] & ~d for d in down for j in _members(d)):
+        raise ValueError("relation is not transitive")
+
+
 def _checked_up_sets(down: Sequence[int]) -> list[int]:
     """``_up_sets(down)`` after checking that ``down`` is a strict order:
-    irreflexive, antisymmetric, and down[j] ⊆ down[i] whenever j < i."""
+    sets of the points, irreflexive, then ``_check_order``."""
     for i, d in enumerate(down):
         if not isinstance(d, int) or d < 0 or d >> len(down):
             raise ValueError(f"down-set mask of point {i} is not a set of the {len(down)} points")
         if d >> i & 1:
             raise ValueError("relation is not irreflexive")
     up = _up_sets(down)
-    if any(d & u for d, u in zip(down, up)):
-        raise ValueError("relation is not antisymmetric")
-    if any(down[j] & ~d for d in down for j in _members(d)):
-        raise ValueError("relation is not transitive")
+    _check_order(down, up)
     return up
 
 
@@ -149,14 +157,17 @@ class FiniteSpace:
         rows = leq.tolist() if hasattr(leq, "tolist") else leq
         if not all(row[i] for i, row in enumerate(rows)):
             raise ValueError("relation is not reflexive")
-        down = [0] * n
+        down, up = [0] * n, [0] * n
         points = range(n)
-        for i, row in enumerate(rows):
-            bit = 1 << i
+        for i, row in enumerate(rows):  # both masks in one walk of the rows
+            bit, u = 1 << i, 0
             for j in itertools.compress(points, row):
                 down[j] |= bit
+                u |= 1 << j
             down[i] ^= bit
-        self._set(labels, down, _checked_up_sets(down))
+            up[i] = u ^ bit
+        _check_order(down, up)
+        self._set(labels, down, up)
 
     def _set(
         self, labels: tuple[str, ...], down: Sequence[int], up: Sequence[int],
@@ -461,12 +472,18 @@ def _first_isomorphism(
     """The first colour- and relation-preserving bijection a -> b, as the
     list of images of a's points, that ``accept`` takes (any, by default).
 
-    ``masks_a`` and ``masks_b`` each hold per-point bitmasks of relations
-    listed so that ``masks[-1 - t]`` is the converse of ``masks[t]``: a
-    space passes ``(down, up)``, a symmetric relation ``(adj,)``.
-    Points of a are placed rarest colour bucket first, then by index; each
-    tries the points of b in its bucket in ascending index order, which
-    makes the answer deterministic.
+    ``masks_a`` and ``masks_b`` each hold the per-point bitmasks of one
+    irreflexive relation, followed by those of its converse unless it is
+    symmetric: a space passes ``(down, up)``, a symmetric relation
+    ``(adj,)``.  Points of a are placed rarest colour bucket first, then by
+    index; each tries the points of b in its bucket in ascending index
+    order, which makes the answer deterministic.
+
+    When every colour bucket holds one point, each point of a has one
+    candidate, so the backtracking could only return that bijection, and
+    only if it keeps every relation and ``accept`` takes it.  So it is
+    checked, not searched for: keeping ``masks[0]`` keeps its converse
+    ``masks[-1]`` too, and the answer is the backtracker's.
     """
     if sorted(col_a) != sorted(col_b):
         return None
@@ -474,6 +491,16 @@ def _first_isomorphism(
     buckets: dict = {}
     for j, c in enumerate(col_b):
         buckets.setdefault(c, []).append(j)
+    if len(buckets) == n:  # discrete colours: one candidate per point
+        image = [buckets[c][0] for c in col_a]
+        bits, rel_b = [1 << j for j in image], masks_b[0]
+        for m, j in zip(masks_a[0], image):
+            got = 0
+            for x in _members(m):
+                got |= bits[x]
+            if got != rel_b[j]:
+                return None
+        return image if accept is None or accept(image) else None
     order = sorted(range(n), key=lambda i: (len(buckets[col_a[i]]), i))
 
     # Relations to the points already placed, as one bitmask over search
@@ -530,8 +557,9 @@ def is_isomorphic(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
     Returns the label mapping if one exists, else None.  Candidates must
     share the refined (height, up-degree, down-degree) colour, which each
     space computes once (see ``FiniteSpace._colours``); spaces whose
-    refinement keys differ are not compared further.  See ``_first_isomorphism`` for the placement and
-    candidate order.
+    refinement keys differ are not compared further.  See
+    ``_first_isomorphism`` for the placement and candidate order, and for
+    the forced bijection of all-distinct colours.
     """
     if a.n != b.n:
         return None

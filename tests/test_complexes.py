@@ -19,7 +19,7 @@ from finspace.complexes import (
 from finspace.corpus import load
 from finspace.functors import barycentric_subdivision, order_complex, translate_space_collapse
 
-from util import random_complex
+from util import calls, complex_isomorphic_oracle, nested_code, random_complex
 
 FULL_TRIANGLE = from_facets([["a", "b", "c"]])
 HOLLOW_TRIANGLE = from_facets([["a", "b"], ["b", "c"], ["a", "c"]])
@@ -247,6 +247,23 @@ def test_equal_f_vectors_with_other_signatures_skip_the_engine(monkeypatch):
     monkeypatch.setattr(complexes, "_first_isomorphism", engine)
     assert complex_isomorphic(square, path) is None
     assert complex_isomorphic(path, square) is None
+
+
+def test_distinct_vertex_signatures_force_the_oracles_bijection():
+    # a triangle bce with a tail b-d and a path b-a-c: every vertex's
+    # signature differs, so the engine tests one bijection and no other
+    k = from_facets([["a", "b"], ["a", "c"], ["b", "d"], ["b", "c", "e"]])
+    sig = k._signatures()
+    assert len(set(sig)) == len(sig)
+    names = {"a": "z3", "b": "z0", "c": "z4", "d": "z1", "e": "z2"}
+    relabeled = from_facets([[names[v] for v in f] for f in k.facets()])
+    onto = nested_code(complex_isomorphic, "onto")
+    mark = nested_code(complexes._first_isomorphism, "mark")
+    found = []
+    assert calls(onto, lambda: found.append(complex_isomorphic(k, relabeled))) == 1
+    assert calls(mark, lambda: complex_isomorphic(k, relabeled)) == 0
+    assert found[0] == complex_isomorphic_oracle(k, relabeled) == names
+
 
 def test_dotted_label_sorts():
     assert dotted_label(frozenset(["b", "a"])) == "a.b"

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from finspace import spaces
 from finspace.spaces import FiniteSpace, from_covers, is_isomorphic
 
-from util import heights_oracle, leq_matrix, random_poset
+from util import calls, heights_oracle, isomorphic_oracle, leq_matrix, nested_code, random_poset
 
 
 def chain(n):
@@ -129,20 +128,55 @@ def test_isomorphism_rejects_different_shapes():
 
 def _refinements(call) -> int:
     """How many times ``call()`` runs the colour refinement of a space."""
-    code = FiniteSpace._colours.__wrapped__.__code__
-    runs = 0
+    return calls(FiniteSpace._colours.__wrapped__.__code__, call)
 
-    def count(frame, event, arg):
-        nonlocal runs
-        runs += event == "call" and frame.f_code is code
 
-    outer = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        call()
-    finally:
-        sys.setprofile(outer)
-    return runs
+def _marks(call) -> int:
+    """How many times ``call()`` runs the engine's ``mark``, which every
+    search calls to set up and to place or unplace a point."""
+    return calls(nested_code(spaces._first_isomorphism, "mark"), call)
+
+
+def _covers(text):
+    return [tuple(pair.split("<")) for pair in text.split()]
+
+
+# Equal refinement keys and all-distinct colours, so the colours force one
+# bijection (p0 <-> p1, p3 <-> p6, the rest fixed); it sends a's p1 < p3 to
+# b's p0 and p6, which are incomparable, and only a relation check sees it.
+NEAR_MISS_A = from_covers(
+    [f"p{i}" for i in range(7)], _covers("p0<p2 p0<p4 p1<p3 p1<p4 p2<p3 p5<p6")
+)
+NEAR_MISS_B = from_covers(
+    [f"p{i}" for i in range(7)], _covers("p0<p3 p0<p4 p1<p2 p1<p4 p2<p6 p5<p6")
+)
+
+
+def test_discrete_colours_with_equal_keys_still_check_every_relation():
+    a, b = NEAR_MISS_A, NEAR_MISS_B
+    assert a._colours()[1] == b._colours()[1] and len(a._colours()[1]) == 1
+    assert sorted(a._colours()[0]) == sorted(b._colours()[0]) == list(range(7))
+    assert _marks(lambda: is_isomorphic(a, b)) == 0
+    assert is_isomorphic(a, b) is None is isomorphic_oracle(a, b)
+    assert is_isomorphic(b, a) is None is isomorphic_oracle(b, a)
+
+
+def test_discrete_colours_force_the_oracles_bijection_without_search():
+    a = NEAR_MISS_A
+    perm = [4, 6, 0, 2, 5, 1, 3]
+    relabeled = from_covers(  # point i of a is point perm[i] of the copy
+        [f"q{k}" for k in range(a.n)],
+        [(f"q{perm[i]}", f"q{perm[j]}") for i, j in a.covers()],
+    )
+    found = []
+    assert _marks(lambda: found.append(is_isomorphic(a, relabeled))) == 0
+    assert found[0] == isomorphic_oracle(a, relabeled) == {
+        f"p{i}": f"q{perm[i]}" for i in range(a.n)
+    }
+    # a shared colour still searches, and finds the oracle's bijection
+    square = from_covers(["a", "b", "c", "d"], _covers("a<c a<d b<c b<d"))
+    assert _marks(lambda: is_isomorphic(square, square)) > 0
+    assert is_isomorphic(square, square) == isomorphic_oracle(square, square)
 
 
 def test_isomorphism_refines_each_space_once():

@@ -25,6 +25,7 @@ from __future__ import annotations
 import operator
 import random
 import string
+import sys
 
 import numpy as np
 
@@ -49,6 +50,30 @@ from finspace.moves import (
     _attach,
 )
 from finspace.spaces import FiniteSpace
+
+
+def calls(code, call) -> int:
+    """How many times ``call()`` runs the function with code object ``code``."""
+    runs = 0
+
+    def count(frame, event, arg):
+        nonlocal runs
+        runs += event == "call" and frame.f_code is code
+
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(outer)
+    return runs
+
+
+def nested_code(function, name: str):
+    """The code object of the function ``name`` defined inside ``function``."""
+    return next(
+        c for c in function.__code__.co_consts if getattr(c, "co_name", None) == name
+    )
 
 
 def leq_matrix(space: FiniteSpace) -> np.ndarray:
