@@ -8,8 +8,10 @@ Free pairs, collapses (in search too), face posets and the facets of a
 complex built from outside read one face index, built once: each simplex's
 position in ``simplices`` and the ascending positions of its cofacets, the
 simplices one vertex larger that contain it.  Facets have no cofacet, S is
-free when it has exactly one, and the face poset's masks are those lists
-closed upward and downward.  The start complex of a translated weak-point
+free when it has exactly one, and the functors close those lists upward
+and downward into the face poset's masks.  A collapse hands its child the
+parent's canonical order without the pair, so search children are not
+sorted again.  The start complex of a translated weak-point
 removal is given its facets, the maximal chains, by the functors' walk up
 the covers; every other complex, order complexes included, reads them off
 the face index.  The constructor
@@ -74,18 +76,21 @@ class SimplicialComplex:
         self._fill(fam)
 
     @classmethod
-    def _trusted(cls, family: frozenset[frozenset[str]]) -> "SimplicialComplex":
-        """A complex from a face-closed family of valid simplices, unchecked."""
+    def _trusted(cls, family: frozenset[frozenset[str]], *order) -> "SimplicialComplex":
+        """A complex from a face-closed family of valid simplices, unchecked;
+        ``order`` may give the family in canonical order and its sorted vertices."""
         k = cls.__new__(cls)
-        k._fill(family)
+        k._fill(family, *order)
         return k
 
-    def _fill(self, fam: frozenset[frozenset[str]]) -> None:
+    def _fill(self, fam: frozenset[frozenset[str]], simplices=None, vertices=None) -> None:
         self._set = fam
-        simplices = sorted(fam, key=sorted)  # the order of _key, in two stable sorts
-        simplices.sort(key=len)
+        if simplices is None:
+            simplices = sorted(fam, key=sorted)  # the order of _key, in two stable sorts
+            simplices.sort(key=len)
+            vertices = sorted(frozenset().union(*fam))
         self.simplices = tuple(simplices)
-        self.vertices = tuple(sorted(frozenset().union(*fam)))
+        self.vertices = tuple(vertices)
         self._memo: dict = {}
 
     @_cached
@@ -99,23 +104,6 @@ class SimplicialComplex:
                 for v in t:
                     cofacets[where[t - {v}]].append(i)
         return where, cofacets
-
-    def _inclusions(self) -> tuple[list[int], list[int]]:
-        """The strict down- and up-set masks of the simplices ordered by
-        inclusion: the cofacet lists closed ascending and descending."""
-        cofacets = self._faces()[1]
-        down = [0] * len(cofacets)
-        for i, above in enumerate(cofacets):
-            below = down[i] | 1 << i
-            for j in above:
-                down[j] |= below
-        up = [0] * len(cofacets)
-        for i in reversed(range(len(cofacets))):
-            u = 0
-            for j in cofacets[i]:
-                u |= up[j] | 1 << j
-            up[i] = u
-        return down, up
 
     # -- queries ---------------------------------------------------------
 
@@ -191,19 +179,24 @@ class SimplicialComplex:
     def elementary_collapse(
         self, face: Iterable[str], apex: str | None = None
     ) -> tuple["SimplicialComplex", "SimplicialMove"]:
-        """Remove the free pair (face, face + {apex})."""
+        """Remove the free pair (face, face + {apex}); the child keeps the
+        parent's order without the pair, and loses a vertex when the face is one."""
         fs = frozenset(face)
         where, cofacets = self._faces()
         if fs not in where:
             raise ValueError(f"{sorted(fs)} is not a simplex here")
-        above = cofacets[where[fs]]
+        i = where[fs]
+        above = cofacets[i]
         if len(above) != 1:
             n = len(self.proper_cofaces(fs))
             raise ValueError(f"{sorted(fs)} is not free: {n} proper cofaces")
-        (found,) = self.simplices[above[0]] - fs
+        j, simplices = above[0], self.simplices
+        (found,) = simplices[j] - fs
         if apex is not None and apex != found:
             raise ValueError(f"coface vertex is {found!r}, not {apex!r}")
-        smaller = SimplicialComplex._trusted(self._set - {fs, fs | {found}})
+        vertices = [v for v in self.vertices if v not in fs] if len(fs) == 1 else self.vertices
+        rest = simplices[:i] + simplices[i + 1:j] + simplices[j + 1:]
+        smaller = SimplicialComplex._trusted(self._set - {fs, simplices[j]}, rest, vertices)
         return smaller, SimplicialMove("remove", tuple(sorted(fs)), found)
 
     def elementary_expand(

@@ -7,8 +7,8 @@ and are stored with it.  The maximal chains are reached on their own by a
 walk up the covers, so K(X) is printed from its vertices and facets without
 building its other chains.  Round trips produce barycentric subdivisions: the
 subdivision of a space is the face poset of its order complex, built from
-that complex, and the comparison map sending a chain to its maximum is
-distinguished.
+the chain index tuples without that complex, and the comparison map
+sending a chain to its maximum is distinguished.
 
 The two certificate translators live here as well:
 
@@ -20,8 +20,9 @@ The two certificate translators live here as well:
   exactly two weak point removals on the face poset.
 
 ``cylinder_certificates`` produces the certified expand-then-collapse routes
-through the mapping cylinder of a map; ``bridge_space`` is the cylinder of the
-comparison map from the subdivision.
+through the mapping cylinder of a map, whose masks and covers come from the
+map's fibres; ``bridge_space`` is the cylinder of the comparison map from the
+subdivision.
 """
 
 from __future__ import annotations
@@ -146,12 +147,28 @@ def order_complex(space: FiniteSpace) -> SimplicialComplex:
     )
 
 
-def _inclusion_poset(k: SimplicialComplex, labels: tuple[str, ...]) -> FiniteSpace:
-    """The simplices of ``k`` ordered by inclusion under ``labels``, with the
-    face index's cofacet lists stored as its covers."""
-    cofacets = k._faces()[1]
+def _cofacet_poset(labels: tuple[str, ...], cofacets: list[list[int]]) -> FiniteSpace:
+    """The simplices of a face index, listed by size and named ``labels``,
+    ordered by inclusion.
+
+    ``cofacets[i]`` lists simplex i's cofacets ascending: they are the
+    covers, closed ascending into the down-sets and descending into the
+    up-sets, and ``range(n)`` is the linear extension."""
+    n = len(cofacets)
+    down = [0] * n
+    for i, above in enumerate(cofacets):
+        below = down[i] | 1 << i
+        for j in above:
+            down[j] |= below
+    up = [0] * n
+    for i in reversed(range(n)):
+        u = 0
+        for j in cofacets[i]:
+            u |= up[j] | 1 << j
+        up[i] = u
     covers = tuple([(i, j) for i, above in enumerate(cofacets) for j in above])
-    return _store(_trusted(labels, *k._inclusions()), FiniteSpace.covers, covers)
+    space = _store(_trusted(labels, down, up), FiniteSpace.covers, covers)
+    return _store(space, FiniteSpace.linear_extension, tuple(range(n)))
 
 
 def face_poset(k: SimplicialComplex) -> FiniteSpace:
@@ -164,30 +181,40 @@ def face_poset(k: SimplicialComplex) -> FiniteSpace:
     labels = tuple(dotted_label(s) for s in k.simplices)
     if len(set(labels)) != len(labels):
         raise ValueError("dotted simplex names collide; rename the vertices")
-    return _inclusion_poset(k, labels)
+    return _cofacet_poset(labels, k._faces()[1])
 
 
 def _subdivision(
     space: FiniteSpace, name: Callable[[Sequence[str]], str]
 ) -> tuple[FiniteSpace, tuple[int, ...]]:
-    """The face poset of the order complex, and each chain's maximum.
+    """The chains of the space ordered by inclusion, and each chain's maximum.
 
-    Chains come in the complex's canonical order; ``name`` gets each chain's
-    labels in ascending order, which is by height.
+    The index tuples of ``_chains``, ascending in the order, are sorted once
+    into K(X)'s canonical order, by length and sorted label ranks; deleting
+    one entry of a chain gives a facet.  ``name`` gets each chain's labels
+    by height, and the last entry is the maximum.
     """
-    k = order_complex(space)
-    height = dict(zip(space.labels, space.heights()))
-    chains = [sorted(s, key=height.__getitem__) for s in k.simplices]
-    labels = tuple(name(c) for c in chains)
-    if len(set(labels)) != len(labels):
+    labels = space.labels
+    rank = {i: r for r, i in enumerate(sorted(range(space.n), key=labels.__getitem__))}
+    chains = _chains(space)
+    chains.sort(key=lambda c: (len(c), sorted([rank[i] for i in c])))
+    where = {c: p for p, c in enumerate(chains)}
+    cofacets: list[list[int]] = [[] for _ in chains]
+    for p, c in enumerate(chains):
+        if len(c) > 1:
+            for k in range(len(c)):
+                cofacets[where[c[:k] + c[k + 1:]]].append(p)
+    names = tuple(name([labels[i] for i in c]) for c in chains)
+    if len(set(names)) != len(names):
         raise ValueError("chain names collide; rename the points")
-    return _inclusion_poset(k, labels), tuple(space.index(c[-1]) for c in chains)
+    return _cofacet_poset(names, cofacets), tuple(c[-1] for c in chains)
 
 
 def space_subdivision(space: FiniteSpace) -> FiniteSpace:
-    """The chains of the space ordered by inclusion, with dotted names.
+    """The chains of the space ordered by inclusion, with dotted names,
+    built from the chain index without the order complex.
 
-    Equals ``face_poset(order_complex(space))`` on the nose.
+    Equals ``face_poset(order_complex(space))`` on the nose, index order too.
     """
     return _subdivision(space, dotted_label)[0]
 
@@ -272,19 +299,19 @@ def _cylinder_routes(
     is distinguished."""
     cyl = mapping_cylinder(f)
     dom, cod = f.dom, f.cod
-    start = _trusted(tuple("R:" + l for l in cod.labels), *cod.masks())
+    left, right = cyl.labels[:dom.n], cyl.labels[dom.n:]
+    start = _trusted(right, *cod.masks())
     dom_down, cod_up = dom.masks()[0], cod.masks()[1]
-    adds = []
-    for i in dom.linear_extension():
-        y = f.images[i]
-        down = tuple(sorted("L:" + dom.labels[j] for j in _members(dom_down[i])))
-        up = tuple(sorted("R:" + cod.labels[z] for z in _members(cod_up[y] | 1 << y)))
-        adds.append(SpaceMove("add", "L:" + dom.labels[i], "up-weak", down=down, up=up))
-    removals = tuple(
-        SpaceMove("remove", "R:" + cod.labels[y], "down-weak")
-        for y in cod.linear_extension()
+    # the closed up-set of f(x), where L:x attaches, once per image
+    ups = {y: tuple(sorted([right[z] for z in _members(cod_up[y] | 1 << y)]))
+           for y in set(f.images)}
+    adds = tuple(
+        SpaceMove("add", left[i], "up-weak", up=ups[f.images[i]],
+                  down=tuple(sorted([left[j] for j in _members(dom_down[i])])))
+        for i in dom.linear_extension()
     )
-    return cyl, SpaceMoveCertificate(start, tuple(adds)), removals
+    removals = tuple(SpaceMove("remove", right[y], "down-weak") for y in cod.linear_extension())
+    return cyl, SpaceMoveCertificate(start, adds), removals
 
 
 def cylinder_certificates(f: ContinuousMap) -> CylinderCertificates:
@@ -299,9 +326,11 @@ def cylinder_certificates(f: ContinuousMap) -> CylinderCertificates:
 def bridge_space(space: FiniteSpace) -> CylinderCertificates:
     """The bridge B(X), the mapping cylinder of h, with chains named ``a<b<c``.
 
-    ``expansion`` starts at the space (R-copy) and adds every chain;
-    ``collapse`` starts at the bridge and deletes the R-copy, ending on the
-    subdivision (L-copy).  h is distinguished, so the collapse always exists.
+    The subdivision and h come from the chain index and the cylinder from
+    h's fibres, so K(X) is never built as label sets.  ``expansion`` starts
+    at the space (R-copy) and adds every chain; ``collapse`` starts at the
+    bridge and deletes the R-copy, ending on the subdivision (L-copy).  h is
+    distinguished, so the collapse always exists.
     """
     dom, maxima = _subdivision(space, chain_label)
     cyl, expansion, removals = _cylinder_routes(ContinuousMap(dom, space, maxima))

@@ -10,8 +10,9 @@ send it above or below there; the maps comparable with u are then one AND
 per position.  The table is refused past ``TABLE_BIT_LIMIT`` bits.  A map is
 distinguished when every minimal open set pulls back to a contractible
 subspace, tested as a mask of the domain's points; these are the maps whose
-non-Hausdorff mapping cylinder collapses back onto the domain.  Membership
-evidence is replayed on label sets, as certificates are, not on those masks.
+non-Hausdorff mapping cylinder, built from the map's fibres, collapses back
+onto the domain.  Membership evidence is replayed on label sets, as
+certificates are, not on those masks.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .spaces import FiniteSpace, _members, _trusted, _up_sets
+from .spaces import FiniteSpace, _members, _store, _trusted
 from .moves import _contractible_in, _label_sets, _literally_contractible
 
 __all__ = [
@@ -368,17 +369,34 @@ def mapping_cylinder(f: ContinuousMap) -> FiniteSpace:
     """The space on dom + cod where x <= y exactly when f(x) <= y.
 
     Domain points keep their order and sit below the codomain copy; both
-    copies embed as subspaces (labels get L:/R: prefixes).
+    copies embed as subspaces (labels get L:/R: prefixes).  Below R:z lie
+    the fibres of z and of the points below it.  The stored covers are the
+    domain's, the codomain's shifted, and (L:x, R:f(x)) exactly when no
+    point above x shares its fibre: R:f(x) lies between L:x and any other
+    R:y above it, and a point between L:x and R:f(x) is an L:z with x < z
+    and f(z) <= f(x), so f(z) = f(x) by monotonicity.  Nothing of one copy
+    lies between two points of the other.
     """
-    n = f.dom.n
-    cod_down, cod_up = f.cod.masks()
-    down = list(f.dom.masks()[0]) + [d << n for d in cod_down]
-    for x, y in enumerate(f.images):
-        for z in _members(cod_up[y] | 1 << y):
-            down[n + z] |= 1 << x
-    labels = tuple("L:" + l for l in f.dom.labels) + tuple("R:" + l for l in f.cod.labels)
+    dom, cod, images = f.dom, f.cod, f.images
+    n = dom.n
+    dom_down, dom_up = dom.masks()
+    cod_down, cod_up = cod.masks()
+    fibre = [0] * cod.n
+    for x, y in enumerate(images):
+        fibre[y] |= 1 << x
+    down = list(dom_down)
+    for z, d in enumerate(cod_down):
+        below = fibre[z]
+        for w in _members(d):
+            below |= fibre[w]
+        down.append(below | d << n)
+    up = [u | (cod_up[y] | 1 << y) << n for u, y in zip(dom_up, images)]
+    up += [u << n for u in cod_up]
+    crosses = tuple((x, n + y) for x, y in enumerate(images) if not dom_up[x] & fibre[y])
+    covers = tuple(sorted(dom.covers() + crosses)) + tuple((n + i, n + j) for i, j in cod.covers())
+    labels = tuple("L:" + l for l in dom.labels) + tuple("R:" + l for l in cod.labels)
     # f preserves the order, so this is an order on distinct valid labels
-    return _trusted(labels, down, _up_sets(down))
+    return _store(_trusted(labels, down, up), FiniteSpace.covers, covers)
 
 
 # -- membership evidence -----------------------------------------------------------

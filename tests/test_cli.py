@@ -43,7 +43,7 @@ from finspace.functors import (
 from finspace.moves import SpaceMoveCertificate, collapse_search, core
 from finspace.spaces import from_covers
 
-from util import all_chains_brute, barycentric_oracle, random_complex, random_poset
+from util import all_chains_brute, barycentric_oracle, drawn_poset, random_complex, random_poset
 
 WALLET_POSET = """elements: t1 t2 x t4 m1 m2 m3 m4 c1 c2 c3
 cover: m1 t1
@@ -500,28 +500,10 @@ def _run(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def _relabelled(rng, data, space):
-    """The space under fresh labels, listed in a drawn order that differs
-    from label order and need not extend the partial order."""
-    labels = data.draw(st.permutations([f"p{i}" for i in range(space.n)]))
-    name = dict(zip(space.labels, labels))
-    pairs = [(name[x], name[y]) for x, y in space.hasse_edges()]
-    rng.shuffle(pairs)
-    return from_covers(data.draw(st.permutations(labels)), pairs)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(0, 8), st.data())
 def test_k_prints_the_complex_of_all_chains(rng, n, data):
-    shape = data.draw(st.sampled_from(["random", "chain", "antichain", "copies"]))
-    p = {"chain": 1.0, "antichain": 0.0}.get(shape, rng.random())
-    x = random_poset(rng, n // 2 if shape == "copies" else n, p)
-    if shape == "copies":
-        x = from_covers(
-            [f"{c}{l}" for c in "ab" for l in x.labels],
-            [(f"{c}{u}", f"{c}{v}") for c in "ab" for u, v in x.hasse_edges()],
-        )
-    x = _relabelled(rng, data, x)
+    x = drawn_poset(rng, data, n)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "x.poset")
         Path(path).write_text(format_space(x))
@@ -546,6 +528,22 @@ def test_k_and_subdivide_build_no_chain_family(monkeypatch):
         raise AssertionError("the chain family was built")
 
     monkeypatch.setattr("finspace.functors._chains", refuse)
+    assert [_run(argv) for argv in argvs] == before
+    assert all(code == 0 for code, _ in before)
+
+
+def test_subdivide_and_bridge_of_a_space_build_no_order_complex(monkeypatch):
+    # the subdivision comes from the chain index and the bridge's up-sets
+    # from the fibres of h, not from K(X) as label sets or a transposition
+    argvs = [["subdivide", "example:wallet"], ["subdivide", "example:sd3"],
+             ["bridge", "example:wallet"]]
+    before = [_run(argv) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a slow route was taken")
+
+    monkeypatch.setattr("finspace.functors.order_complex", refuse)
+    monkeypatch.setattr("finspace.spaces._up_sets", refuse)
     assert [_run(argv) for argv in argvs] == before
     assert all(code == 0 for code, _ in before)
 

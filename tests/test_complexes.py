@@ -126,7 +126,7 @@ def test_verifier_rescans_cofaces_and_revalidates(monkeypatch):
         raise AssertionError("the verifier used a fast path")
 
     monkeypatch.setattr(SimplicialComplex, "_faces", refuse)
-    monkeypatch.setattr(SimplicialComplex, "_inclusions", refuse)
+    monkeypatch.setattr("finspace.functors._cofacet_poset", refuse)
     monkeypatch.setattr(SimplicialComplex, "_trusted", refuse)
     res = verify_simplicial_certificate(collapse)
     assert res.ok and len(res.final) == 1

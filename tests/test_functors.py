@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finspace.complexes import (
     from_facets,
@@ -22,11 +24,20 @@ from finspace.functors import (
     translate_simplicial_collapse,
     translate_space_collapse,
 )
-from finspace.maps import ContinuousMap, is_distinguished
+from finspace.maps import ContinuousMap, is_distinguished, mapping_cylinder
 from finspace.moves import verify_space_certificate, weak_points
 from finspace.spaces import FiniteSpace, from_covers, is_isomorphic
 
-from util import all_chains_brute, barycentric_oracle, random_monotone_map, random_poset
+from util import (
+    all_chains_brute,
+    barycentric_oracle,
+    covers_oracle,
+    cylinder_oracle,
+    drawn_poset,
+    linear_extension_oracle,
+    random_monotone_map,
+    random_poset,
+)
 
 
 def test_order_complex_matches_chain_enumeration():
@@ -72,6 +83,21 @@ def test_h_map_collapses_subdivision():
         assert h.cod == x
         rep = is_distinguished(h)
         assert rep.ok, rep.failing
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 8), st.data())
+def test_subdivision_matches_the_complex_route_in_index_order(rng, n, data):
+    # stdout follows index order, which labelled equality ignores
+    x = drawn_poset(rng, data, n)
+    k = order_complex(x)
+    want = face_poset(k)
+    got = space_subdivision(x)
+    assert got.labels == want.labels and got.masks() == want.masks()
+    assert got.covers() == want.covers()
+    assert got.linear_extension() == tuple(linear_extension_oracle(want))
+    maxima = [next(v for v in s if all(x.is_leq(w, v) for w in s)) for s in k.simplices]
+    assert h_map(x).images == tuple(x.index(v) for v in maxima)
 
 
 def test_h_map_is_natural():
@@ -140,6 +166,28 @@ def test_cylinder_collapse_exists_iff_distinguished():
             assert bundle.collapse is None
             assert bundle.refused_at is not None
     assert seen_yes and seen_no
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.randoms(use_true_random=False), st.integers(0, 6), st.integers(2, 6),
+    st.sampled_from(["random", "constant", "identity", "h"]), st.data(),
+)
+def test_mapping_cylinder_matches_its_definition(rng, n, m, kind, data):
+    dom = drawn_poset(rng, data, n)
+    cod = drawn_poset(rng, data, m)
+    if kind == "random":
+        f = random_monotone_map(rng, dom, cod)
+    elif kind == "constant":
+        f = ContinuousMap.constant(dom, cod, data.draw(st.sampled_from(cod.labels)))
+    elif kind == "identity":
+        f = ContinuousMap.identity(dom)
+    else:
+        f = h_map(dom)
+    cyl = mapping_cylinder(f)
+    want = cylinder_oracle(f)
+    assert cyl.labels == want.labels and cyl.masks() == want.masks()
+    assert list(cyl.covers()) == covers_oracle(want)
 
 
 def test_cylinder_refusal_names_first_bad_point():

@@ -9,7 +9,8 @@ punctured set and compare refined signatures as nested tuples.  The bitmask
 code in ``finspace`` must agree with them exactly.  Facets and free pairs of
 a complex have pairwise coface scans as oracles, fence search the
 breadth-first scan that compares every frontier map with every map,
-``FiniteSpace.index`` its path without the in-range int shortcut,
+``FiniteSpace.index`` its path without the in-range int shortcut, the
+mapping cylinder its matrix,
 Smith normal form the two-phase elimination: sparse unit pivots, then a
 dense residue, and complex isomorphism its own earlier backtracker, which
 checks each candidate against every placed vertex through frozenset edge
@@ -28,6 +29,7 @@ import string
 import sys
 
 import numpy as np
+from hypothesis import strategies as st
 
 from finspace.complexes import (
     SimplicialComplex,
@@ -49,7 +51,7 @@ from finspace.moves import (
     SpaceMoveCertificate,
     _attach,
 )
-from finspace.spaces import FiniteSpace
+from finspace.spaces import FiniteSpace, from_covers
 
 
 def calls(code, call) -> int:
@@ -399,6 +401,40 @@ def random_poset(rng: random.Random, n: int, p: float = 0.3) -> FiniteSpace:
             if rng.random() < p:
                 rel[i, j] = True
     return FiniteSpace(tuple(f"p{i}" for i in range(n)), transitive_closure(rel))
+
+
+def drawn_poset(rng: random.Random, data, n: int) -> FiniteSpace:
+    """A random poset, a chain, an antichain or two disjoint copies of a
+    random poset on ``n`` points (one fewer for odd copies), under fresh
+    labels listed in a drawn order that differs from label order and need
+    not extend the partial order; ``data`` is hypothesis's draw object."""
+    shape = data.draw(st.sampled_from(["random", "chain", "antichain", "copies"]))
+    p = {"chain": 1.0, "antichain": 0.0}.get(shape, rng.random())
+    x = random_poset(rng, n // 2 if shape == "copies" else n, p)
+    if shape == "copies":
+        x = from_covers(
+            [f"{c}{l}" for c in "ab" for l in x.labels],
+            [(f"{c}{u}", f"{c}{v}") for c in "ab" for u, v in x.hasse_edges()],
+        )
+    labels = data.draw(st.permutations([f"p{i}" for i in range(x.n)]))
+    name = dict(zip(x.labels, labels))
+    pairs = [(name[a], name[b]) for a, b in x.hasse_edges()]
+    rng.shuffle(pairs)
+    return from_covers(data.draw(st.permutations(labels)), pairs)
+
+
+def cylinder_oracle(f: ContinuousMap) -> FiniteSpace:
+    """The mapping cylinder from its definition, as a matrix: the domain
+    and codomain orders on the diagonal, and L:x <= R:y iff f(x) <= y."""
+    n, m = f.dom.n, f.cod.n
+    leq = np.zeros((n + m, n + m), dtype=bool)
+    leq[:n, :n] = leq_matrix(f.dom)
+    leq[n:, n:] = leq_matrix(f.cod)
+    for x, fx in enumerate(f.images):
+        for y in range(m):
+            leq[x, n + y] = f.cod.is_leq(fx, y)
+    labels = [f"L:{l}" for l in f.dom.labels] + [f"R:{l}" for l in f.cod.labels]
+    return FiniteSpace(labels, leq)
 
 
 def random_complex(
