@@ -1,10 +1,11 @@
 """Text formats for spaces, complexes, maps and certificates, plus DOT export.
 
 Everything is line oriented and whitespace separated; ``#`` starts a comment.
-A ``.poset`` file lists the points and the covering pairs; a ``.cplx`` file
-lists vertices and facets; a ``.map`` file points at two space files and
-lists one ``send`` line per point.  Certificates start with either a
-reference to a file (``start: path``) or an inline block (bare ``start:``
+A ``.poset`` file lists the points and the covering pairs, each read as an
+index pair (a fault is reported at its line) for ``spaces._closed``; a
+``.cplx`` file lists vertices and facets; a ``.map`` file points at two space
+files and lists one ``send`` line per point.  Certificates start with either
+a reference to a file (``start: path``) or an inline block (bare ``start:``
 followed by the usual space or complex lines), then one move per line.
 
 Anywhere a path is expected, ``example:<name>`` loads a built-in instead.
@@ -25,7 +26,7 @@ from .complexes import (
 from .corpus import load
 from .maps import ContinuousMap
 from .moves import SIDES, SpaceMove, SpaceMoveCertificate
-from .spaces import FiniteSpace, from_covers
+from .spaces import FiniteSpace, _checked_labels, _closed
 
 __all__ = [
     "ParseError",
@@ -65,12 +66,9 @@ def _read_text(path: str) -> str:
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((no, line))
-    return out
+    """The numbered lines that are not blank once their comments are cut off."""
+    lines = enumerate(text.splitlines(), 1)
+    return [(no, line) for no, raw in lines if (line := raw.split("#", 1)[0].strip())]
 
 
 def _example(name: str, want: tuple[type, ...], source: str) -> object:
@@ -93,32 +91,35 @@ def parse_space(text: str, source: str = "<string>") -> FiniteSpace:
 
 def _space_from_lines(lines: list[tuple[int, str]], source: str) -> FiniteSpace:
     elements: list[str] | None = None
-    known: set[str] = set()
-    covers: list[tuple[str, str]] = []
+    index: dict[str, int] = {}
+    pairs: list[tuple[int, int]] = []
     head_line = None
     for no, line in lines:
         parts = line.split()
-        if parts[0] == "elements:":
-            if elements is not None:
-                raise ParseError(source, no, "second elements: line")
-            elements = parts[1:]
-            known = set(elements)
-            head_line = no
-        elif parts[0] == "cover:":
+        if parts[0] == "cover:":
             if len(parts) != 3:
                 raise ParseError(source, no, "cover: needs exactly two labels")
             if elements is None:
                 raise ParseError(source, no, "cover: before elements:")
-            for p in parts[1:]:
-                if p not in known:
-                    raise ParseError(source, no, f"unknown point {p!r}")
-            covers.append((parts[1], parts[2]))
+            x, y = parts[1], parts[2]
+            lo, hi = index.get(x), index.get(y)
+            if lo is None or hi is None:
+                raise ParseError(source, no, f"unknown point {x if lo is None else y!r}")
+            if lo == hi:
+                raise ParseError(source, no, f"cover pair ({x!r}, {y!r}) relates a point to itself")
+            pairs.append((lo, hi))
+        elif parts[0] == "elements:":
+            if elements is not None:
+                raise ParseError(source, no, "second elements: line")
+            elements = parts[1:]
+            index = {lab: i for i, lab in enumerate(elements)}
+            head_line = no
         else:
             raise ParseError(source, no, f"unexpected line {line!r}")
     if elements is None:
         raise ParseError(source, None, "missing elements: line")
     try:
-        return from_covers(elements, covers)
+        return _closed(_checked_labels(elements), index, pairs)
     except ValueError as exc:
         raise ParseError(source, head_line, str(exc)) from exc
 

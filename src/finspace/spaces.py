@@ -9,14 +9,17 @@ one.  Minimal open sets, closures and Hasse diagrams are read off the
 masks (a builder that already holds the covers stores them instead, through
 ``_store``), heights are peeled off them level by level, and the beat, core
 and isomorphism kernels work on them directly; ``is_leq(x, y)`` is the plain
-accessor for code that reads the order one pair at a time.  Isomorphism
-colours are refined once per space and cached with it, like its heights,
-signatures and covers, so comparing one space with many others refines each
-of them once; refinement stops as soon as the colours are all distinct or a
-round splits no class.  The one isomorphism engine, ``_first_isomorphism``,
-also serves complexes, on vertex signatures and edge masks; it searches only
-when some colour is shared, and checks the one bijection all-distinct
-colours force.  The matrix constructor builds both masks in one row walk.
+accessor for code that reads the order one pair at a time.  ``_closed``
+closes the cover pairs of ``from_covers`` and the ``.poset`` parser, and
+``is_isomorphic`` refines neither space when their cached fingerprints
+differ.  Isomorphism colours are refined once per space and cached with it,
+like its heights, signatures and covers, so comparing one space with many
+others refines each of them once; refinement stops as soon as the colours
+are all distinct or a round splits no class.  The one isomorphism engine,
+``_first_isomorphism``, also serves complexes, on vertex signatures and edge
+masks; it searches only when some colour is shared, and checks the one
+bijection all-distinct colours force.  The matrix constructor builds both
+masks in one row walk.
 """
 
 from __future__ import annotations
@@ -96,8 +99,7 @@ def _checked_up_sets(down: Sequence[int]) -> list[int]:
 
 
 def _kahn(down: Sequence[int], up: Sequence[int]) -> list[int]:
-    """Topological order of an acyclic relation, lowest available index
-    first; shorter than ``down`` when the relation has a cycle."""
+    """Topological order of a strict order, lowest available index first."""
     pending = [d.bit_count() for d in down]
     ready = [i for i, p in enumerate(pending) if not p]
     out: list[int] = []
@@ -425,44 +427,50 @@ def _trusted(
     return space
 
 
-def from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> FiniteSpace:
-    """Build a space from cover pairs ``(x, y)`` meaning x < y.
+def _closed(labels: tuple[str, ...], index: dict[str, int], pairs: Iterable) -> FiniteSpace:
+    """The space on checked ``labels`` (indexed by ``index``) generated by
+    the index pairs (i, j), i < j: along a plain Kahn walk of the cover lists
+    (any topological order gives the same masks) a down-set ORs ``masks[i] |
+    1 << i`` over its lower covers, and back along it an up-set its upper."""
+    n = len(labels)
+    lower, upper = [[] for _ in labels], [[] for _ in labels]
+    for i, j in pairs:
+        lower[j].append(i)
+        upper[i].append(j)
+    pending = [len(below) for below in lower]
+    order = [j for j, p in enumerate(pending) if not p]
+    for i in order:  # the walk appends each point once its lower covers are in
+        for j in upper[i]:
+            pending[j] -= 1
+            if not pending[j]:
+                order.append(j)
+    if len(order) != n:  # a cycle breaks antisymmetry
+        raise ValueError("cover pairs contain a cycle")
+    down, up = [0] * n, [0] * n
+    for masks, covers, walk in ((down, lower, order), (up, upper, order[::-1])):
+        for j in walk:  # the covers of j are closed before it
+            m = 0
+            for i in covers[j]:
+                m |= masks[i] | 1 << i
+            masks[j] = m
+    return _trusted(labels, down, up, index)
 
-    Each point's masks start as its lower and upper covers, and one
-    topological order of the pairs closes both: a down-set ORs in the
-    down-sets of its lower covers forward along the order, an up-set those
-    of its upper covers backward along it.  Cycles are rejected because they
-    break antisymmetry.
-    """
+
+def from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> FiniteSpace:
+    """Build a space from cover pairs ``(x, y)`` meaning x < y (redundant and
+    transitive pairs are allowed): the labels are checked once, each pair is
+    mapped to an index pair, and ``_closed`` closes them."""
     labels = _checked_labels(labels)
     index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    down = [0] * n  # bit i of down[j]: (i, j) is a cover pair, until closed
-    up = [0] * n  # bit j of up[i]: (i, j) is a cover pair, until closed
+    pairs = []
     for lo, hi in covers:
-        if lo not in index:
-            raise ValueError(f"unknown label {lo!r} in cover pair")
-        if hi not in index:
-            raise ValueError(f"unknown label {hi!r} in cover pair")
-        if lo == hi:
+        i, j = index.get(lo), index.get(hi)
+        if i is None or j is None:
+            raise ValueError(f"unknown label {lo if i is None else hi!r} in cover pair")
+        if i == j:
             raise ValueError(f"cover pair ({lo!r}, {hi!r}) relates a point to itself")
-        i, j = index[lo], index[hi]
-        down[j] |= 1 << i
-        up[i] |= 1 << j
-    order = _kahn(down, up)
-    if len(order) != n:
-        raise ValueError("cover pairs contain a cycle")
-    for j in order:  # the points below j are closed before it
-        d = down[j]
-        for i in _members(d):
-            d |= down[i]
-        down[j] = d
-    for i in reversed(order):  # the points above i are closed before it
-        u = up[i]
-        for j in _members(u):
-            u |= up[j]
-        up[i] = u
-    return _trusted(labels, down, up, index)
+        pairs.append((i, j))
+    return _closed(labels, index, pairs)
 
 
 def _first_isomorphism(
@@ -554,14 +562,15 @@ def _first_isomorphism(
 def is_isomorphic(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
     """Search for an order isomorphism a -> b.
 
-    Returns the label mapping if one exists, else None.  Candidates must
-    share the refined (height, up-degree, down-degree) colour, which each
-    space computes once (see ``FiniteSpace._colours``); spaces whose
-    refinement keys differ are not compared further.  See
+    Returns the label mapping if one exists, else None.  Spaces with other
+    (cached) fingerprints are not isomorphic, and neither is refined.
+    Candidates must share the refined (height, up-degree, down-degree)
+    colour, which each space computes once (see ``FiniteSpace._colours``);
+    spaces whose refinement keys differ are not compared further.  See
     ``_first_isomorphism`` for the placement and candidate order, and for
     the forced bijection of all-distinct colours.
     """
-    if a.n != b.n:
+    if a.fingerprint() != b.fingerprint():
         return None
     (col_a, key_a), (col_b, key_b) = a._colours(), b._colours()
     if key_a != key_b:

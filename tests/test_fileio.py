@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finspace.complexes import SimplicialMoveCertificate, from_facets
 from finspace.fileio import (
@@ -23,7 +25,7 @@ from finspace.functors import bridge_space, translate_space_collapse
 from finspace.moves import collapse_search
 from finspace.spaces import from_covers
 
-from util import random_complex, random_poset
+from util import closure_masks_oracle, random_complex, random_poset
 
 
 def test_space_round_trip():
@@ -55,6 +57,104 @@ def test_space_parse_errors_carry_line_numbers():
         parse_space("cover: a b\n")  # no elements line
     with pytest.raises(ParseError):
         parse_space("elements: a a\n")  # duplicate label
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 40), st.data())
+def test_parsed_cover_lines_close_to_the_oracle_and_to_from_covers(rng, n, data):
+    # the covers of a random poset under shuffled labels, some repeated and
+    # some transitive pairs added, in any order, among comments and blanks
+    space = random_poset(rng, n, rng.choice([0.05, 0.15, 0.4]))
+    down = space.masks()[0]
+    covers = set(space.covers())
+    transitive = [
+        (i, j) for j in range(n) for i in range(n) if down[j] >> i & 1 and (i, j) not in covers
+    ]
+    extra = rng.sample(sorted(covers), len(covers) // 4)
+    extra += rng.sample(transitive, min(6, len(transitive)))
+    pairs = [(space.labels[i], space.labels[j]) for i, j in sorted(covers) + extra]
+    pairs = data.draw(st.permutations(pairs))
+    elements = data.draw(st.permutations(space.labels))
+    lines = ["# a poset", "", "elements: " + " ".join(elements)]
+    for lo, hi in pairs:
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["", "   ", "# between covers"]))
+        lines.append(f"cover: {lo} {hi}" + rng.choice(["", "  # trailing", "\t"]))
+    text = "\n".join(lines) + "\n"
+
+    parsed = parse_space(text)
+    at = {label: k for k, label in enumerate(elements)}
+    assert parsed.labels == tuple(elements)
+    assert parsed.masks() == closure_masks_oracle(n, [(at[lo], at[hi]) for lo, hi in pairs])
+    built = from_covers(elements, pairs)
+    assert built.labels == parsed.labels and built.masks() == parsed.masks()
+    if pairs:
+        lo, hi = data.draw(st.sampled_from(pairs))
+        with pytest.raises(ParseError, match="cover pairs contain a cycle$"):
+            parse_space(text + f"cover: {hi} {lo}\n")
+
+
+# (case, text, str(ParseError) from parse_space, the same from a bare start:
+# block holding the text, which shifts every line by one).  The self-cover
+# rows are raised at the offending line, before any label-validity error.
+SPACE_PARSE_ERRORS = [
+    ("unknown-first", "elements: a b\ncover: y b\n", "s:2: unknown point 'y'", "s:3: unknown point 'y'"),
+    ("unknown-second", "elements: a b\ncover: a z\n", "s:2: unknown point 'z'", "s:3: unknown point 'z'"),
+    ("unknown-both", "elements: a b\ncover: y z\n", "s:2: unknown point 'y'", "s:3: unknown point 'y'"),
+    ("arity", "elements: a b\ncover: a b c\n",
+     "s:2: cover: needs exactly two labels", "s:3: cover: needs exactly two labels"),
+    ("cover-before-elements", "cover: a b\nelements: a b\n",
+     "s:1: cover: before elements:", "s:2: unexpected line 'cover: a b'"),
+    ("second-elements", "elements: a b\ncover: a b\nelements: c\n",
+     "s:3: second elements: line", "s:4: second elements: line"),
+    ("unexpected-line", "elements: a b\ncover: a b\nfacet: a b\n",
+     "s:3: unexpected line 'facet: a b'", "s:4: unexpected line 'facet: a b'"),
+    ("missing-elements", "# nothing\n\n",
+     "s: missing elements: line", "s:1: bare start: needs an inline space or complex"),
+    ("duplicate-label", "elements: a b a\ncover: a b\n", "s:1: duplicate label 'a'", "s:2: duplicate label 'a'"),
+    ("brace-in-label", "elements: a b{ c\ncover: a c\n",
+     "s:1: label 'b{' contains whitespace or one of { } #",
+     "s:2: label 'b{' contains whitespace or one of { } #"),
+    ("self-cover", "elements: a b\ncover: a b\ncover: b b\n",
+     "s:3: cover pair ('b', 'b') relates a point to itself",
+     "s:4: cover pair ('b', 'b') relates a point to itself"),
+    ("self-cover-before-duplicate", "elements: a a\ncover: a a\n",
+     "s:2: cover pair ('a', 'a') relates a point to itself",
+     "s:3: cover pair ('a', 'a') relates a point to itself"),
+    ("two-cycle", "elements: a b\ncover: a b\ncover: b a\n",
+     "s:1: cover pairs contain a cycle", "s:2: cover pairs contain a cycle"),
+    ("three-cycle", "elements: a b c\ncover: a b\ncover: b c\ncover: c a\n",
+     "s:1: cover pairs contain a cycle", "s:2: cover pairs contain a cycle"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, text, in_file, in_block", SPACE_PARSE_ERRORS, ids=[row[0] for row in SPACE_PARSE_ERRORS]
+)
+def test_space_parse_error_messages(case, text, in_file, in_block):
+    with pytest.raises(ParseError) as e:
+        parse_space(text, "s")
+    assert str(e.value) == in_file
+    with pytest.raises(ParseError) as e:
+        parse_certificate("start:\n" + text + "remove a beat-up\n", "s")
+    assert str(e.value) == in_block
+
+
+@pytest.mark.parametrize("labels, covers, message", [
+    ("ab", [("y", "b")], "unknown label 'y' in cover pair"),
+    ("ab", [("a", "z")], "unknown label 'z' in cover pair"),
+    ("ab", [("y", "z")], "unknown label 'y' in cover pair"),
+    ("ab", [("b", "b")], "cover pair ('b', 'b') relates a point to itself"),
+    ("aba", [], "duplicate label 'a'"),
+    (["a", "b{"], [], "label 'b{' contains whitespace or one of { } #"),
+    (["a", ""], [], "labels must be nonempty strings"),
+    ("ab", [("a", "b"), ("b", "a")], "cover pairs contain a cycle"),
+    ("abc", [("a", "b"), ("b", "c"), ("c", "a")], "cover pairs contain a cycle"),
+])
+def test_from_covers_error_messages(labels, covers, message):
+    with pytest.raises(ValueError) as e:
+        from_covers(list(labels), covers)
+    assert str(e.value) == message
 
 
 def test_complex_round_trip():

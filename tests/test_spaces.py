@@ -180,15 +180,27 @@ def test_discrete_colours_force_the_oracles_bijection_without_search():
 
 
 def test_isomorphism_refines_each_space_once():
+    # only spaces that share a's fingerprint are refined, each once: a and
+    # its three relabelled copies; the opposite and the second random poset
+    # differ in fingerprint and are turned away before refinement
     rng = random.Random(5)
     a = random_poset(rng, 7)
     others = [
         FiniteSpace.from_masks(tuple(f"q{k}{i}" for i in range(a.n)), a.masks()[0])
         for k in range(3)
     ] + [a.opposite(), a, random_poset(rng, 7)]
+    strangers = [others[3], others[5]]
+    assert all(s.fingerprint() != a.fingerprint() for s in strangers)
     runs = _refinements(lambda: [is_isomorphic(a, b) for b in others + others])
-    assert runs == len(others)  # a is among the others
+    assert runs == 4
     assert _refinements(lambda: [is_isomorphic(b, a) for b in others]) == 0
+    assert all(FiniteSpace._colours.__wrapped__ not in s._memo for s in strangers)
+    # a near miss, one cover dropped, loses a comparable pair: no refinement
+    b = FiniteSpace.from_masks(a.labels, a.masks()[0])
+    dropped = from_covers(a.labels, a.hasse_edges()[1:])
+    assert b.fingerprint() != dropped.fingerprint()
+    assert _refinements(lambda: is_isomorphic(b, dropped)) == 0
+    assert is_isomorphic(b, dropped) is None is isomorphic_oracle(b, dropped)
 
 
 def test_equal_fingerprints_with_other_refinements_skip_the_engine(monkeypatch):

@@ -99,6 +99,18 @@ def transitive_closure(rel: np.ndarray) -> np.ndarray:
         closed = step
 
 
+def closure_masks_oracle(n: int, pairs) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Strict down- and up-set masks of the order on ``n`` points that the
+    index pairs ``(i, j)``, i < j, generate, closed by matrix squaring."""
+    rel = np.eye(n, dtype=bool)
+    for i, j in pairs:
+        rel[i, j] = True
+    strict = transitive_closure(rel) & ~np.eye(n, dtype=bool)
+    down = tuple(sum(1 << i for i in range(n) if strict[i, j]) for j in range(n))
+    up = tuple(sum(1 << j for j in range(n) if strict[i, j]) for i in range(n))
+    return down, up
+
+
 def check_order_oracle(leq: np.ndarray) -> None:
     """The matrix constructor's order checks, with its error texts."""
     n = len(leq)
