@@ -1,12 +1,13 @@
 """Text formats for spaces, complexes, maps and certificates, plus DOT export.
 
 Everything is line oriented and whitespace separated; ``#`` starts a comment.
-A ``.poset`` file lists the points and the covering pairs, each read as an
-index pair (a fault is reported at its line) for ``spaces._closed``; a
+A ``.poset`` file lists the points and the covering pairs, read onto upper
+cover lists (a fault is reported at its line) for ``spaces._closed``; a
 ``.cplx`` file lists vertices and facets; a ``.map`` file points at two space
 files and lists one ``send`` line per point.  Certificates start with either
 a reference to a file (``start: path``) or an inline block (bare ``start:``
-followed by the usual space or complex lines), then one move per line.
+followed by space or complex lines, told apart by the first keyword), then
+one move per line.
 
 Anywhere a path is expected, ``example:<name>`` loads a built-in instead.
 """
@@ -92,7 +93,7 @@ def parse_space(text: str, source: str = "<string>") -> FiniteSpace:
 def _space_from_lines(lines: list[tuple[int, str]], source: str) -> FiniteSpace:
     elements: list[str] | None = None
     index: dict[str, int] = {}
-    pairs: list[tuple[int, int]] = []
+    upper: list[list[int]] = []
     head_line = None
     for no, line in lines:
         parts = line.split()
@@ -107,19 +108,20 @@ def _space_from_lines(lines: list[tuple[int, str]], source: str) -> FiniteSpace:
                 raise ParseError(source, no, f"unknown point {x if lo is None else y!r}")
             if lo == hi:
                 raise ParseError(source, no, f"cover pair ({x!r}, {y!r}) relates a point to itself")
-            pairs.append((lo, hi))
+            upper[lo].append(hi)
         elif parts[0] == "elements:":
             if elements is not None:
                 raise ParseError(source, no, "second elements: line")
             elements = parts[1:]
             index = {lab: i for i, lab in enumerate(elements)}
+            upper = [[] for _ in elements]
             head_line = no
         else:
             raise ParseError(source, no, f"unexpected line {line!r}")
     if elements is None:
         raise ParseError(source, None, "missing elements: line")
     try:
-        return _closed(_checked_labels(elements), index, pairs)
+        return _closed(_checked_labels(elements), index, upper)
     except ValueError as exc:
         raise ParseError(source, head_line, str(exc)) from exc
 
@@ -308,7 +310,7 @@ def parse_certificate(
             block.append(body.pop(0))
         if not block:
             raise ParseError(source, no, "bare start: needs an inline space or complex")
-        if block[0][1].startswith("elements:"):
+        if block[0][1].split()[0] in ("elements:", "cover:"):
             start = _space_from_lines(block, source)
         else:
             start = _complex_from_lines(block, source)

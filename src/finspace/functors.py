@@ -2,13 +2,14 @@
 
 The order complex of a space has the nonempty chains as simplices and the
 maximal chains as facets; the face poset of a complex orders the simplices by
-inclusion, read off the complex's face index, whose cofacets are its covers
-and are stored with it.  The maximal chains are reached on their own by a
-walk up the covers, so K(X) is printed from its vertices and facets without
-building its other chains.  Round trips produce barycentric subdivisions: the
-subdivision of a space is the face poset of its order complex, built from
-the chain index tuples without that complex, and the comparison map
-sending a chain to its maximum is distinguished.
+inclusion, read off the complex's face index, whose cofacets are its covers,
+stored with it and closed into its masks along ``range(n)``.  The maximal
+chains are reached on their own by a walk up the covers, so K(X) is printed
+from its vertices and facets without building its other chains.  Round
+trips produce barycentric subdivisions: the subdivision of a space is the
+face poset of its order complex, built from the chain index tuples without
+that complex, and the comparison map sending a chain to its maximum is
+distinguished.
 
 The two certificate translators live here as well:
 
@@ -20,9 +21,9 @@ The two certificate translators live here as well:
   exactly two weak point removals on the face poset.
 
 ``cylinder_certificates`` produces the certified expand-then-collapse routes
-through the mapping cylinder of a map, whose masks and covers come from the
-map's fibres; ``bridge_space`` is the cylinder of the comparison map from the
-subdivision.
+through the mapping cylinder of a map, whose covers come from the map's
+fibres and whose masks are closed from those covers; ``bridge_space`` is the
+cylinder of the comparison map from the subdivision.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .complexes import (
 )
 from .maps import ContinuousMap, is_distinguished, mapping_cylinder
 from .moves import SpaceMove, SpaceMoveCertificate, _strip_in
-from .spaces import FiniteSpace, _members, _store, _trusted
+from .spaces import FiniteSpace, _close_along, _members, _store, _trusted
 
 __all__ = [
     "order_complex",
@@ -152,22 +153,11 @@ def _cofacet_poset(labels: tuple[str, ...], cofacets: list[list[int]]) -> Finite
     ordered by inclusion.
 
     ``cofacets[i]`` lists simplex i's cofacets ascending: they are the
-    covers, closed ascending into the down-sets and descending into the
-    up-sets, and ``range(n)`` is the linear extension."""
+    covers, and a simplex comes after its faces, so ``range(n)`` is the
+    linear extension they are closed along."""
     n = len(cofacets)
-    down = [0] * n
-    for i, above in enumerate(cofacets):
-        below = down[i] | 1 << i
-        for j in above:
-            down[j] |= below
-    up = [0] * n
-    for i in reversed(range(n)):
-        u = 0
-        for j in cofacets[i]:
-            u |= up[j] | 1 << j
-        up[i] = u
     covers = tuple([(i, j) for i, above in enumerate(cofacets) for j in above])
-    space = _store(_trusted(labels, down, up), FiniteSpace.covers, covers)
+    space = _store(_close_along(labels, cofacets, range(n)), FiniteSpace.covers, covers)
     return _store(space, FiniteSpace.linear_extension, tuple(range(n)))
 
 

@@ -10,9 +10,9 @@ send it above or below there; the maps comparable with u are then one AND
 per position.  The table is refused past ``TABLE_BIT_LIMIT`` bits.  A map is
 distinguished when every minimal open set pulls back to a contractible
 subspace, tested as a mask of the domain's points; these are the maps whose
-non-Hausdorff mapping cylinder, built from the map's fibres, collapses back
-onto the domain.  Membership evidence is replayed on label sets, as
-certificates are, not on those masks.
+non-Hausdorff mapping cylinder (its covers read off the map's fibres, its
+masks closed from them) collapses back onto the domain.  Membership evidence
+is replayed on label sets, as certificates are, not on those masks.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .spaces import FiniteSpace, _members, _store, _trusted
+from .spaces import FiniteSpace, _close_along, _members, _store
 from .moves import _contractible_in, _label_sets, _literally_contractible
 
 __all__ = [
@@ -375,28 +375,25 @@ def mapping_cylinder(f: ContinuousMap) -> FiniteSpace:
     point above x shares its fibre: R:f(x) lies between L:x and any other
     R:y above it, and a point between L:x and R:f(x) is an L:z with x < z
     and f(z) <= f(x), so f(z) = f(x) by monotonicity.  Nothing of one copy
-    lies between two points of the other.
+    lies between two points of the other.  The masks are closed from these
+    covers along the domain's linear extension, then the codomain's shifted
+    by n: every cover between the copies goes from L to R.
     """
     dom, cod, images = f.dom, f.cod, f.images
     n = dom.n
-    dom_down, dom_up = dom.masks()
-    cod_down, cod_up = cod.masks()
     fibre = [0] * cod.n
     for x, y in enumerate(images):
         fibre[y] |= 1 << x
-    down = list(dom_down)
-    for z, d in enumerate(cod_down):
-        below = fibre[z]
-        for w in _members(d):
-            below |= fibre[w]
-        down.append(below | d << n)
-    up = [u | (cod_up[y] | 1 << y) << n for u, y in zip(dom_up, images)]
-    up += [u << n for u in cod_up]
+    dom_up = dom.masks()[1]
     crosses = tuple((x, n + y) for x, y in enumerate(images) if not dom_up[x] & fibre[y])
     covers = tuple(sorted(dom.covers() + crosses)) + tuple((n + i, n + j) for i, j in cod.covers())
+    upper: list[list[int]] = [[] for _ in range(n + cod.n)]
+    for i, j in covers:
+        upper[i].append(j)
+    order = dom.linear_extension() + tuple(n + y for y in cod.linear_extension())
     labels = tuple("L:" + l for l in dom.labels) + tuple("R:" + l for l in cod.labels)
     # f preserves the order, so this is an order on distinct valid labels
-    return _store(_trusted(labels, down, up), FiniteSpace.covers, covers)
+    return _store(_close_along(labels, upper, order), FiniteSpace.covers, covers)
 
 
 # -- membership evidence -----------------------------------------------------------

@@ -9,17 +9,19 @@ one.  Minimal open sets, closures and Hasse diagrams are read off the
 masks (a builder that already holds the covers stores them instead, through
 ``_store``), heights are peeled off them level by level, and the beat, core
 and isomorphism kernels work on them directly; ``is_leq(x, y)`` is the plain
-accessor for code that reads the order one pair at a time.  ``_closed``
-closes the cover pairs of ``from_covers`` and the ``.poset`` parser, and
-``is_isomorphic`` refines neither space when their cached fingerprints
-differ.  Isomorphism colours are refined once per space and cached with it,
-like its heights, signatures and covers, so comparing one space with many
-others refines each of them once; refinement stops as soon as the colours
-are all distinct or a round splits no class.  The one isomorphism engine,
-``_first_isomorphism``, also serves complexes, on vertex signatures and edge
-masks; it searches only when some colour is shared, and checks the one
-bijection all-distinct colours force.  The matrix constructor builds both
-masks in one row walk.
+accessor for code that reads the order one pair at a time.  One closure,
+``_close_along``, builds every space given by covers, along an order its
+caller holds: a Kahn walk for ``from_covers`` and the ``.poset`` parser,
+``range(n)`` for face posets, and the two copies' linear extensions for
+mapping cylinders.  ``is_isomorphic`` refines neither space when their
+cached fingerprints differ.  Isomorphism colours are refined once per space
+and cached with it, like its heights, signatures and covers, so comparing
+one space with many others refines each of them once; refinement stops as
+soon as the colours are all distinct or a round splits no class.  The one
+isomorphism engine, ``_first_isomorphism``, also serves complexes, on vertex
+signatures and edge masks; it searches only when some colour is shared, and
+checks the one bijection all-distinct colours force.  The matrix constructor
+builds both masks in one row walk.
 """
 
 from __future__ import annotations
@@ -96,21 +98,6 @@ def _checked_up_sets(down: Sequence[int]) -> list[int]:
     up = _up_sets(down)
     _check_order(down, up)
     return up
-
-
-def _kahn(down: Sequence[int], up: Sequence[int]) -> list[int]:
-    """Topological order of a strict order, lowest available index first."""
-    pending = [d.bit_count() for d in down]
-    ready = [i for i, p in enumerate(pending) if not p]
-    out: list[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        out.append(i)
-        for j in _members(up[i]):
-            pending[j] -= 1
-            if not pending[j]:
-                heapq.heappush(ready, j)
-    return out
 
 
 def _cached(method):
@@ -389,7 +376,17 @@ class FiniteSpace:
     @_cached
     def linear_extension(self) -> tuple[int, ...]:
         """Deterministic topological order: lowest available index first."""
-        return tuple(_kahn(self._down, self._up))
+        pending = [d.bit_count() for d in self._down]
+        ready = [i for i, p in enumerate(pending) if not p]
+        out: list[int] = []
+        while ready:
+            i = heapq.heappop(ready)
+            out.append(i)
+            for j in _members(self._up[i]):
+                pending[j] -= 1
+                if not pending[j]:
+                    heapq.heappush(ready, j)
+        return tuple(out)
 
     # -- comparisons -------------------------------------------------------
 
@@ -427,50 +424,60 @@ def _trusted(
     return space
 
 
-def _closed(labels: tuple[str, ...], index: dict[str, int], pairs: Iterable) -> FiniteSpace:
-    """The space on checked ``labels`` (indexed by ``index``) generated by
-    the index pairs (i, j), i < j: along a plain Kahn walk of the cover lists
-    (any topological order gives the same masks) a down-set ORs ``masks[i] |
-    1 << i`` over its lower covers, and back along it an up-set its upper."""
-    n = len(labels)
-    lower, upper = [[] for _ in labels], [[] for _ in labels]
-    for i, j in pairs:
-        lower[j].append(i)
-        upper[i].append(j)
-    pending = [len(below) for below in lower]
+def _close_along(
+    labels: tuple[str, ...], upper: Sequence[Sequence[int]], order: Sequence[int],
+    index: dict[str, int] | None = None,
+) -> FiniteSpace:
+    """The space on checked ``labels`` generated by the upper cover lists
+    ``upper`` (i < j for j in ``upper[i]``), closed along ``order``, any
+    topological order of them: each point pushes its closed down-set up its
+    covers, then, back along the order, ORs in their closed up-sets."""
+    n = len(upper)
+    down, up = [0] * n, [0] * n
+    for i in order:  # every point below i has pushed its down-set already
+        below = down[i] | 1 << i
+        for j in upper[i]:
+            down[j] |= below
+    for i in reversed(order):  # every point above i is closed already
+        u = 0
+        for j in upper[i]:
+            u |= up[j] | 1 << j
+        up[i] = u
+    return _trusted(labels, down, up, index)
+
+
+def _closed(labels: tuple[str, ...], index: dict[str, int], upper: list[list[int]]) -> FiniteSpace:
+    """``_close_along`` on the upper cover lists ``upper`` (repeats and
+    transitive entries allowed) along a plain Kahn walk of them."""
+    pending = [0] * len(labels)
+    for j in itertools.chain.from_iterable(upper):
+        pending[j] += 1
     order = [j for j, p in enumerate(pending) if not p]
     for i in order:  # the walk appends each point once its lower covers are in
         for j in upper[i]:
             pending[j] -= 1
             if not pending[j]:
                 order.append(j)
-    if len(order) != n:  # a cycle breaks antisymmetry
+    if len(order) != len(labels):  # a cycle breaks antisymmetry
         raise ValueError("cover pairs contain a cycle")
-    down, up = [0] * n, [0] * n
-    for masks, covers, walk in ((down, lower, order), (up, upper, order[::-1])):
-        for j in walk:  # the covers of j are closed before it
-            m = 0
-            for i in covers[j]:
-                m |= masks[i] | 1 << i
-            masks[j] = m
-    return _trusted(labels, down, up, index)
+    return _close_along(labels, upper, order, index)
 
 
 def from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> FiniteSpace:
     """Build a space from cover pairs ``(x, y)`` meaning x < y (redundant and
-    transitive pairs are allowed): the labels are checked once, each pair is
-    mapped to an index pair, and ``_closed`` closes them."""
+    transitive pairs are allowed): the labels are checked once, each pair goes
+    onto the upper cover list of its lower point, and ``_closed`` closes them."""
     labels = _checked_labels(labels)
     index = {lab: i for i, lab in enumerate(labels)}
-    pairs = []
+    upper: list[list[int]] = [[] for _ in labels]
     for lo, hi in covers:
         i, j = index.get(lo), index.get(hi)
         if i is None or j is None:
             raise ValueError(f"unknown label {lo if i is None else hi!r} in cover pair")
         if i == j:
             raise ValueError(f"cover pair ({lo!r}, {hi!r}) relates a point to itself")
-        pairs.append((i, j))
-    return _closed(labels, index, pairs)
+        upper[i].append(j)
+    return _closed(labels, index, upper)
 
 
 def _first_isomorphism(

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import importlib
 import inspect
 import io
@@ -33,6 +34,7 @@ from finspace.fileio import (
     format_space,
     format_space_certificate,
     parse_certificate,
+    read_map,
 )
 from finspace.functors import (
     barycentric_subdivision,
@@ -40,6 +42,7 @@ from finspace.functors import (
     face_poset,
     translate_space_collapse,
 )
+from finspace.maps import ContinuousMap, is_distinguished
 from finspace.moves import SpaceMoveCertificate, collapse_search, core
 from finspace.spaces import from_covers
 
@@ -269,6 +272,49 @@ def test_cylinder_collapse_refusal(capsys):
     assert main(["cylinder", "example:sierpinski-map", "--collapse"]) == 1
     err = capsys.readouterr().err
     assert "not distinguished" in err and "'0'" in err
+
+
+# (flags, stdout lines, first 16 hex digits of the SHA-256 of stdout, final
+# size under verify) for the cylinder of the wallet's identity map; the
+# stdout was recorded before the cylinder's masks were closed from its covers
+WALLET_IDENTITY_CYLINDER = [
+    ([], 29, "468c735ce9f31ac5", 22),
+    (["--collapse"], 56, "7ea326bb361ecac6", 11),
+]
+
+
+@pytest.mark.parametrize("flags, lines, digest, size", WALLET_IDENTITY_CYLINDER)
+def test_cylinder_of_the_wallet_identity_replays(tmp_path, flags, lines, digest, size):
+    # the identity is distinguished: every U_x has a maximum, so it is contractible
+    wallet = load("wallet")
+    assert is_distinguished(ContinuousMap.identity(wallet)).ok
+    m = tmp_path / "F.map"
+    m.write_text("dom: example:wallet\ncod: example:wallet\n"
+                 + "".join(f"send: {l} {l}\n" for l in wallet.labels))
+    code, out = _run(["cylinder", str(m), *flags])
+    assert code == 0
+    assert (len(out.splitlines()), hashlib.sha256(out.encode()).hexdigest()[:16]) == (lines, digest)
+    cert = tmp_path / "cylinder.cert"
+    cert.write_text(out)
+    assert _run(["verify", str(cert)]) == (0, f"valid: 11 moves replay; final object has size {size}\n")
+
+
+def test_example_prints_a_complex_and_a_map_that_reads_back(tmp_path):
+    code, out = _run(["example", "dunce"])
+    assert code == 0 and out == format_complex(load("dunce"))
+    assert out.startswith("vertices: 1 2 3 4 5 6 7 8\n") and out.count("\nfacet: ") == 17
+    code, out = _run(["example", "sierpinski-map"])
+    assert code == 0 and out.startswith("dom: example:vee\ncod: example:sierpinski\n")
+    m = tmp_path / "sierpinski.map"
+    m.write_text(out)
+    assert read_map(str(m)) == load("sierpinski-map")
+
+
+def test_dot_of_a_complex_draws_its_one_skeleton():
+    code, out = _run(["dot", "example:dunce"])
+    assert code == 0 and out.startswith("graph {\n")
+    assert len(re.findall(r'^  "\w+";$', out, re.M)) == 8
+    assert len(re.findall(r'^  "\w+" -- "\w+";$', out, re.M)) == 24
 
 
 def test_translate_point_collapse(capsys, wallet_file, tmp_path):

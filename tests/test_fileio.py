@@ -104,7 +104,7 @@ SPACE_PARSE_ERRORS = [
     ("arity", "elements: a b\ncover: a b c\n",
      "s:2: cover: needs exactly two labels", "s:3: cover: needs exactly two labels"),
     ("cover-before-elements", "cover: a b\nelements: a b\n",
-     "s:1: cover: before elements:", "s:2: unexpected line 'cover: a b'"),
+     "s:1: cover: before elements:", "s:2: cover: before elements:"),
     ("second-elements", "elements: a b\ncover: a b\nelements: c\n",
      "s:3: second elements: line", "s:4: second elements: line"),
     ("unexpected-line", "elements: a b\ncover: a b\nfacet: a b\n",
@@ -171,6 +171,76 @@ def test_complex_parse_errors(tmp_path):
     p = tmp_path / "t.cplx"
     p.write_text("vertices: a b c\nfacet: a b c\n")
     assert read_complex(str(p)).f_vector() == (3, 3, 1)
+
+
+# (case, text, str(ParseError) from parse_complex, the same from a bare
+# start: block holding the text, which shifts every line by one).  A label
+# fault is found by from_facets, which knows no line, in both columns.
+COMPLEX_PARSE_ERRORS = [
+    ("second-vertices", "vertices: a b\nvertices: c\n",
+     "k:2: second vertices: line", "k:3: second vertices: line"),
+    ("empty-facet", "vertices: a b\nfacet:\n",
+     "k:2: facet: needs at least one vertex", "k:3: facet: needs at least one vertex"),
+    ("facet-before-vertices", "facet: a b\nvertices: a b\n",
+     "k:1: facet: before vertices:", "k:2: facet: before vertices:"),
+    ("missing-vertices", "# nothing\n\n",
+     "k: missing vertices: line", "k:1: bare start: needs an inline space or complex"),
+    ("brace-in-vertex", "vertices: a b{\nfacet: a b{\n",
+     "k: label 'b{' contains whitespace or one of { } #",
+     "k: label 'b{' contains whitespace or one of { } #"),
+    ("cover-in-complex", "vertices: a b\ncover: a b\n",
+     "k:2: unexpected line 'cover: a b'", "k:3: unexpected line 'cover: a b'"),
+    ("unknown-vertex", "vertices: a b\nfacet: a z\n",
+     "k:2: unknown vertex 'z'", "k:3: unknown vertex 'z'"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, text, in_file, in_block", COMPLEX_PARSE_ERRORS, ids=[row[0] for row in COMPLEX_PARSE_ERRORS]
+)
+def test_complex_parse_error_messages(case, text, in_file, in_block):
+    with pytest.raises(ParseError) as e:
+        parse_complex(text, "k")
+    assert str(e.value) == in_file
+    with pytest.raises(ParseError) as e:
+        parse_certificate("start:\n" + text + "remove {a} b\n", "k")
+    assert str(e.value) == in_block
+
+
+_SPACE_START = "start:\nelements: a b c\ncover: a b\n"
+_COMPLEX_START = "start:\nvertices: a b\nfacet: a b\n"
+
+# (case, certificate text, str(ParseError) from parse_certificate)
+CERTIFICATE_PARSE_ERRORS = [
+    ("empty", "", "c: empty certificate"),
+    ("comments-only", "# nothing\n\n", "c: empty certificate"),
+    ("no-start", "elements: a\n", "c:1: certificate must begin with start:"),
+    ("bare-start-then-move", "start:\nremove a beat-up\n",
+     "c:1: bare start: needs an inline space or complex"),
+    ("remove-without-side", _SPACE_START + "remove a\n", "c:4: move needs a label and a side"),
+    ("unknown-side", _SPACE_START + "remove a sideways\n", "c:4: unknown side 'sideways'"),
+    ("trailing-after-remove", _SPACE_START + "remove a beat-up now\n",
+     "c:4: trailing text after remove move"),
+    ("add-without-sets", _SPACE_START + "add d up-weak\n", "c:4: add move needs down={...} up={...}"),
+    ("add-malformed-sets", _SPACE_START + "add d up-weak down={a} up=b\n",
+     "c:4: add move needs down={...} up={...}"),
+    ("add-sets-swapped", _SPACE_START + "add d up-weak up={b} down={a}\n",
+     "c:4: add move needs down={...} up={...}"),
+    ("simplicial-without-face", _COMPLEX_START + "remove a b\n",
+     "c:4: move needs a {face} and an apex vertex"),
+    ("simplicial-empty-face", _COMPLEX_START + "remove {} b\n", "c:4: empty face"),
+    ("simplicial-apex-in-face", _COMPLEX_START + "remove {a b} a\n", "c:4: apex lies in the face"),
+    ("unknown-direction", _COMPLEX_START + "move {a} b\n", "c:4: unexpected line 'move {a} b'"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, text, message", CERTIFICATE_PARSE_ERRORS, ids=[row[0] for row in CERTIFICATE_PARSE_ERRORS]
+)
+def test_certificate_parse_error_messages(case, text, message):
+    with pytest.raises(ParseError) as e:
+        parse_certificate(text, "c")
+    assert str(e.value) == message
 
 
 def test_map_file_resolves_relative_paths(tmp_path):

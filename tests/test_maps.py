@@ -407,3 +407,63 @@ def test_membership_evidence_composite():
     assert not ok
     with pytest.raises(ValueError):
         MembershipEvidence("made-up-kind", incl)
+
+
+CHAIN2 = from_covers(["a", "b"], [("a", "b")])
+CHAIN3 = from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
+POINT = from_covers(["z"], [])
+
+
+def _evidence_cases():
+    to_point = ContinuousMap.constant(CHAIN2, POINT, "z")
+    to_b = ContinuousMap.from_labels(POINT, CHAIN2, {"z": "b"})
+    failing = MembershipEvidence("homeomorphism", to_point, ())
+    return [
+        ("homeomorphism", to_point, (), "expected the inverse map as the single witness"),
+        ("homeomorphism", COUNTEREXAMPLE, (ContinuousMap.identity(VEE),),
+         "witness does not invert the right spaces"),
+        # to_point after to_b is the identity of the point, to_b after it is not
+        ("homeomorphism", to_b, (to_point,), "witness is not a right inverse"),
+        ("elementary-expansion-inclusion", to_point, (),
+         "expected the weak point label as the single witness"),
+        ("elementary-expansion-inclusion", to_point, (0,),
+         "expected the weak point label as the single witness"),
+        ("elementary-expansion-inclusion", ContinuousMap.identity(CHAIN2), ("a",),
+         "domain is not the codomain minus the weak point"),
+        ("elementary-expansion-inclusion",
+         ContinuousMap.from_labels(CHAIN3.delete("a"), CHAIN3, {"b": "c", "c": "c"}), ("a",),
+         "map is not the inclusion"),
+        ("homotopy-equivalence", to_point, (to_b, ()),
+         "expected (inverse, fence to id_dom, fence to id_cod)"),
+        ("homotopy-equivalence", to_point, (ContinuousMap.identity(CHAIN2), (), ()),
+         "homotopy inverse has the wrong spaces"),
+        ("homotopy-equivalence", to_point, (to_b, (), (ContinuousMap.identity(POINT),)),
+         "fence does not replay"),
+        ("composite", to_point, (), "composite needs at least one factor"),
+        ("composite", to_point, (failing,),
+         "factor fails: expected the inverse map as the single witness"),
+    ]
+
+
+@pytest.mark.parametrize("kind, subject, witnesses, reason", _evidence_cases())
+def test_membership_evidence_failure_reasons(kind, subject, witnesses, reason):
+    ev = MembershipEvidence(kind, subject, witnesses)
+    assert verify_membership_evidence(ev) == (False, reason)
+
+
+def test_membership_evidence_composite_of_two_factors():
+    # the inclusion of {b} into a < b, which adds the beat point a, then the
+    # homeomorphism a -> p, b -> q onto a relabelled copy
+    copy = from_covers(["p", "q"], [("p", "q")])
+    incl = ContinuousMap.from_labels(CHAIN2.delete("a"), CHAIN2, {"b": "b"})
+    rename = ContinuousMap.from_labels(CHAIN2, copy, {"a": "p", "b": "q"})
+    back = ContinuousMap.from_labels(copy, CHAIN2, {"p": "a", "q": "b"})
+    factors = (
+        MembershipEvidence("elementary-expansion-inclusion", incl, ("a",)),
+        MembershipEvidence("homeomorphism", rename, (back,)),
+    )
+    subject = ContinuousMap.from_labels(incl.dom, copy, {"b": "q"})
+    assert verify_membership_evidence(MembershipEvidence("composite", subject, factors)) == (True, "")
+    other = ContinuousMap.from_labels(incl.dom, copy, {"b": "p"})
+    assert verify_membership_evidence(MembershipEvidence("composite", other, factors)) == (
+        False, "factors do not compose to the subject")
