@@ -470,14 +470,16 @@ def collapse_sequence_search(
             target is None or complex_isomorphic(c, target) is not None
         )
 
-    def expand(c: SimplicialComplex):
-        if len(c) > goal_len:
-            for face, apex in c.free_pairs():
-                child, move = c.elementary_collapse(face, apex)
-                yield move, child
+    def expand(c: SimplicialComplex) -> list[SimplicialMove]:
+        if len(c) <= goal_len:
+            return []
+        return [SimplicialMove("remove", face, apex) for face, apex in c.free_pairs()]
+
+    def build(c: SimplicialComplex, move: SimplicialMove) -> SimplicialComplex:
+        return c.elementary_collapse(move.face, move.apex)[0]
 
     path, conclusive, nodes = _budgeted_search(
-        k, expand, at_goal, SimplicialComplex._fingerprint, complex_isomorphic, budget
+        k, expand, build, at_goal, SimplicialComplex._fingerprint, complex_isomorphic, budget
     )
     cert = None if path is None else SimplicialMoveCertificate(k, path)
     return SearchResult(cert, conclusive, nodes)

@@ -495,6 +495,8 @@ def verify_membership_evidence(ev: MembershipEvidence) -> tuple[bool, str]:
             return False, f"factor fails: {why}"
     composed = parts[0].subject
     for part in parts[1:]:
+        if part.subject.dom != composed.cod:
+            return False, "factors do not chain"
         composed = part.subject.compose(composed)
     if composed != f:
         return False, "factors do not compose to the subject"

@@ -18,6 +18,13 @@ replayable move record, and the verifier rechecks each move against the
 definitions.  It replays on its own plain sets, the labels strictly below
 and above each point, which a move updates only at the points next to it,
 and it validates one space, the end of the replay.
+
+The budgeted depth-first search, shared with the complex side, builds and
+deduplicates a child only when its stack entry is popped.  Each move
+shrinks a state by one point (a free pair of simplices for complexes) and
+the fingerprints hold that size, so a child can only match a state of its
+own depth, and every such state pushed before it has been popped by then;
+the search prunes what a check at push would prune.
 """
 
 from __future__ import annotations
@@ -472,40 +479,49 @@ def _candidate_moves(space: FiniteSpace) -> list[SpaceMove]:
     return sorted(moves, key=lambda m: not m.side.startswith("beat"))
 
 
-def _budgeted_search(start, expand, at_goal, fingerprint, isomorphic, budget):
+def _budgeted_search(start, expand, build, at_goal, fingerprint, isomorphic, budget):
     """Depth-first search for a state passing ``at_goal``.
 
-    ``expand`` yields (move, child) pairs in preference order; a child that
-    ``isomorphic`` matches (not None) with a seen state of the same
-    ``fingerprint`` is pruned.  Returns (move path or None, whether the
-    search ended within ``budget`` nodes, nodes expanded).  A negative
-    ``budget`` is refused with ValueError.
+    ``expand`` lists a state's moves in preference order and ``build`` makes
+    the child a move leads to.  A stack entry is a parent, its path and one
+    move, and the child is built and checked only when the entry is popped:
+    a child that ``isomorphic`` matches (not None) with an accepted state of
+    the same ``fingerprint`` is dropped uncounted, so the siblings left on
+    the stack when the goal is found, or when the budget runs out, are never
+    built.  Returns (move path or None, whether the search ended within
+    ``budget`` nodes, nodes expanded).  A negative ``budget`` is refused with
+    ValueError.
+
+    Checking at pop prunes exactly the states that checking each child as it
+    is pushed would prune, so node counts and paths are those of that search.
+    Every move shrinks the state by the same amount (one point; a free pair
+    of simplices) and both fingerprints hold that size, so a child can only
+    match a state of its own depth.  Pops follow the preorder of the search
+    tree, so when a child is popped, every same-depth state pushed before it
+    has been popped (an earlier sibling, or a child of a node of its
+    parent's depth expanded earlier, whose whole subtree precedes its parent
+    in preorder) and none pushed after it has.  The accepted states it is
+    checked against are therefore those a push-time check would have seen.
     """
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
     seen: dict = {}
-
-    def visit(state) -> bool:
+    nodes = 0
+    stack = [(start, (), None)]
+    while stack:
+        state, path, move = stack.pop()
+        if move is not None:
+            state, path = build(state, move), path + (move,)
         bucket = seen.setdefault(fingerprint(state), [])
         if any(isomorphic(state, old) is not None for old in bucket):
-            return False
+            continue
         bucket.append(state)
-        return True
-
-    nodes = 0
-    stack = [(start, ())]
-    visit(start)
-    while stack:
-        current, path = stack.pop()
         nodes += 1
         if nodes > budget:
             return None, False, nodes
-        if at_goal(current):
+        if at_goal(state):
             return path, True, nodes
-        children = [
-            (child, path + (move,)) for move, child in expand(current) if visit(child)
-        ]
-        stack.extend(reversed(children))
+        stack.extend((state, path, m) for m in reversed(expand(state)))
     return None, True, nodes
 
 
@@ -528,13 +544,14 @@ def collapse_search(
     def at_goal(s: FiniteSpace) -> bool:
         return s.n == goal_n and (target is None or is_isomorphic(s, target) is not None)
 
-    def expand(s: FiniteSpace):
-        if s.n > goal_n:
-            for move in _candidate_moves(s):
-                yield move, s.delete(move.label)
+    def expand(s: FiniteSpace) -> list[SpaceMove]:
+        return _candidate_moves(s) if s.n > goal_n else []
+
+    def build(s: FiniteSpace, move: SpaceMove) -> FiniteSpace:
+        return s.delete(move.label)
 
     path, conclusive, nodes = _budgeted_search(
-        space, expand, at_goal, FiniteSpace.fingerprint, is_isomorphic, budget
+        space, expand, build, at_goal, FiniteSpace.fingerprint, is_isomorphic, budget
     )
     cert = None if path is None else SpaceMoveCertificate(space, path)
     return SearchResult(cert, conclusive, nodes)

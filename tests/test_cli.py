@@ -3,7 +3,6 @@
 import contextlib
 import functools
 import hashlib
-import importlib
 import inspect
 import io
 import json
@@ -46,7 +45,14 @@ from finspace.maps import ContinuousMap, is_distinguished
 from finspace.moves import SpaceMoveCertificate, collapse_search, core
 from finspace.spaces import from_covers
 
-from util import all_chains_brute, barycentric_oracle, drawn_poset, random_complex, random_poset
+from util import (
+    all_chains_brute,
+    barycentric_oracle,
+    drawn_poset,
+    random_complex,
+    random_poset,
+    scaled_cpu,
+)
 
 WALLET_POSET = """elements: t1 t2 x t4 m1 m2 m3 m4 c1 c2 c3
 cover: m1 t1
@@ -395,24 +401,14 @@ def test_homology_past_the_smith_work_limit_is_inconclusive(capsys, monkeypatch)
     assert captured.err.count("\n") == 1 and captured.err.startswith("inconclusive: ")
 
 
-# Median CPU time of one calibration slice of perfbench/speed.py, timed
-# inside the test below on the 2-vCPU VM (Python 3.11.7) where its 3 s was set
-SLICE_REF_S = 0.0023
-
-
-def test_homology_of_a_large_core_stops_at_the_smith_work_limit(capsys, tmp_path, monkeypatch):
+def test_homology_of_a_large_core_stops_at_the_smith_work_limit(capsys, tmp_path):
     # the core has 56 points and 51,482 chains, under the chain cap
     p = tmp_path / "big.poset"
     p.write_text(format_space(random_poset(random.Random(1), 78, 0.11)))
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    speed = importlib.import_module("speed")
-    slices = [speed.slice_time() for _ in range(20)]
-    start = time.process_time()
-    assert main(["homology", str(p)]) == 2
-    took = time.process_time() - start
-    slices += [speed.slice_time() for _ in range(20)]
-    # 3 s of CPU at the speed of that VM, as perfbench scales its jobs
-    assert took * SLICE_REF_S / speed.median(slices) < 3
+    code, took = scaled_cpu(lambda: main(["homology", str(p)]))
+    assert code == 2
+    # 3 s of CPU at the speed of the VM its bound was set on
+    assert took < 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("inconclusive: ")

@@ -418,6 +418,10 @@ def _evidence_cases():
     to_point = ContinuousMap.constant(CHAIN2, POINT, "z")
     to_b = ContinuousMap.from_labels(POINT, CHAIN2, {"z": "b"})
     failing = MembershipEvidence("homeomorphism", to_point, ())
+    ident_chain, ident_point = (
+        MembershipEvidence("homeomorphism", ContinuousMap.identity(x), (ContinuousMap.identity(x),))
+        for x in (CHAIN2, POINT)
+    )
     return [
         ("homeomorphism", to_point, (), "expected the inverse map as the single witness"),
         ("homeomorphism", COUNTEREXAMPLE, (ContinuousMap.identity(VEE),),
@@ -442,6 +446,8 @@ def _evidence_cases():
         ("composite", to_point, (), "composite needs at least one factor"),
         ("composite", to_point, (failing,),
          "factor fails: expected the inverse map as the single witness"),
+        ("composite", ContinuousMap.identity(CHAIN2), (ident_chain, ident_point),
+         "factors do not chain"),
     ]
 
 

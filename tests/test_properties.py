@@ -8,8 +8,9 @@ its path without the int shortcut, Smith normal form against the two-phase
 elimination, complex isomorphism against its earlier backtracker,
 homology along every move of a certificate, both certificate verifiers
 against their earlier forms on valid and mutated certificates, membership
-evidence replayed on the definitions against the bitmask kernels, and the
-weak-point translation against the simplicial verifier."""
+evidence replayed on the definitions against the bitmask kernels, the
+weak-point translation against the simplicial verifier, and both collapse
+searches against their earlier engine, which checks children at push."""
 
 import random
 from dataclasses import replace
@@ -41,6 +42,7 @@ from finspace.functors import (
     translate_simplicial_collapse,
     translate_space_collapse,
 )
+from finspace.fileio import format_simplicial_certificate, format_space_certificate
 from finspace.homology import _boundary, homology, homology_space, smith_invariants
 from finspace.maps import (
     ContinuousMap,
@@ -72,11 +74,14 @@ from util import (
     barycentric_oracle,
     beat_side_oracle,
     check_order_oracle,
+    collapse_search_oracle,
+    collapse_sequence_search_oracle,
     complex_isomorphic_oracle,
     continuous_maps_oracle,
     contractible_oracle,
     covers_oracle,
     down_beat_oracle,
+    drawn_poset,
     equal_oracle,
     facets_oracle,
     fence_oracle,
@@ -1042,3 +1047,71 @@ def test_translated_weak_point_removal_replays_onto_the_order_complex(rng, n, be
         res = verify_simplicial_certificate(cert)
         assert res.ok, res.reason
         assert res.final == order_complex(s)
+
+
+def _outcome_of(res, fmt) -> tuple:
+    cert = res.certificate
+    return res.nodes, res.conclusive, None if cert is None else fmt(cert)
+
+
+def _search_budget(data) -> dict:
+    """Budgets 0 to 8, or the default."""
+    budget = data.draw(st.one_of(st.integers(0, 8), st.none()))
+    return {} if budget is None else {"budget": budget}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 8), st.data())
+def test_space_search_matches_the_push_time_engine(rng, n, data):
+    kind = data.draw(st.sampled_from(["poset", "subdivision", "beats"]))
+    if kind == "subdivision":
+        space = space_subdivision(_shuffled_poset(rng, data, min(n, 3)))
+    else:
+        space = drawn_poset(rng, data, max(n, 2))  # sometimes two disjoint copies
+        if kind == "beats":
+            space = _with_beat_points(rng, space, data.draw(st.integers(1, 3)))
+    target = data.draw(st.sampled_from(["none", "core", "subspace", "random"]))
+    if target == "core":
+        target = core(space)[0]
+    elif target == "subspace":
+        keep = data.draw(st.lists(st.sampled_from(range(space.n)), min_size=1, unique=True))
+        target = space.subspace(sorted(keep))
+    elif target == "random":
+        target = random_poset(rng, data.draw(st.integers(1, space.n)), rng.random())
+    else:
+        target = None
+    kwargs = _search_budget(data)
+    got = collapse_search(space, target, **kwargs)
+    want = collapse_search_oracle(space, target, **kwargs)
+    assert _outcome_of(got, format_space_certificate) == _outcome_of(want, format_space_certificate)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 2), st.data())
+def test_complex_search_matches_the_push_time_engine(rng, subdivisions, data):
+    targets = ["none", "collapsed"]
+    if data.draw(st.booleans()):
+        k = random_complex(rng, 6, 5, 20)
+        targets.append("random")  # unreachable ones make the search exhaustive, too slow on sd²
+    else:
+        k = from_facets([["a", "b", "c"]])
+        for _ in range(subdivisions):
+            k = barycentric_subdivision(k)
+    target = data.draw(st.sampled_from(targets))
+    if target == "collapsed":
+        # some complex a few random free-pair collapses away
+        target = k
+        for _ in range(data.draw(st.integers(0, 4))):
+            pairs = target.free_pairs()
+            if not pairs:
+                break
+            target = target.elementary_collapse(*rng.choice(pairs))[0]
+    elif target == "random":
+        target = random_complex(rng, 4, 3, 12)
+    else:
+        target = None
+    kwargs = _search_budget(data)
+    got = collapse_sequence_search(k, target, **kwargs)
+    want = collapse_sequence_search_oracle(k, target, **kwargs)
+    fmt = format_simplicial_certificate
+    assert _outcome_of(got, fmt) == _outcome_of(want, fmt)

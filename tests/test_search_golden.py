@@ -18,7 +18,7 @@ from finspace.fileio import format_simplicial_certificate, format_space_certific
 from finspace.functors import barycentric_subdivision
 from finspace.moves import collapse_search
 
-from util import random_complex, random_poset
+from util import random_complex, random_poset, scaled_cpu
 
 FULL_TRIANGLE = from_facets([["a", "b", "c"]])
 HOLLOW_TRIANGLE = from_facets([["a", "b"], ["b", "c"], ["a", "c"]])
@@ -116,6 +116,16 @@ def test_complex_search_on_named_complexes():
     _check(collapse_sequence_search(corpus.load("dunce")), fmt, 1, True, None, None)
     sd2 = barycentric_subdivision(barycentric_subdivision(FULL_TRIANGLE))
     _check(collapse_sequence_search(sd2), fmt, 61, True, 60, "b155ff1414a4993a")
+
+
+def test_complex_search_on_the_thrice_subdivided_triangle():
+    sd3 = FULL_TRIANGLE
+    for _ in range(3):
+        sd3 = barycentric_subdivision(sd3)
+    res, took = scaled_cpu(lambda: collapse_sequence_search(sd3))
+    _check(res, format_simplicial_certificate, 337, True, 336, "c492851b5e414931")
+    # CPU seconds at the speed of the VM the bound was set on
+    assert took < 5
 
 
 @pytest.mark.parametrize("seed, nodes, conclusive, moves, digest", COMPLEX_CASES)

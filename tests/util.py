@@ -18,15 +18,21 @@ sets; both isomorphism oracles compute their signatures from the order
 matrix or the simplex set, not from the invariants they check.  The beat tests are literal scans that read the order one ``is_leq``
 pair at a time.  The certificate verifiers have their earlier forms, which rebuild
 and revalidate a whole space or complex after every move and read a
-space's order one ``is_leq`` pair at a time.
+space's order one ``is_leq`` pair at a time.  Both collapse searches have
+their earlier engine, which builds, fingerprints and deduplicates every
+child as it is pushed.  ``scaled_cpu`` bounds a call's CPU time at the
+speed of the machine its bounds were set on.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import operator
 import random
 import string
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -35,6 +41,7 @@ from finspace.complexes import (
     SimplicialComplex,
     SimplicialMoveCertificate,
     _expansion_problem,
+    complex_isomorphic,
     dotted_label,
     from_facets,
 )
@@ -47,11 +54,34 @@ from finspace.maps import (
 )
 from finspace.moves import (
     ReplayResult,
+    SearchResult,
     SpaceMove,
     SpaceMoveCertificate,
     _attach,
+    _candidate_moves,
 )
-from finspace.spaces import FiniteSpace, from_covers
+from finspace.spaces import FiniteSpace, from_covers, is_isomorphic
+
+
+# Median CPU time of one calibration slice of perfbench/speed.py, timed
+# inside tier-1 on the 2-vCPU VM (Python 3.11.7) where the scaled bounds were set
+SLICE_REF_S = 0.0023
+
+
+def scaled_cpu(call):
+    """``call()``'s result and its CPU seconds at the speed of that VM,
+    scaled by the median of twenty calibration slices timed before it and
+    twenty after, as perfbench scales its jobs."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "speed.py"
+    spec = importlib.util.spec_from_file_location("speed", path)
+    speed = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(speed)
+    slices = [speed.slice_time() for _ in range(20)]
+    start = time.process_time()
+    result = call()
+    took = time.process_time() - start
+    slices += [speed.slice_time() for _ in range(20)]
+    return result, took * SLICE_REF_S / speed.median(slices)
 
 
 def calls(code, call) -> int:
@@ -818,3 +848,85 @@ def verify_simplicial_oracle(cert: SimplicialMoveCertificate) -> ReplayResult:
                 return ReplayResult(False, k, problem)
             current = SimplicialComplex(current._set | {fs, fs | {move.apex}})
     return ReplayResult(True, None, "", current)
+
+
+def budgeted_search_oracle(start, expand, at_goal, fingerprint, isomorphic, budget):
+    """Depth-first search for a state passing ``at_goal``.
+
+    ``expand`` yields (move, child) pairs in preference order; a child that
+    ``isomorphic`` matches (not None) with a seen state of the same
+    ``fingerprint`` is pruned.  Returns (move path or None, whether the
+    search ended within ``budget`` nodes, nodes expanded).  A negative
+    ``budget`` is refused with ValueError.
+    """
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
+    seen: dict = {}
+
+    def visit(state) -> bool:
+        bucket = seen.setdefault(fingerprint(state), [])
+        if any(isomorphic(state, old) is not None for old in bucket):
+            return False
+        bucket.append(state)
+        return True
+
+    nodes = 0
+    stack = [(start, ())]
+    visit(start)
+    while stack:
+        current, path = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            return None, False, nodes
+        if at_goal(current):
+            return path, True, nodes
+        children = [
+            (child, path + (move,)) for move, child in expand(current) if visit(child)
+        ]
+        stack.extend(reversed(children))
+    return None, True, nodes
+
+
+def collapse_search_oracle(
+    space: FiniteSpace, target: FiniteSpace | None = None, budget: int = 100_000
+) -> SearchResult:
+    """``collapse_search`` on the engine that checks children at push."""
+    goal_n = 1 if target is None else target.n
+
+    def at_goal(s: FiniteSpace) -> bool:
+        return s.n == goal_n and (target is None or is_isomorphic(s, target) is not None)
+
+    def expand(s: FiniteSpace):
+        if s.n > goal_n:
+            for move in _candidate_moves(s):
+                yield move, s.delete(move.label)
+
+    path, conclusive, nodes = budgeted_search_oracle(
+        space, expand, at_goal, FiniteSpace.fingerprint, is_isomorphic, budget
+    )
+    cert = None if path is None else SpaceMoveCertificate(space, path)
+    return SearchResult(cert, conclusive, nodes)
+
+
+def collapse_sequence_search_oracle(
+    k: SimplicialComplex, target: SimplicialComplex | None = None, budget: int = 100_000
+) -> SearchResult:
+    """``collapse_sequence_search`` on the engine that checks children at push."""
+    goal_len = 1 if target is None else len(target)
+
+    def at_goal(c: SimplicialComplex) -> bool:
+        return len(c) == goal_len and (
+            target is None or complex_isomorphic(c, target) is not None
+        )
+
+    def expand(c: SimplicialComplex):
+        if len(c) > goal_len:
+            for face, apex in c.free_pairs():
+                child, move = c.elementary_collapse(face, apex)
+                yield move, child
+
+    path, conclusive, nodes = budgeted_search_oracle(
+        k, expand, at_goal, SimplicialComplex._fingerprint, complex_isomorphic, budget
+    )
+    cert = None if path is None else SimplicialMoveCertificate(k, path)
+    return SearchResult(cert, conclusive, nodes)
