@@ -4,10 +4,13 @@ Homotopy between maps is certified by comparability fences: a sequence of
 maps in which consecutive entries are pointwise comparable.  Fence search
 enumerates the continuous maps depth first along a linear extension of the
 domain, dropping each partial map that leaves a point above no room, and
-keeps them as rows in that position order.  Per position and codomain point
-it builds, one column of images at a time, int bitsets of the maps that
-send it above or below there; the maps comparable with u are then one AND
-per position.  The table is refused past ``TABLE_BIT_LIMIT`` bits.  A map is
+completes each distinct tuple of rooms left for the unplaced points once,
+so the maps are kept as one byte column of images per position, not as a
+tuple each.  Per position and codomain point it reads int bitsets of the
+maps that send it above or below there off that column; the maps comparable
+with u are then one AND per position, and a breadth-first level is not
+expanded once the goal is comparable with one of its maps.  The table is
+refused past ``TABLE_BIT_LIMIT`` bits.  A map is
 distinguished when every minimal open set pulls back to a contractible
 subspace, tested as a mask of the domain's points; these are the maps whose
 non-Hausdorff mapping cylinder (its covers read off the map's fibres, its
@@ -17,9 +20,9 @@ is replayed on label sets, as certificates are, not on those masks.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .spaces import FiniteSpace, _close_along, _members, _store
 from .moves import _contractible_in, _label_sets, _literally_contractible
@@ -151,85 +154,115 @@ def is_valid_fence(fence: Iterable[ContinuousMap]) -> bool:
     return True
 
 
-def _continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> list[tuple[int, ...]]:
-    """Every continuous map as a row in position order: entry k is the image
-    of ``dom.linear_extension()[k]``.
+def _continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[int, list[Sequence[int]]]:
+    """The number of continuous maps and their images as one column per
+    position: map v sends ``dom.linear_extension()[k]`` to ``columns[k][v]``.
 
-    A depth-first search places the points along the linear extension, each
-    image in ascending index order, so the rows come in the lexicographic
-    order of that assignment.  ``room[q]`` holds the images left for
-    position q: the AND of the closed up-sets of the images of the placed
-    points below it, so a placed point takes its options from its own
-    ``room``.  Placing a point narrows the ``room`` of every point above
-    it, and an image that would leave one of them empty is never placed
-    (it is not under that room): such a partial map has no completion, so
-    no map is lost and the order of those kept is that of the unpruned
-    search.  The last point's images extend each partial map at once.
+    A column is ``bytes`` while ``cod.n <= 256`` and an ``array`` of wider
+    ints past that, never a tuple per map.  The points are placed along the
+    linear extension, each image in ascending index order, so map v is the
+    v-th in the lexicographic order of that assignment.  ``rooms`` holds the
+    images left for each unplaced position: the AND of the closed up-sets of
+    the images of the placed points below it, so a point takes its options
+    from its own room.  Placing a point narrows the room of every point
+    above it, and an image that would leave one of them empty is never
+    placed (it is not under that room): such a partial map has no
+    completion, so no map is lost.  The completions of a partial map depend
+    only on the rooms of its unplaced positions, so each distinct tuple of
+    them is completed once, into columns for those positions; a tuple's
+    columns are its children's, concatenated in ascending image order.
     """
     n = dom.n
-    if n < 2:
-        return [(j,) for j in range(cod.n)] if n else [()]
     order = dom.linear_extension()
     pos = [0] * n
     for k, i in enumerate(order):
         pos[i] = k
     up = dom.masks()[1]
-    above = [[pos[q] for q in _members(up[i])] for i in order]
+    # the offsets, past position k + 1, of the points above position k
+    above = [[pos[q] - k - 1 for q in _members(up[i])] for k, i in enumerate(order)]
     cod_down, cod_up = cod.masks()
     closed_up = [u | 1 << j for j, u in enumerate(cod_up)]
     closed_down = [d | 1 << j for j, d in enumerate(cod_down)]
-    under: dict[int, int] = {}  # a room -> the images at or below one of its members
-    ends: dict[int, list[tuple[int]]] = {}  # the last point's room -> its images as 1-tuples
-    last = n - 1
-    out: list[tuple[int, ...]] = []
-    assign = [0] * n
+    if cod.n <= 256:
+        unit, pack, join = [bytes((j,)) for j in range(cod.n)], bytes, b"".join
+    else:
+        # imported here: loading the module adds to every process's size
+        from array import array
 
-    def place(k: int, room: list[int]) -> None:
-        ups = above[k]
-        # j leaves q some room iff j lies under room[q]
-        options = room[k]
+        unit = [array("L", (j,)) for j in range(cod.n)]
+        pack = lambda images: array("L", images)
+        join = lambda parts: array("L", b"".join(parts))
+    under: dict[int, int] = {}  # a room -> the images at or below one of its members
+    done: dict[tuple[int, ...], list[Sequence[int]]] = {}  # rooms -> their completions
+
+    def complete(rooms: tuple[int, ...]) -> list[Sequence[int]]:
+        ups = above[n - len(rooms)]
+        # j leaves q some room iff j lies under the room of q
+        options = rooms[0]
         for q in ups:
-            r = room[q]
+            r = rooms[q + 1]
             if r not in under:
                 reach = 0
                 for y in _members(r):
                     reach |= closed_down[y]
                 under[r] = reach
             options &= under[r]
+        if len(rooms) == 1:
+            return [pack(_members(options))]
+        tail = rooms[1:]
+        heads, tails = [], []
         for j in _members(options):
-            assign[k] = j
-            cut = closed_up[j]
-            narrowed = room[:]
-            for q in ups:
-                narrowed[q] &= cut
-            if k + 1 < last:
-                place(k + 1, narrowed)
+            if ups:
+                cut = closed_up[j]
+                narrowed = list(tail)
+                for q in ups:
+                    narrowed[q] &= cut
+                key = tuple(narrowed)
             else:
-                r = narrowed[last]
-                if r not in ends:
-                    ends[r] = [(y,) for y in _members(r)]
-                out.extend(map(tuple(assign[:last]).__add__, ends[r]))
+                key = tail
+            columns = done.get(key)
+            if columns is None:
+                columns = done[key] = complete(key)
+            if columns[0]:
+                heads.append(unit[j] * len(columns[0]))
+                tails.append(columns)
+        if not heads:
+            return [join(())] * len(rooms)
+        return [join(heads)] + [join(parts) for parts in zip(*tails)]
 
-    place(0, [(1 << cod.n) - 1] * n)
-    return out
+    if not n:
+        return 1, []
+    columns = complete(((1 << cod.n) - 1,) * n)
+    return len(columns[0]), columns
 
 
-def _columns(maps: list[tuple[int, ...]], k: int, ys: int) -> list[int]:
-    """Row y of the result has bit v set iff ``maps[v][k] == y``, for y < ys.
+def _columns(column: Sequence[int], ys: int) -> list[int]:
+    """Row y of the result has bit v set iff ``column[v] == y``, for y < ys.
 
-    Each base-256 digit of the images at position k, last map first, is one
-    ``bytes`` column, translated to ASCII ``1`` where it matches y's digit
+    Each base-256 digit of the column's images, the same byte of every item
+    read off its memory, last map first, is one ``bytes`` string, translated to ASCII ``1`` where it matches y's digit
     and ``0`` elsewhere, and read by ``int(..., 2)``.  A row is the AND of
     its digits' matches.
     """
+    view = memoryview(column)
+    width = view.itemsize
+    raw = view.cast("B")
     rows = [-1] * ys
-    for shift in range(0, max(8, (ys - 1).bit_length()), 8):
-        digit = [y >> shift & 255 for y in range(ys)]
-        column = bytes(map(digit.__getitem__, map(itemgetter(k), reversed(maps))))
+    for d, shift in enumerate(range(0, max(8, (ys - 1).bit_length()), 8)):
+        at = d if sys.byteorder == "little" else width - 1 - d
+        digits = raw[at::width].tobytes()[::-1]
         for y in range(ys):
-            b = digit[y]
-            rows[y] &= int(column.translate(_ZEROS[:b] + b"1" + _ZEROS[b + 1:]), 2)
+            b = y >> shift & 255
+            rows[y] &= int(digits.translate(_ZEROS[:b] + b"1" + _ZEROS[b + 1:]), 2)
     return rows
+
+
+def _meet(rows: list[list[int]], images: Iterable[int], within: int) -> int:
+    """The maps of ``within`` whose bit is set in row ``images[k]`` of every
+    position k."""
+    for k, y in enumerate(images):
+        within &= rows[k][y]
+    return within
 
 
 def fence_homotopic(
@@ -244,16 +277,22 @@ def fence_homotopic(
     fence-connectedness, so absence is conclusive there; otherwise absence
     is reported inconclusive.
 
-    Maps are numbered as ``_continuous_maps`` enumerates them and kept as
-    rows in its position order; only the returned fence goes back to point
-    order.  Bit v of ``geq[k][y]`` (``leq[k][y]``) is set when the v-th map
-    sends position k to or above (below) y, so the unseen maps above u are
-    the AND of ``geq[k][u[k]]`` over k with the unseen set.  The rows are
-    built a column at a time by ``_columns``.  Each level's new maps are
-    taken in ascending v, the order of a scan over all maps, so the BFS
-    parents, hence the fence, are those of that scan.  A level keeps its
-    maps and their parents in two lists, and the fence walks back through
-    them.
+    Maps are numbered as ``_continuous_maps`` enumerates them and read from
+    its columns, in linear-extension positions; only the returned fence goes
+    back to point order.  Bit v of ``geq[k][y]`` (``leq[k][y]``) is set when
+    the v-th map sends position k to or above (below) y, so the unseen maps
+    above u are the AND of ``geq[k][u[k]]`` over k with the unseen set.  The
+    rows start as the equality rows ``_columns`` reads off each column, and
+    f and g are found as the AND of theirs.  Each level's new maps are taken
+    in ascending v, the order of a scan over all maps, so the BFS parents,
+    hence the fence, are those of that scan.  A level keeps its maps and
+    their parents in two lists, and the fence walks back through them.
+
+    The frontier is also kept as a bitset.  Before a level is expanded, the
+    maps comparable with g are ANDed with it: when some are, g's parent is
+    the first of them in frontier order and the level is not expanded.
+    This is exact because comparability is symmetric: the scan would have
+    met g, still unseen, from the first frontier map comparable with it.
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise ValueError("maps must share domain and codomain")
@@ -265,10 +304,14 @@ def fence_homotopic(
     if budget < 2 or f.cod.n ** max(f.dom.n, 1) > EXHAUSTIVE_LIMIT:
         return FenceResult(None, False)
 
-    maps = _continuous_maps(f.dom, f.cod)
-    if f.dom.n * f.cod.n * len(maps) > TABLE_BIT_LIMIT:
+    count, columns = _continuous_maps(f.dom, f.cod)
+    if f.dom.n * f.cod.n * count > TABLE_BIT_LIMIT:
         return FenceResult(None, False)
-    geq = [_columns(maps, k, f.cod.n) for k in range(f.dom.n)]
+    geq = [_columns(column, f.cod.n) for column in columns]
+    order = f.dom.linear_extension()
+    start = _meet(geq, (f.images[i] for i in order), -1).bit_length() - 1
+    want = tuple(target[i] for i in order)
+    goal = _meet(geq, want, -1).bit_length() - 1
 
     # each cover y < z ORs geq[k][z] into geq[k][y] down a linear extension; leq dually, up it
     pos = {y: k for k, y in enumerate(f.cod.linear_extension())}
@@ -279,27 +322,30 @@ def fence_homotopic(
             above[y] |= above[z]
         for y, z in covers:
             below[z] |= below[y]
+    near = _meet(geq, want, -1) | _meet(leq, want, -1)
 
-    order = f.dom.linear_extension()
-    start = maps.index(tuple(f.images[i] for i in order))
-    goal = maps.index(tuple(target[i] for i in order))
     # each level keeps its maps and their parents, in the order met
     levels = []
-    unseen = (1 << len(maps)) - 1 ^ 1 << start
-    frontier = [start]
+    unseen = (1 << count) - 1 ^ 1 << start
+    frontier, reached = [start], 1 << start
     depth = 0
-    cut = False
-    while frontier and unseen >> goal & 1:
+    while frontier:
         depth += 1
         if depth > budget:
-            cut = True
+            return FenceResult(None, False)
+        hit = near & reached
+        if hit:
+            bits = bin(hit)[:1:-1]
+            chain = [goal, next(u for u in frontier if bits.startswith("1", u))]
             break
         nxt, up = [], []
+        left = unseen
         for u in frontier:
             above = below = unseen
-            for k, y in enumerate(maps[u]):
-                above &= geq[k][y]
-                below &= leq[k][y]
+            for ge, le, column in zip(geq, leq, columns):
+                y = column[u]
+                above &= ge[y]
+                below &= le[y]
             new = above | below
             unseen ^= new
             # bit v is character v of the reversed binary string, so the maps
@@ -311,17 +357,16 @@ def fence_homotopic(
                 up.append(u)
                 v = bits.find("1", v + 1)
         levels.append((nxt, up))
-        frontier = nxt
-    if unseen >> goal & 1:
-        return FenceResult(None, not cut)
-    chain = [goal]
+        frontier, reached = nxt, left ^ unseen
+    else:
+        return FenceResult(None, True)
     for met, up in reversed(levels):
         chain.append(up[met.index(chain[-1])])
     point = [0] * f.dom.n
     for k, i in enumerate(order):
         point[i] = k
     fence = tuple(
-        ContinuousMap(f.dom, f.cod, tuple(maps[v][k] for k in point)) for v in reversed(chain)
+        ContinuousMap(f.dom, f.cod, tuple(columns[k][v] for k in point)) for v in reversed(chain)
     )
     return FenceResult(fence, True)
 

@@ -1,8 +1,11 @@
+import json
 import os
 import random
+import subprocess
 import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +15,6 @@ from finspace.maps import (
     ContinuousMap,
     FenceResult,
     MembershipEvidence,
-    _continuous_maps,
     fence_homotopic,
     is_distinguished,
     is_op_distinguished,
@@ -24,7 +26,13 @@ from finspace.maps import (
 from finspace.moves import is_weak_point
 from finspace.spaces import from_covers
 
-from util import continuous_maps_oracle, fence_oracle, random_monotone_map, random_poset
+from util import (
+    continuous_map_rows,
+    continuous_maps_oracle,
+    fence_oracle,
+    random_monotone_map,
+    random_poset,
+)
 
 SIERP = from_covers(["0", "1"], [("0", "1")])
 VEE = from_covers(["b", "c", "a"], [("b", "a"), ("c", "a")])
@@ -155,6 +163,41 @@ def test_fence_antichain6_into_chain6_stays_within_a_second():
     assert res.conclusive
 
 
+ANTICHAIN7_RUN = """
+import json, os, resource
+from finspace.maps import ContinuousMap, fence_homotopic
+from finspace.spaces import from_covers
+
+anti = from_covers([f"a{i}" for i in range(7)], [])
+chain = from_covers([f"c{i}" for i in range(7)], [(f"c{i}", f"c{i + 1}") for i in range(6)])
+f = ContinuousMap(anti, chain, tuple(range(7)))
+g = ContinuousMap(anti, chain, tuple(range(6, -1, -1)))
+# this interpreter's peak starts at that of the process that started it; a
+# forked child's starts at this one's current size
+child = os.fork()
+if child:
+    raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+res = fence_homotopic(f, g)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps([[m.images for m in res.fence], res.conclusive, (after - before) / 1024]))
+"""
+
+
+def test_fence_antichain7_into_chain7_grows_the_peak_by_under_100_mb():
+    # 7 ** 7 = 823,543 maps; kept as one tuple each, they took a fresh
+    # process's peak from 16 to 149 MB, where one byte column per position
+    # holds their images in under 6 MB
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", ANTICHAIN7_RUN], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    fence, conclusive, grown_mb = json.loads(done.stdout)
+    assert fence == [list(range(7)), [0] * 7, list(range(6, -1, -1))] and conclusive
+    assert grown_mb < 100
+
+
 def _zigzag_covers(prefix: str, n: int) -> list[tuple[str, str]]:
     """The covers of the zigzag z0 < z1 > z2 < z3 ... on n points."""
     return [
@@ -196,7 +239,7 @@ def test_enumeration_never_places_an_image_that_leaves_a_point_above_no_room():
     dom = from_covers([f"m{i}" for i in range(6)] + ["top"], [(f"m{i}", "top") for i in range(6)])
     cod = from_covers([f"c{i}" for i in range(7)], [])
     got = []
-    calls = _calls_into_finspace(lambda: got.extend(_continuous_maps(dom, cod)))
+    calls = _calls_into_finspace(lambda: got.extend(continuous_map_rows(dom, cod)))
     assert got == [(j,) * 7 for j in range(7)]
     assert calls < 1000
 
@@ -224,7 +267,7 @@ def test_fence_search_into_a_codomain_past_256_points():
 def test_fence_search_from_the_empty_domain():
     empty = from_covers([], [])
     cod = _zigzag(5, 1)
-    assert _continuous_maps(empty, cod) == [()] == continuous_maps_oracle(empty, cod)
+    assert continuous_map_rows(empty, cod) == [()] == continuous_maps_oracle(empty, cod)
     f = ContinuousMap(empty, cod, ())
     res = fence_homotopic(f, ContinuousMap(empty, cod, ()))
     assert res == fence_oracle(f, f) == FenceResult((f,), True)

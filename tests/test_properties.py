@@ -47,7 +47,6 @@ from finspace.homology import _boundary, homology, homology_space, smith_invaria
 from finspace.maps import (
     ContinuousMap,
     MembershipEvidence,
-    _continuous_maps,
     fence_homotopic,
     is_distinguished,
     is_op_distinguished,
@@ -77,6 +76,7 @@ from util import (
     collapse_search_oracle,
     collapse_sequence_search_oracle,
     complex_isomorphic_oracle,
+    continuous_map_rows,
     continuous_maps_oracle,
     contractible_oracle,
     covers_oracle,
@@ -553,7 +553,7 @@ def test_continuous_maps_match_the_matrix_oracle(rng, n, m, top, data):
     want = continuous_maps_oracle(dom, cod)
     order = dom.linear_extension()
     point = [order.index(i) for i in range(n)]
-    assert [tuple(row[k] for k in point) for row in _continuous_maps(dom, cod)] == want
+    assert [tuple(row[k] for k in point) for row in continuous_map_rows(dom, cod)] == want
     if m ** n > 4**4:
         return  # the constructor check below visits every image tuple
     for images in product(range(m), repeat=n):
@@ -754,6 +754,73 @@ def test_fence_search_matches_the_pairwise_scan(rng, n, m, budget, data):
     by_label = lambda res: None if res.fence is None else [h.label_map() for h in res.fence]
     assert by_label(got) == by_label(want)
     assert got.conclusive == want.conclusive
+
+
+def _deep_codomain(rng, kind: str, size: int) -> FiniteSpace:
+    """A zigzag on 2 * size points, a crown on 2 * size points (minima a_i
+    under b_i and b_(i+1 mod size)), or a zigzag beside a crown, with its
+    points stored in a shuffled index order."""
+    zigzag = lambda p, n: [
+        (f"{p}{i}", f"{p}{i + 1}") if i % 2 == 0 else (f"{p}{i + 1}", f"{p}{i}") for i in range(n - 1)
+    ]
+    crown = lambda m: [(f"a{i}", f"b{j % m}") for i in range(m) for j in (i, i + 1)]
+    covers = {
+        "zigzag": zigzag("z", 2 * size),
+        "crown": crown(size),
+        "two": zigzag("z", size) + crown(size),
+    }[kind]
+    labels = sorted({x for pair in covers for x in pair})
+    rng.shuffle(labels)
+    return from_covers(labels, covers)
+
+
+def _scan_levels(cod: FiniteSpace, maps: list, f: tuple) -> list[list[tuple]]:
+    """The levels of fence_oracle's breadth-first scan from f, each in the
+    order the scan meets its maps."""
+    below = lambda a, b: all(cod.is_leq(x, y) for x, y in zip(a, b))
+    seen, levels = {f}, [[f]]
+    while True:
+        met = []
+        for u in levels[-1]:
+            for v in maps:
+                if v not in seen and (below(u, v) or below(v, u)):
+                    seen.add(v)
+                    met.append(v)
+        if not met:
+            return levels
+        levels.append(met)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.randoms(use_true_random=False), st.sampled_from(["zigzag", "crown", "two"]),
+    st.integers(2, 5), st.sampled_from(["point", "antichain", "chain"]), st.data(),
+)
+def test_fence_search_meets_the_goal_from_its_first_neighbour_in_the_frontier(
+    rng, kind, size, domain, data
+):
+    # g is one of the maps farthest from f, or one with no fence to it: in a
+    # crown the farthest point is reached from both sides, so several maps of
+    # the last frontier neighbour it, in an order that the shuffled indices
+    # make differ from their own; every budget up to one past the fence
+    cod = _deep_codomain(rng, kind, size)
+    dom = {
+        "point": from_covers(["x"], []),
+        "antichain": from_covers(["x", "y"], []),
+        "chain": from_covers(["y", "x"], [("x", "y")]),
+    }[domain]
+    maps = continuous_maps_oracle(dom, cod)
+    f = data.draw(st.sampled_from(maps))
+    levels = _scan_levels(cod, maps, f)
+    reached = {v for level in levels for v in level}
+    apart = [v for v in maps if v not in reached]
+    g = data.draw(st.sampled_from(apart if apart and data.draw(st.booleans()) else levels[-1]))
+    f, g = ContinuousMap(dom, cod, f), ContinuousMap(dom, cod, g)
+    by_label = lambda res: None if res.fence is None else [h.label_map() for h in res.fence]
+    for budget in range(1, len(levels) + 1):
+        got, want = fence_homotopic(f, g, budget), fence_oracle(f, g, budget)
+        assert by_label(got) == by_label(want)
+        assert got.conclusive == want.conclusive
 
 
 def _outcome(lookup, x):

@@ -20,7 +20,8 @@ pair at a time.  The certificate verifiers have their earlier forms, which rebui
 and revalidate a whole space or complex after every move and read a
 space's order one ``is_leq`` pair at a time.  Both collapse searches have
 their earlier engine, which builds, fingerprints and deduplicates every
-child as it is pushed.  ``scaled_cpu`` bounds a call's CPU time at the
+child as it is pushed.  ``continuous_map_rows`` reads fence search's
+column enumeration back as one row per map.  ``scaled_cpu`` bounds a call's CPU time at the
 speed of the machine its bounds were set on.
 """
 
@@ -50,6 +51,7 @@ from finspace.maps import (
     TABLE_BIT_LIMIT,
     ContinuousMap,
     FenceResult,
+    _continuous_maps,
     pointwise_leq,
 )
 from finspace.moves import (
@@ -247,6 +249,13 @@ def continuous_maps_oracle(dom: FiniteSpace, cod: FiniteSpace) -> list[tuple[int
 
     place(0)
     return out
+
+
+def continuous_map_rows(dom: FiniteSpace, cod: FiniteSpace) -> list[tuple[int, ...]]:
+    """The maps of ``_continuous_maps`` as one row each, read off its columns:
+    entry k of row v is the image of ``dom.linear_extension()[k]`` under map v."""
+    count, columns = _continuous_maps(dom, cod)
+    return [tuple(column[v] for column in columns) for v in range(count)]
 
 
 def fence_oracle(f: ContinuousMap, g: ContinuousMap, budget: int = 16) -> FenceResult:
