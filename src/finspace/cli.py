@@ -53,7 +53,7 @@ from .moves import (
     verify_space_certificate,
     weak_points,
 )
-from .spaces import FiniteSpace, is_isomorphic
+from .spaces import FiniteSpace, _message, is_isomorphic
 
 
 class _Parser(argparse.ArgumentParser):
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, ValueError, KeyError) as exc:
-        print(exc, file=sys.stderr)
+        print(_message(exc), file=sys.stderr)
         return 3
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

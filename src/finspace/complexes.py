@@ -22,16 +22,18 @@ and validates one complex, the end of the replay.
 Each complex caches its isomorphism invariants, as a space does: vertex
 signatures, a fingerprint (f-vector and sorted signatures) that rules pairs
 out and buckets search states, and edge bitmasks for the engine of ``spaces``.
+Simplicial maps, moves and certificates are records on the ``_Record`` base
+of ``spaces``; a map checks in its constructor that it sends simplices onto
+simplices, and keeps its vertex dict out of equality and printing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import Iterable, Mapping
 
 from .moves import ReplayResult, SearchResult, _budgeted_search
-from .spaces import _cached, _check_label, _first_isomorphism
+from .spaces import _cached, _check_label, _first_isomorphism, _Record, _set
 
 __all__ = [
     "SimplicialComplex",
@@ -303,33 +305,38 @@ def cone(apex: str, base: SimplicialComplex) -> SimplicialComplex:
 # -- simplicial maps ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplicialMap:
+class SimplicialMap(_Record):
     """A vertex map sending every simplex onto a simplex."""
 
-    dom: SimplicialComplex
-    cod: SimplicialComplex
-    vertex_map: tuple[tuple[str, str], ...]
-    _map: dict[str, str] = field(init=False, repr=False, compare=False)
+    __match_args__ = ("dom", "cod", "vertex_map")
+    __slots__ = __match_args__ + ("_map",)
+
+    def __init__(
+        self,
+        dom: SimplicialComplex,
+        cod: SimplicialComplex,
+        vertex_map: tuple[tuple[str, str], ...],
+    ) -> None:
+        m = dict(vertex_map)
+        if set(m) != set(dom.vertices):
+            raise ValueError("vertex map must cover exactly the domain vertices")
+        cod_vertices = set(cod.vertices)
+        for w in m.values():
+            if w not in cod_vertices:
+                raise ValueError(f"image vertex {w!r} is not in the codomain")
+        for s in dom.simplices:
+            if frozenset(m[v] for v in s) not in cod:
+                raise ValueError(f"image of simplex {list(s)} is not a simplex")
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
+        _set(self, "vertex_map", vertex_map)
+        _set(self, "_map", m)
 
     @classmethod
     def from_dict(
         cls, dom: SimplicialComplex, cod: SimplicialComplex, mapping: Mapping[str, str]
     ) -> "SimplicialMap":
         return cls(dom, cod, tuple(sorted(mapping.items())))
-
-    def __post_init__(self) -> None:
-        m = dict(self.vertex_map)
-        object.__setattr__(self, "_map", m)
-        if set(m) != set(self.dom.vertices):
-            raise ValueError("vertex map must cover exactly the domain vertices")
-        cod_vertices = set(self.cod.vertices)
-        for w in m.values():
-            if w not in cod_vertices:
-                raise ValueError(f"image vertex {w!r} is not in the codomain")
-        for s in self.dom.simplices:
-            if frozenset(m[v] for v in s) not in self.cod:
-                raise ValueError(f"image of simplex {list(s)} is not a simplex")
 
     def mapping(self) -> dict[str, str]:
         return dict(self.vertex_map)
@@ -392,26 +399,28 @@ def dotted_label(s: Iterable[str]) -> str:
 # -- certificates ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplicialMove:
+class SimplicialMove(_Record):
     """One elementary collapse ('remove') or expansion ('add') of the free
     pair (face, face + {apex})."""
 
-    direction: str
-    face: tuple[str, ...]
-    apex: str
+    __slots__ = __match_args__ = ("direction", "face", "apex")
 
-    def __post_init__(self) -> None:
-        if self.direction not in ("remove", "add"):
-            raise ValueError(f"bad move direction {self.direction!r}")
-        if self.apex in self.face:
+    def __init__(self, direction: str, face: tuple[str, ...], apex: str) -> None:
+        if direction not in ("remove", "add"):
+            raise ValueError(f"bad move direction {direction!r}")
+        if apex in face:
             raise ValueError("apex lies in the face")
+        _set(self, "direction", direction)
+        _set(self, "face", face)
+        _set(self, "apex", apex)
 
 
-@dataclass(frozen=True)
-class SimplicialMoveCertificate:
-    start: SimplicialComplex
-    moves: tuple[SimplicialMove, ...]
+class SimplicialMoveCertificate(_Record):
+    __slots__ = __match_args__ = ("start", "moves")
+
+    def __init__(self, start: SimplicialComplex, moves: tuple[SimplicialMove, ...]) -> None:
+        _set(self, "start", start)
+        _set(self, "moves", moves)
 
     def __len__(self) -> int:
         return len(self.moves)

@@ -1,30 +1,38 @@
 """Built-in examples: the standard cases of Barmak and Minian, as plain data.
 
-Each entry is a name, a kind, a one-line summary and a builder.  The
-properties a summary states (the wallet's weak point that is not a beat
-point, the dunce hat's missing free face, ...) are asserted by the test
-suite against the objects ``load`` returns, not re-checked at run time.
+Each entry is a record, on the ``_Record`` base of ``spaces``, of a name, a
+kind, a one-line summary and a builder.  The properties a summary states
+(the wallet's weak point that is not a beat point, the dunce hat's missing
+free face, ...) are asserted by the test suite against the objects ``load``
+returns, not re-checked at run time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 from .complexes import SimplicialComplex, from_facets
 from .maps import ContinuousMap
-from .spaces import FiniteSpace, from_covers
+from .spaces import FiniteSpace, _Record, _set, from_covers
 
 __all__ = ["CorpusEntry", "entries", "names", "load"]
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    kind: str  # 'space' | 'complex' | 'map'
-    summary: str
-    build: Callable[[], object]
+class CorpusEntry(_Record):
+    __slots__ = __match_args__ = ("name", "kind", "summary", "build")
+
+    def __init__(
+        self,
+        name: str,
+        kind: str,  # 'space' | 'complex' | 'map'
+        summary: str,
+        build: Callable[[], object],
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "summary", summary)
+        _set(self, "build", build)
 
 
 def _wallet() -> FiniteSpace:

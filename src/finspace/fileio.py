@@ -27,7 +27,7 @@ from .complexes import (
 from .corpus import load
 from .maps import ContinuousMap
 from .moves import SIDES, SpaceMove, SpaceMoveCertificate
-from .spaces import FiniteSpace, _checked_labels, _closed
+from .spaces import FiniteSpace, _checked_labels, _closed, _message
 
 __all__ = [
     "ParseError",
@@ -76,7 +76,7 @@ def _example(name: str, want: tuple[type, ...], source: str) -> object:
     try:
         obj = load(name)
     except KeyError as exc:
-        raise ParseError(source, None, str(exc)) from exc
+        raise ParseError(source, None, _message(exc)) from exc
     if not isinstance(obj, want):
         kinds = " or ".join(t.__name__ for t in want)
         raise ParseError(source, None, f"example {name!r} is not a {kinds}")
@@ -239,7 +239,7 @@ def read_map(path: str) -> ContinuousMap:
     try:
         return ContinuousMap.from_labels(dom, cod, sends)
     except (ValueError, KeyError) as exc:
-        raise ParseError(path, None, str(exc)) from exc
+        raise ParseError(path, None, _message(exc)) from exc
 
 
 # -- certificates ---------------------------------------------------------------

@@ -23,12 +23,12 @@ The two certificate translators live here as well:
 ``cylinder_certificates`` produces the certified expand-then-collapse routes
 through the mapping cylinder of a map, whose covers come from the map's
 fibres and whose masks are closed from those covers; ``bridge_space`` is the
-cylinder of the comparison map from the subdivision.
+cylinder of the comparison map from the subdivision.  ``CylinderCertificates``
+is a record on the ``_Record`` base of ``spaces``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .complexes import (
@@ -42,7 +42,7 @@ from .complexes import (
 )
 from .maps import ContinuousMap, is_distinguished, mapping_cylinder
 from .moves import SpaceMove, SpaceMoveCertificate, _strip_in
-from .spaces import FiniteSpace, _close_along, _members, _store, _trusted
+from .spaces import FiniteSpace, _close_along, _members, _Record, _set, _store, _trusted
 
 __all__ = [
     "order_complex",
@@ -265,8 +265,7 @@ def contiguity_fence(
 # -- the mapping cylinder and the bridge ---------------------------------------
 
 
-@dataclass(frozen=True)
-class CylinderCertificates:
+class CylinderCertificates(_Record):
     """Certified deformation data for a map's non-Hausdorff cylinder.
 
     The expansion (codomain copy up to the cylinder) always exists.  The
@@ -275,10 +274,19 @@ class CylinderCertificates:
     the first codomain point whose open-set preimage is not contractible.
     """
 
-    cylinder: FiniteSpace
-    expansion: SpaceMoveCertificate
-    collapse: SpaceMoveCertificate | None
-    refused_at: str | None
+    __slots__ = __match_args__ = ("cylinder", "expansion", "collapse", "refused_at")
+
+    def __init__(
+        self,
+        cylinder: FiniteSpace,
+        expansion: SpaceMoveCertificate,
+        collapse: SpaceMoveCertificate | None,
+        refused_at: str | None,
+    ) -> None:
+        _set(self, "cylinder", cylinder)
+        _set(self, "expansion", expansion)
+        _set(self, "collapse", collapse)
+        _set(self, "refused_at", refused_at)
 
 
 def _cylinder_routes(

@@ -5,18 +5,19 @@ elimination whose pivot is an entry of least absolute value, fill-in cost
 breaking ties (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001); the
 diagonal left over becomes an invariant factor chain by pairwise gcd and lcm.
 Pivots come from a lazy heap, not a scan of the matrix, and one work count
-bounds all the boundary matrices of a ``homology`` call.
+bounds all the boundary matrices of a ``homology`` call.  A
+``HomologyReport`` is a record on the ``_Record`` base of ``spaces``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .complexes import SimplicialComplex
 from .functors import order_complex
 from .moves import core
+from .spaces import _Record, _set
 
 __all__ = [
     "HomologyReport",
@@ -38,13 +39,17 @@ class Inconclusive(Exception):
     """Smith normal form ran past ``MAX_SMITH_WORK`` before it finished."""
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(_Record):
     """Betti numbers and torsion invariant factors, one entry per dimension."""
 
-    betti: tuple[int, ...]
-    torsion: tuple[tuple[int, ...], ...]
-    reduced: bool = False
+    __slots__ = __match_args__ = ("betti", "torsion", "reduced")
+
+    def __init__(
+        self, betti: tuple[int, ...], torsion: tuple[tuple[int, ...], ...], reduced: bool = False
+    ) -> None:
+        _set(self, "betti", betti)
+        _set(self, "torsion", torsion)
+        _set(self, "reduced", reduced)
 
     @property
     def trivial(self) -> bool:

@@ -15,16 +15,18 @@ distinguished when every minimal open set pulls back to a contractible
 subspace, tested as a mask of the domain's points; these are the maps whose
 non-Hausdorff mapping cylinder (its covers read off the map's fibres, its
 masks closed from them) collapses back onto the domain.  Membership evidence
-is replayed on label sets, as certificates are, not on those masks.
+is replayed on label sets, as certificates are, not on those masks.  Maps,
+fence results, distinguished reports and membership evidence are records on
+the ``_Record`` base of ``spaces``; a map checks that it preserves the order
+in its constructor, compares by labels and is not hashable.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .spaces import FiniteSpace, _close_along, _members, _store
+from .spaces import FiniteSpace, _close_along, _members, _Record, _set, _store
 from .moves import _contractible_in, _label_sets, _literally_contractible
 
 __all__ = [
@@ -47,13 +49,26 @@ TABLE_BIT_LIMIT = 2**27
 _ZEROS = b"0" * 256
 
 
-@dataclass(frozen=True)
-class ContinuousMap:
+class ContinuousMap(_Record):
     """An order-preserving map, stored by image indices."""
 
-    dom: FiniteSpace
-    cod: FiniteSpace
-    images: tuple[int, ...]
+    __slots__ = __match_args__ = ("dom", "cod", "images")
+
+    def __init__(self, dom: FiniteSpace, cod: FiniteSpace, images: tuple[int, ...]) -> None:
+        if len(images) != dom.n:
+            raise ValueError("one image per domain point is required")
+        for j in images:
+            if not 0 <= j < cod.n:
+                raise ValueError(f"image index {j} outside the codomain")
+        below = cod.masks()[0]
+        for i, d in enumerate(dom.masks()[0]):
+            # every point below i must land in the closed down-set of f(i)
+            allowed = below[images[i]] | 1 << images[i]
+            if any(not allowed >> images[k] & 1 for k in _members(d)):
+                raise ValueError("map does not preserve the order")
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
+        _set(self, "images", images)
 
     def __eq__(self, other: object) -> bool:
         """Labelled equality: equal spaces and the same label map."""
@@ -62,19 +77,7 @@ class ContinuousMap:
         return (self.dom == other.dom and self.cod == other.cod
                 and _images_in(self, other) == self.images)
 
-    def __post_init__(self) -> None:
-        if len(self.images) != self.dom.n:
-            raise ValueError("one image per domain point is required")
-        for j in self.images:
-            if not 0 <= j < self.cod.n:
-                raise ValueError(f"image index {j} outside the codomain")
-        img = self.images
-        below = self.cod.masks()[0]
-        for i, d in enumerate(self.dom.masks()[0]):
-            # every point below i must land in the closed down-set of f(i)
-            allowed = below[img[i]] | 1 << img[i]
-            if any(not allowed >> img[k] & 1 for k in _members(d)):
-                raise ValueError("map does not preserve the order")
+    __hash__ = None  # type: ignore[assignment]
 
     @classmethod
     def from_labels(
@@ -131,10 +134,12 @@ def pointwise_leq(f: ContinuousMap, g: ContinuousMap) -> bool:
 # -- fences -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FenceResult:
-    fence: tuple[ContinuousMap, ...] | None
-    conclusive: bool
+class FenceResult(_Record):
+    __slots__ = __match_args__ = ("fence", "conclusive")
+
+    def __init__(self, fence: tuple[ContinuousMap, ...] | None, conclusive: bool) -> None:
+        _set(self, "fence", fence)
+        _set(self, "conclusive", conclusive)
 
     def __bool__(self) -> bool:
         return self.fence is not None
@@ -374,12 +379,14 @@ def fence_homotopic(
 # -- distinguished maps --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistinguishedReport:
+class DistinguishedReport(_Record):
     """Per-point verdicts: is each open-set preimage contractible."""
 
-    ok: bool
-    per_point: tuple[tuple[str, bool], ...]
+    __slots__ = __match_args__ = ("ok", "per_point")
+
+    def __init__(self, ok: bool, per_point: tuple[tuple[str, bool], ...]) -> None:
+        _set(self, "ok", ok)
+        _set(self, "per_point", per_point)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -454,8 +461,7 @@ EVIDENCE_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class MembershipEvidence:
+class MembershipEvidence(_Record):
     """Generator-level evidence that a map belongs to the distinguished class.
 
     ``witnesses`` depends on the kind: an inverse map for homeomorphisms, a
@@ -464,13 +470,14 @@ class MembershipEvidence:
     for composites, nothing for the two directly checkable kinds.
     """
 
-    kind: str
-    subject: ContinuousMap
-    witnesses: tuple = ()
+    __slots__ = __match_args__ = ("kind", "subject", "witnesses")
 
-    def __post_init__(self) -> None:
-        if self.kind not in EVIDENCE_KINDS:
-            raise ValueError(f"unknown evidence kind {self.kind!r}")
+    def __init__(self, kind: str, subject: ContinuousMap, witnesses: tuple = ()) -> None:
+        if kind not in EVIDENCE_KINDS:
+            raise ValueError(f"unknown evidence kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "subject", subject)
+        _set(self, "witnesses", witnesses)
 
 
 def verify_membership_evidence(ev: MembershipEvidence) -> tuple[bool, str]:

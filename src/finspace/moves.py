@@ -25,14 +25,27 @@ shrinks a state by one point (a free pair of simplices for complexes) and
 the fingerprints hold that size, so a child can only match a state of its
 own depth, and every such state pushed before it has been popped by then;
 the search prunes what a check at push would prune.
+
+Moves, certificates, replay and search results and equivalences are records
+on the ``_Record`` base of ``spaces``; a move checks its direction, side and
+attaching sets in its constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .spaces import FiniteSpace, _check_label, _checked_up_sets, _members, _trusted, is_isomorphic
+from .spaces import (
+    FiniteSpace,
+    _check_label,
+    _checked_up_sets,
+    _members,
+    _message,
+    _Record,
+    _set,
+    _trusted,
+    is_isomorphic,
+)
 
 if TYPE_CHECKING:
     from .complexes import SimplicialComplex, SimplicialMoveCertificate
@@ -60,8 +73,7 @@ __all__ = [
 SIDES = ("beat-down", "beat-up", "down-weak", "up-weak")
 
 
-@dataclass(frozen=True)
-class SpaceMove:
+class SpaceMove(_Record):
     """One elementary step on a space.
 
     ``remove`` deletes the named point, which must satisfy the declared side
@@ -70,59 +82,91 @@ class SpaceMove:
     declared side in the resulting space.
     """
 
-    direction: str  # 'remove' | 'add'
-    label: str
-    side: str
-    down: tuple[str, ...] | None = None
-    up: tuple[str, ...] | None = None
+    __slots__ = __match_args__ = ("direction", "label", "side", "down", "up")
 
-    def __post_init__(self) -> None:
-        if self.direction not in ("remove", "add"):
-            raise ValueError(f"bad move direction {self.direction!r}")
-        if self.side not in SIDES:
-            raise ValueError(f"bad move side {self.side!r}")
-        if self.direction == "add" and (self.down is None or self.up is None):
+    def __init__(
+        self,
+        direction: str,  # 'remove' | 'add'
+        label: str,
+        side: str,
+        down: tuple[str, ...] | None = None,
+        up: tuple[str, ...] | None = None,
+    ) -> None:
+        if direction not in ("remove", "add"):
+            raise ValueError(f"bad move direction {direction!r}")
+        if side not in SIDES:
+            raise ValueError(f"bad move side {side!r}")
+        if direction == "add" and (down is None or up is None):
             raise ValueError("add moves need down= and up= attaching sets")
+        _set(self, "direction", direction)
+        _set(self, "label", label)
+        _set(self, "side", side)
+        _set(self, "down", down)
+        _set(self, "up", up)
 
 
-@dataclass(frozen=True)
-class SpaceMoveCertificate:
-    start: FiniteSpace
-    moves: tuple[SpaceMove, ...]
+class SpaceMoveCertificate(_Record):
+    __slots__ = __match_args__ = ("start", "moves")
+
+    def __init__(self, start: FiniteSpace, moves: tuple[SpaceMove, ...]) -> None:
+        _set(self, "start", start)
+        _set(self, "moves", moves)
 
     def __len__(self) -> int:
         return len(self.moves)
 
 
-@dataclass(frozen=True)
-class ReplayResult:
-    ok: bool
-    step: int | None = None
-    reason: str = ""
-    final: FiniteSpace | SimplicialComplex | None = None
+class ReplayResult(_Record):
+    __slots__ = __match_args__ = ("ok", "step", "reason", "final")
+
+    def __init__(
+        self,
+        ok: bool,
+        step: int | None = None,
+        reason: str = "",
+        final: FiniteSpace | SimplicialComplex | None = None,
+    ) -> None:
+        _set(self, "ok", ok)
+        _set(self, "step", step)
+        _set(self, "reason", reason)
+        _set(self, "final", final)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    certificate: SpaceMoveCertificate | SimplicialMoveCertificate | None
-    conclusive: bool
-    nodes: int
+class SearchResult(_Record):
+    __slots__ = __match_args__ = ("certificate", "conclusive", "nodes")
+
+    def __init__(
+        self,
+        certificate: SpaceMoveCertificate | SimplicialMoveCertificate | None,
+        conclusive: bool,
+        nodes: int,
+    ) -> None:
+        _set(self, "certificate", certificate)
+        _set(self, "conclusive", conclusive)
+        _set(self, "nodes", nodes)
 
     def __bool__(self) -> bool:
         return self.certificate is not None
 
 
-@dataclass(frozen=True)
-class SpaceEquivalence:
+class SpaceEquivalence(_Record):
     """Evidence that two spaces are homotopy equivalent: both cores plus the
     isomorphism between them."""
 
-    core_certificate_a: SpaceMoveCertificate
-    core_certificate_b: SpaceMoveCertificate
-    isomorphism: dict[str, str]
+    __slots__ = __match_args__ = ("core_certificate_a", "core_certificate_b", "isomorphism")
+
+    def __init__(
+        self,
+        core_certificate_a: SpaceMoveCertificate,
+        core_certificate_b: SpaceMoveCertificate,
+        isomorphism: dict[str, str],
+    ) -> None:
+        _set(self, "core_certificate_a", core_certificate_a)
+        _set(self, "core_certificate_b", core_certificate_b)
+        _set(self, "isomorphism", isomorphism)
 
 
 # -- beat points ---------------------------------------------------------
@@ -453,7 +497,7 @@ def verify_space_certificate(cert: SpaceMoveCertificate) -> ReplayResult:
             try:
                 _attach_to_sets(below, above, move.down or (), move.up or (), move.label)
             except (ValueError, KeyError) as exc:
-                return ReplayResult(False, k, f"cannot attach {move.label!r}: {exc}")
+                return ReplayResult(False, k, f"cannot attach {move.label!r}: {_message(exc)}")
             fail = _check_side(below, above, move.label, move.side)
             if fail is not None:
                 return ReplayResult(

@@ -21,7 +21,10 @@ soon as the colours are all distinct or a round splits no class.  The one
 isomorphism engine, ``_first_isomorphism``, also serves complexes, on vertex
 signatures and edge masks; it searches only when some colour is shared, and
 checks the one bijection all-distinct colours force.  The matrix constructor
-builds both masks in one row walk.
+builds both masks in one row walk.  ``_Record`` is the base of every
+module's immutable result records: ``__slots__`` classes that validate and
+set their fields in their own ``__init__``, so importing the package
+generates no methods.
 """
 
 from __future__ import annotations
@@ -118,6 +121,56 @@ def _store(obj, cached, value):
     returns ``obj``."""
     obj._memo[cached.__wrapped__] = value
     return obj
+
+
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable result records (moves, certificates, reports).
+
+    A record names its fields in ``__match_args__``, keeps them in
+    ``__slots__`` and sets them once, in its own ``__init__``, through
+    ``_set``; assigning or deleting a field afterwards raises
+    ``AttributeError``.  A record equals only a record of its own class with
+    equal fields, hashes as the tuple of its fields, prints as
+    ``Name(field=value, ...)`` and pickles through its constructor.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__match_args__, self._fields())
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+def _message(exc: Exception) -> str:
+    """The text of an error for a user: a ``KeyError``'s message without the
+    quotes ``str`` puts round it."""
+    if isinstance(exc, KeyError) and len(exc.args) == 1:
+        return str(exc.args[0])
+    return str(exc)
 
 
 class FiniteSpace:

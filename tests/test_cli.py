@@ -26,7 +26,7 @@ from finspace.complexes import (
     collapse_sequence_search,
     from_facets,
 )
-from finspace.corpus import load
+from finspace.corpus import entries, load
 from finspace.fileio import (
     format_complex,
     format_simplicial_certificate,
@@ -127,6 +127,26 @@ def test_verify_rejects_tampered_certificate(capsys, tmp_path):
     bad.write_text("start:\nelements: a b\ncover: a b\nremove a down-weak\n")
     assert main(["verify", str(bad)]) == 1
     assert "invalid at move 0" in capsys.readouterr().err
+
+
+def test_a_missing_label_or_example_is_named_without_extra_quotes(capsys, tmp_path):
+    cert = tmp_path / "ghost.cert"
+    cert.write_text("start:\nelements: a b\ncover: a b\nadd x down-weak down={ghost} up={}\n")
+    bad_map = tmp_path / "bad.map"
+    bad_map.write_text("dom: example:vee\ncod: example:sierpinski\nsend: b zz\nsend: c 0\nsend: a 1\n")
+    have = ", ".join(e.name for e in entries())
+    runs = [
+        (["translate-collapse", "example:wallet", "--point", "ghost"], 3,
+         "no point labeled 'ghost'"),
+        (["core", "example:nosuch"], 3,
+         f"example:nosuch: no example named 'nosuch'; have {have}"),
+        (["cylinder", str(bad_map)], 3, f"{bad_map}: no point labeled 'zz'"),
+        (["verify", str(cert)], 1,
+         "invalid at move 0: cannot attach 'x': no point labeled 'ghost'"),
+    ]
+    for argv, code, err in runs:
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", err + "\n")
 
 
 def test_missing_file_exits_three(capsys):

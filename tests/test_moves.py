@@ -1,7 +1,6 @@
 """Beat points, weak points, cores and space-level certificates."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -26,7 +25,7 @@ from finspace.moves import (
 )
 from finspace.spaces import FiniteSpace, from_covers, is_isomorphic
 
-from util import random_poset
+from util import random_poset, replace
 
 WALLET = from_covers(
     "t1 t2 x t4 m1 m2 m3 m4 c1 c2 c3".split(),

@@ -13,7 +13,6 @@ weak-point translation against the simplicial verifier, and both collapse
 searches against their earlier engine, which checks children at push."""
 
 import random
-from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -97,6 +96,7 @@ from util import (
     random_monotone_map,
     random_poset,
     refine_signatures_oracle,
+    replace,
     smith_oracle,
     strip_beats_oracle,
     up_beat_oracle,

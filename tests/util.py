@@ -22,7 +22,8 @@ space's order one ``is_leq`` pair at a time.  Both collapse searches have
 their earlier engine, which builds, fingerprints and deduplicates every
 child as it is pushed.  ``continuous_map_rows`` reads fence search's
 column enumeration back as one row per map.  ``scaled_cpu`` bounds a call's CPU time at the
-speed of the machine its bounds were set on.
+speed of the machine its bounds were set on.  ``replace`` rebuilds a result
+record through its constructor with some fields changed.
 """
 
 from __future__ import annotations
@@ -101,6 +102,14 @@ def calls(code, call) -> int:
     finally:
         sys.setprofile(outer)
     return runs
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with some fields changed, rebuilt through its
+    class's public constructor, so a change the constructor refuses raises
+    there, as the ``ValueError`` of a bad move does."""
+    fields = {name: getattr(record, name) for name in record.__match_args__}
+    return type(record)(**{**fields, **changes})
 
 
 def nested_code(function, name: str):
@@ -827,7 +836,8 @@ def verify_space_oracle(cert: SpaceMoveCertificate) -> ReplayResult:
             try:
                 bigger = _attach(current, move.down or (), move.up or (), move.label)
             except (ValueError, KeyError) as exc:
-                return ReplayResult(False, k, f"cannot attach {move.label!r}: {exc}")
+                message = exc.args[0] if isinstance(exc, KeyError) else exc
+                return ReplayResult(False, k, f"cannot attach {move.label!r}: {message}")
             fail = _check_side_oracle(bigger, move.label, move.side)
             if fail is not None:
                 return ReplayResult(
