@@ -326,7 +326,7 @@ class SimplicialMap(_Record):
                 raise ValueError(f"image vertex {w!r} is not in the codomain")
         for s in dom.simplices:
             if frozenset(m[v] for v in s) not in cod:
-                raise ValueError(f"image of simplex {list(s)} is not a simplex")
+                raise ValueError(f"image of simplex {sorted(s)} is not a simplex")
         _set(self, "dom", dom)
         _set(self, "cod", cod)
         _set(self, "vertex_map", vertex_map)

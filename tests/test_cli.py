@@ -9,7 +9,6 @@ import json
 import os
 import random
 import re
-import subprocess
 import sys
 import tempfile
 import time
@@ -45,6 +44,7 @@ from finspace.maps import ContinuousMap, is_distinguished
 from finspace.moves import SpaceMoveCertificate, collapse_search, core
 from finspace.spaces import from_covers
 
+from test_runtime import LINES, PINNED, children
 from util import (
     all_chains_brute,
     barycentric_oracle,
@@ -275,6 +275,27 @@ def test_k_and_x_round_trip(capsys, tmp_path):
     assert main(["x", str(kf)]) == 0
     out = capsys.readouterr().out
     assert "a.b" in out
+    # the dunce hat's subdivision is K of its face poset read back
+    (tmp_path / "x-dunce.poset").write_text(_run(["x", "example:dunce"])[1])
+    assert _run(["k", str(tmp_path / "x-dunce.poset")]) == _run(["subdivide", "example:dunce"])
+
+
+@pytest.mark.parametrize("name", [e.name for e in entries() if e.kind == "space"])
+def test_every_built_in_space_round_trips_through_k_x_and_its_bridge(tmp_path, name):
+    # k prints the complex of all chains; x of it read back is the
+    # subdivision, byte for byte; both halves of the bridge replay
+    code, k_text = _run(["k", f"example:{name}"])
+    assert (code, k_text) == (0, format_complex(SimplicialComplex(all_chains_brute(load(name)))))
+    kf = tmp_path / "k.cplx"
+    kf.write_text(k_text)
+    assert _run(["x", str(kf)]) == _run(["subdivide", f"example:{name}"])
+    code, out = _run(["bridge", f"example:{name}"])
+    halves = out.split("\n\n")
+    assert code == 0 and len(halves) == 2 and "\nadd " in halves[0]
+    for k, half in enumerate(halves):
+        cert = tmp_path / f"bridge-{k}.cert"
+        cert.write_text(half)
+        assert _run(["verify", str(cert)])[0] == 0
 
 
 def test_subdivide_dispatches_on_kind(capsys, tmp_path):
@@ -296,8 +317,9 @@ def test_bridge_emits_two_certificates(capsys):
 
 def test_cylinder_collapse_refusal(capsys):
     assert main(["cylinder", "example:sierpinski-map", "--collapse"]) == 1
-    err = capsys.readouterr().err
-    assert "not distinguished" in err and "'0'" in err
+    assert capsys.readouterr() == (
+        "", "map is not distinguished: the open-set preimage at '0' is not contractible\n"
+    )
 
 
 # (flags, stdout lines, first 16 hex digits of the SHA-256 of stdout, final
@@ -553,6 +575,7 @@ def test_example_listing_and_rendering(capsys):
     assert main(["example", "wallet"]) == 0
     assert "elements:" in capsys.readouterr().out
     assert main(["example", "no_such_example"]) == 3
+    assert all(main(["example", e.name]) == 0 for e in entries())
 
 
 def _run(argv) -> tuple[int, str]:
@@ -610,50 +633,15 @@ def test_subdivide_and_bridge_of_a_space_build_no_order_complex(monkeypatch):
     assert all(code == 0 for code, _ in before)
 
 
-NO_NUMPY_RUN = """
-import io, json, sys
-from contextlib import redirect_stderr, redirect_stdout
-
-sys.modules["numpy"] = None  # any import of numpy now fails
-import finspace, finspace.cli
-
-runs = []
-for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = finspace.cli.main(argv)
-    runs.append([code, out.getvalue()])
-assert sys.modules.pop("numpy") is None
-assert not [m for m in sys.modules if m.split(".")[0] == "numpy"]
-print(json.dumps(runs))
-"""
-
-
 def test_runtime_does_not_import_numpy():
-    argvs = [
-        ["core", "example:wallet"],
-        ["iso", "example:wallet-open", "example:wallet-open"],
-        ["iso", "example:sd3", "example:four-point"],
-    ]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_RUN, json.dumps(argvs)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    wallet = (
-        "elements: t1 t2 x t4 m1 m2 m3 m4 c1 c2 c3\n"
-        "cover: m1 t1\ncover: m1 t2\ncover: m2 t1\ncover: m2 x\n"
-        "cover: m3 t2\ncover: m3 t4\ncover: m4 x\ncover: m4 t4\n"
-        "cover: c1 m1\ncover: c1 m2\ncover: c2 m1\ncover: c2 m2\n"
-        "cover: c2 m3\ncover: c2 m4\ncover: c3 m3\ncover: c3 m4\n"
-    )
-    assert json.loads(done.stdout) == [
-        [0, wallet],
-        [0, "c1 -> c1\nc2 -> c2\nc3 -> c3\nm2 -> m2\nm4 -> m4\n"],
-        [1, ""],
-    ]
+    # the child session of test_runtime cannot import numpy; among its
+    # lines it finds the wallet's core, an isomorphism, and a refusal
+    for out, _ in children():
+        report = json.loads(out)
+        runs = {line: run[:2] for line, run in zip(LINES, report["runs"])}
+        assert "numpy" not in report["loaded"]
+        assert [runs[line] for line in PINNED] == [[0, text] for text in PINNED.values()]
+        assert runs["1 iso example:sd3 example:four-point"] == [1, ""]
 
 
 MUTATION_TOKENS = ("ghost", "a", "b", "", "{", "}", "{}", "#", "a,b", "x#y", "vertices:",

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from finspace.complexes import from_facets
+from finspace.corpus import load
 from finspace.homology import (
     HomologyReport,
     homology,
@@ -113,7 +114,7 @@ def test_euler_poincare_on_random_complexes():
 def test_subdivision_preserves_homology():
     from finspace.functors import barycentric_subdivision
 
-    for k in (CIRCLE, SPHERE, RP2):
+    for k in (CIRCLE, SPHERE, RP2, load("dunce")):
         a, b = homology(k), homology(barycentric_subdivision(k))
         assert a.betti == b.betti and a.torsion == b.torsion
 

@@ -164,7 +164,7 @@ def test_fence_antichain6_into_chain6_stays_within_a_second():
 
 
 ANTICHAIN7_RUN = """
-import json, os, resource
+import json, os, resource, time
 from finspace.maps import ContinuousMap, fence_homotopic
 from finspace.spaces import from_covers
 
@@ -178,9 +178,11 @@ child = os.fork()
 if child:
     raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = time.process_time()
 res = fence_homotopic(f, g)
+took = time.process_time() - start
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps([[m.images for m in res.fence], res.conclusive, (after - before) / 1024]))
+print(json.dumps([[m.images for m in res.fence], res.conclusive, (after - before) / 1024, took]))
 """
 
 
@@ -193,9 +195,10 @@ def test_fence_antichain7_into_chain7_grows_the_peak_by_under_100_mb():
         [sys.executable, "-c", ANTICHAIN7_RUN], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    fence, conclusive, grown_mb = json.loads(done.stdout)
+    fence, conclusive, grown_mb, took = json.loads(done.stdout)
     assert fence == [list(range(7)), [0] * 7, list(range(6, -1, -1))] and conclusive
     assert grown_mb < 100
+    assert took < 10  # seconds of CPU
 
 
 def _zigzag_covers(prefix: str, n: int) -> list[tuple[str, str]]:

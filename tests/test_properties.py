@@ -549,13 +549,28 @@ def test_continuous_maps_match_the_matrix_oracle(rng, n, m, top, data):
     dom = _shuffled_poset(rng, data, n - top)
     if top:
         dom = _with_top(dom)
-    cod = _shuffled_poset(rng, data, m)
+    _assert_continuous_maps_match_the_oracle(dom, _shuffled_poset(rng, data, m))
+
+
+def test_continuous_maps_of_a_zigzag_into_an_antichain_match_the_matrix_oracle():
+    # p0 < p4 > p2 < p3 > p1 into two points: partial maps that leave every
+    # unplaced point some room and still have no joint completion
+    zigzag = from_covers(
+        [f"p{i}" for i in range(5)], [("p0", "p4"), ("p2", "p4"), ("p2", "p3"), ("p1", "p3")]
+    )
+    assert _assert_continuous_maps_match_the_oracle(zigzag, from_covers(["a", "b"], [])) == 2
+
+
+def _assert_continuous_maps_match_the_oracle(dom: FiniteSpace, cod: FiniteSpace) -> int:
+    """Compare the enumerator, and for small inputs the constructor, with
+    the matrix oracle; return the number of maps."""
+    n, m = dom.n, cod.n
     want = continuous_maps_oracle(dom, cod)
     order = dom.linear_extension()
     point = [order.index(i) for i in range(n)]
     assert [tuple(row[k] for k in point) for row in continuous_map_rows(dom, cod)] == want
     if m ** n > 4**4:
-        return  # the constructor check below visits every image tuple
+        return len(want)  # the constructor check below visits every image tuple
     for images in product(range(m), repeat=n):
         try:
             ContinuousMap(dom, cod, images)
@@ -563,6 +578,7 @@ def test_continuous_maps_match_the_matrix_oracle(rng, n, m, top, data):
             assert images not in want
         else:
             assert images in want
+    return len(want)
 
 
 @settings(max_examples=150, deadline=None)
