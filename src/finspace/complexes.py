@@ -265,12 +265,15 @@ def _expansion_problem(
 
     The requirement is that the complex meets the new closed simplex exactly
     in the cone over the boundary of fs, i.e. every proper face of top other
-    than fs is already present and neither fs nor top is.
+    than fs is already present and neither fs nor top is.  Both callers pass
+    a family closed under faces (a complex's own, or the verifier's replay,
+    which every move keeps closed), so top in fam would put fs in fam too,
+    and the check of fs covers top.  An empty fs, which only a hand-built
+    move can bring, passes here and is refused by the verifier's simplex
+    check right after.
     """
     if fs in fam:
         return f"face {sorted(fs)} already present"
-    if top in fam:
-        return f"coface {sorted(top)} already present"
     for k in range(1, len(top)):
         for sub in combinations(sorted(top), k):
             fsub = frozenset(sub)
@@ -416,11 +419,10 @@ class SimplicialMove(_Record):
 
 
 class SimplicialMoveCertificate(_Record):
-    __slots__ = __match_args__ = ("start", "moves")
+    """A start complex and the tuple of ``SimplicialMove``s applied to it in
+    turn."""
 
-    def __init__(self, start: SimplicialComplex, moves: tuple[SimplicialMove, ...]) -> None:
-        _set(self, "start", start)
-        _set(self, "moves", moves)
+    __slots__ = __match_args__ = ("start", "moves")
 
     def __len__(self) -> int:
         return len(self.moves)

@@ -10,29 +10,20 @@ returns, not re-checked at run time.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
 
 from .complexes import SimplicialComplex, from_facets
 from .maps import ContinuousMap
-from .spaces import FiniteSpace, _Record, _set, from_covers
+from .spaces import FiniteSpace, _Record, from_covers
 
 __all__ = ["CorpusEntry", "entries", "names", "load"]
 
 
 class CorpusEntry(_Record):
-    __slots__ = __match_args__ = ("name", "kind", "summary", "build")
+    """A built-in example: its name, its kind (``'space'``, ``'complex'`` or
+    ``'map'``), a one-line summary and the function of no arguments that
+    builds it."""
 
-    def __init__(
-        self,
-        name: str,
-        kind: str,  # 'space' | 'complex' | 'map'
-        summary: str,
-        build: Callable[[], object],
-    ) -> None:
-        _set(self, "name", name)
-        _set(self, "kind", kind)
-        _set(self, "summary", summary)
-        _set(self, "build", build)
+    __slots__ = __match_args__ = ("name", "kind", "summary", "build")
 
 
 def _wallet() -> FiniteSpace:

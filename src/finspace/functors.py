@@ -2,14 +2,14 @@
 
 The order complex of a space has the nonempty chains as simplices and the
 maximal chains as facets; the face poset of a complex orders the simplices by
-inclusion, read off the complex's face index, whose cofacets are its covers,
-stored with it and closed into its masks along ``range(n)``.  The maximal
-chains are reached on their own by a walk up the covers, so K(X) is printed
-from its vertices and facets without building its other chains.  Round
-trips produce barycentric subdivisions: the subdivision of a space is the
-face poset of its order complex, built from the chain index tuples without
-that complex, and the comparison map sending a chain to its maximum is
-distinguished.
+inclusion, read off the complex's face index, whose cofacet lists are its
+upper cover lists, stored with it and closed into its masks along
+``range(n)``.  The maximal chains are reached on their own by a walk up the
+covers, so K(X) is printed from its vertices and facets without building its
+other chains.  Round trips produce barycentric subdivisions: the subdivision
+of a space is the face poset of its order complex, built from the chain
+index tuples without that complex, and the comparison map sending a chain
+to its maximum is distinguished.
 
 The two certificate translators live here as well:
 
@@ -42,7 +42,7 @@ from .complexes import (
 )
 from .maps import ContinuousMap, is_distinguished, mapping_cylinder
 from .moves import SpaceMove, SpaceMoveCertificate, _strip_in
-from .spaces import FiniteSpace, _close_along, _members, _Record, _set, _store, _trusted
+from .spaces import FiniteSpace, _close_along, _members, _Record, _store, _trusted
 
 __all__ = [
     "order_complex",
@@ -111,9 +111,7 @@ def _maximal_chains(space: FiniteSpace) -> list[tuple[str, ...]]:
     walk's depth, to 17: a chain of h points has 2**h - 1 subchains.
     """
     _counted_above(space, (1 << space.n) - 1)
-    upper: list[list[int]] = [[] for _ in range(space.n)]
-    for i, j in space.covers():
-        upper[i].append(j)
+    upper = space._upper_covers()
     labels = space.labels
     out: list[tuple[str, ...]] = []
     chain: list[str] = []
@@ -156,14 +154,13 @@ def _cofacet_poset(labels: tuple[str, ...], cofacets: list[list[int]]) -> Finite
     covers, and a simplex comes after its faces, so ``range(n)`` is the
     linear extension they are closed along."""
     n = len(cofacets)
-    covers = tuple([(i, j) for i, above in enumerate(cofacets) for j in above])
-    space = _store(_close_along(labels, cofacets, range(n)), FiniteSpace.covers, covers)
+    space = _store(_close_along(labels, cofacets, range(n)), FiniteSpace._upper_covers, cofacets)
     return _store(space, FiniteSpace.linear_extension, tuple(range(n)))
 
 
 def face_poset(k: SimplicialComplex) -> FiniteSpace:
     """The simplices of ``k`` ordered by inclusion, read off its face index,
-    whose cofacet lists are stored as the poset's covers.
+    whose cofacet lists are stored as the poset's upper cover lists.
 
     Points are named by joining the sorted vertex names with dots, which is
     what makes the subdivision identities literal equalities.
@@ -266,7 +263,8 @@ def contiguity_fence(
 
 
 class CylinderCertificates(_Record):
-    """Certified deformation data for a map's non-Hausdorff cylinder.
+    """Certified deformation data for a map's non-Hausdorff cylinder: the
+    cylinder space, and the certificates of its expansion and its collapse.
 
     The expansion (codomain copy up to the cylinder) always exists.  The
     collapse back onto the domain copy exists exactly when the map is
@@ -275,18 +273,6 @@ class CylinderCertificates(_Record):
     """
 
     __slots__ = __match_args__ = ("cylinder", "expansion", "collapse", "refused_at")
-
-    def __init__(
-        self,
-        cylinder: FiniteSpace,
-        expansion: SpaceMoveCertificate,
-        collapse: SpaceMoveCertificate | None,
-        refused_at: str | None,
-    ) -> None:
-        _set(self, "cylinder", cylinder)
-        _set(self, "expansion", expansion)
-        _set(self, "collapse", collapse)
-        _set(self, "refused_at", refused_at)
 
 
 def _cylinder_routes(

@@ -135,11 +135,10 @@ def pointwise_leq(f: ContinuousMap, g: ContinuousMap) -> bool:
 
 
 class FenceResult(_Record):
-    __slots__ = __match_args__ = ("fence", "conclusive")
+    """A fence search's tuple of maps from f to g (None when none was found)
+    and whether its answer is conclusive."""
 
-    def __init__(self, fence: tuple[ContinuousMap, ...] | None, conclusive: bool) -> None:
-        _set(self, "fence", fence)
-        _set(self, "conclusive", conclusive)
+    __slots__ = __match_args__ = ("fence", "conclusive")
 
     def __bool__(self) -> bool:
         return self.fence is not None
@@ -319,8 +318,8 @@ def fence_homotopic(
     goal = _meet(geq, want, -1).bit_length() - 1
 
     # each cover y < z ORs geq[k][z] into geq[k][y] down a linear extension; leq dually, up it
-    pos = {y: k for k, y in enumerate(f.cod.linear_extension())}
-    covers = sorted(f.cod.covers(), key=lambda c: pos[c[0]])
+    upper = f.cod._upper_covers()
+    covers = [(y, z) for y in f.cod.linear_extension() for z in upper[y]]
     leq = [list(rows) for rows in geq]
     for above, below in zip(geq, leq):
         for y, z in reversed(covers):
@@ -380,13 +379,10 @@ def fence_homotopic(
 
 
 class DistinguishedReport(_Record):
-    """Per-point verdicts: is each open-set preimage contractible."""
+    """Per-point verdicts: ``per_point`` pairs each codomain label with
+    whether its open-set preimage is contractible, and ``ok`` says all are."""
 
     __slots__ = __match_args__ = ("ok", "per_point")
-
-    def __init__(self, ok: bool, per_point: tuple[tuple[str, bool], ...]) -> None:
-        _set(self, "ok", ok)
-        _set(self, "per_point", per_point)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -422,14 +418,15 @@ def mapping_cylinder(f: ContinuousMap) -> FiniteSpace:
 
     Domain points keep their order and sit below the codomain copy; both
     copies embed as subspaces (labels get L:/R: prefixes).  Below R:z lie
-    the fibres of z and of the points below it.  The stored covers are the
-    domain's, the codomain's shifted, and (L:x, R:f(x)) exactly when no
-    point above x shares its fibre: R:f(x) lies between L:x and any other
-    R:y above it, and a point between L:x and R:f(x) is an L:z with x < z
-    and f(z) <= f(x), so f(z) = f(x) by monotonicity.  Nothing of one copy
-    lies between two points of the other.  The masks are closed from these
-    covers along the domain's linear extension, then the codomain's shifted
-    by n: every cover between the copies goes from L to R.
+    the fibres of z and of the points below it.  The stored upper cover
+    lists are the domain's, each followed by R:f(x) exactly when no point
+    above x shares its fibre, then the codomain's shifted: R:f(x) lies
+    between L:x and any other R:y above it, and a point between L:x and
+    R:f(x) is an L:z with x < z and f(z) <= f(x), so f(z) = f(x) by
+    monotonicity.  Nothing of one copy lies between two points of the
+    other.  The masks are closed from these covers along the domain's linear
+    extension, then the codomain's shifted by n: every cover between the
+    copies goes from L to R.
     """
     dom, cod, images = f.dom, f.cod, f.images
     n = dom.n
@@ -437,15 +434,14 @@ def mapping_cylinder(f: ContinuousMap) -> FiniteSpace:
     for x, y in enumerate(images):
         fibre[y] |= 1 << x
     dom_up = dom.masks()[1]
-    crosses = tuple((x, n + y) for x, y in enumerate(images) if not dom_up[x] & fibre[y])
-    covers = tuple(sorted(dom.covers() + crosses)) + tuple((n + i, n + j) for i, j in cod.covers())
-    upper: list[list[int]] = [[] for _ in range(n + cod.n)]
-    for i, j in covers:
-        upper[i].append(j)
+    upper = [
+        above if dom_up[x] & fibre[y] else above + [n + y]
+        for x, (above, y) in enumerate(zip(dom._upper_covers(), images))
+    ] + [[n + j for j in above] for above in cod._upper_covers()]
     order = dom.linear_extension() + tuple(n + y for y in cod.linear_extension())
     labels = tuple("L:" + l for l in dom.labels) + tuple("R:" + l for l in cod.labels)
     # f preserves the order, so this is an order on distinct valid labels
-    return _store(_close_along(labels, upper, order), FiniteSpace.covers, covers)
+    return _store(_close_along(labels, upper, order), FiniteSpace._upper_covers, upper)
 
 
 # -- membership evidence -----------------------------------------------------------

@@ -48,7 +48,7 @@ from .spaces import (
 )
 
 if TYPE_CHECKING:
-    from .complexes import SimplicialComplex, SimplicialMoveCertificate
+    from .complexes import SimplicialComplex
 
 __all__ = [
     "SpaceMove",
@@ -106,11 +106,9 @@ class SpaceMove(_Record):
 
 
 class SpaceMoveCertificate(_Record):
-    __slots__ = __match_args__ = ("start", "moves")
+    """A start space and the tuple of ``SpaceMove``s applied to it in turn."""
 
-    def __init__(self, start: FiniteSpace, moves: tuple[SpaceMove, ...]) -> None:
-        _set(self, "start", start)
-        _set(self, "moves", moves)
+    __slots__ = __match_args__ = ("start", "moves")
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -136,37 +134,20 @@ class ReplayResult(_Record):
 
 
 class SearchResult(_Record):
-    __slots__ = __match_args__ = ("certificate", "conclusive", "nodes")
+    """A search's space or simplicial certificate (None when none was found),
+    whether its answer is conclusive, and the number of nodes it expanded."""
 
-    def __init__(
-        self,
-        certificate: SpaceMoveCertificate | SimplicialMoveCertificate | None,
-        conclusive: bool,
-        nodes: int,
-    ) -> None:
-        _set(self, "certificate", certificate)
-        _set(self, "conclusive", conclusive)
-        _set(self, "nodes", nodes)
+    __slots__ = __match_args__ = ("certificate", "conclusive", "nodes")
 
     def __bool__(self) -> bool:
         return self.certificate is not None
 
 
 class SpaceEquivalence(_Record):
-    """Evidence that two spaces are homotopy equivalent: both cores plus the
-    isomorphism between them."""
+    """Evidence that two spaces are homotopy equivalent: the certificates of
+    both cores plus the isomorphism between them, as a label dict."""
 
     __slots__ = __match_args__ = ("core_certificate_a", "core_certificate_b", "isomorphism")
-
-    def __init__(
-        self,
-        core_certificate_a: SpaceMoveCertificate,
-        core_certificate_b: SpaceMoveCertificate,
-        isomorphism: dict[str, str],
-    ) -> None:
-        _set(self, "core_certificate_a", core_certificate_a)
-        _set(self, "core_certificate_b", core_certificate_b)
-        _set(self, "isomorphism", isomorphism)
 
 
 # -- beat points ---------------------------------------------------------

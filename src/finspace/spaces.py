@@ -6,10 +6,11 @@ iff j < i (point j lies in every open set containing point i), and bit j of
 ``up[i]`` iff i < j.  Removing a point drops one bit position from every
 mask: ``delete`` keeps the bits below it and shifts those above it down by
 one.  Minimal open sets, closures and Hasse diagrams are read off the
-masks (a builder that already holds the covers stores them instead, through
-``_store``), heights are peeled off them level by level, and the beat, core
-and isomorphism kernels work on them directly; ``is_leq(x, y)`` is the plain
-accessor for code that reads the order one pair at a time.  One closure,
+masks (a builder that already holds the upper cover lists stores them
+instead, through ``_store``), heights are peeled off them level by level,
+and the beat, core and isomorphism kernels work on them directly;
+``is_leq(x, y)`` is the plain accessor for code that reads the order one
+pair at a time.  One closure,
 ``_close_along``, builds every space given by covers, along an order its
 caller holds: a Kahn walk for ``from_covers`` and the ``.poset`` parser,
 ``range(n)`` for face posets, and the two copies' linear extensions for
@@ -22,9 +23,10 @@ isomorphism engine, ``_first_isomorphism``, also serves complexes, on vertex
 signatures and edge masks; it searches only when some colour is shared, and
 checks the one bijection all-distinct colours force.  The matrix constructor
 builds both masks in one row walk.  ``_Record`` is the base of every
-module's immutable result records: ``__slots__`` classes that validate and
-set their fields in their own ``__init__``, so importing the package
-generates no methods.
+module's immutable result records: ``__slots__`` classes built by one
+constructor from their ``__match_args__``, unless they validate or default
+a field in their own ``__init__``, so importing the package generates no
+methods.
 """
 
 from __future__ import annotations
@@ -129,9 +131,11 @@ _set = object.__setattr__
 class _Record:
     """Base of the immutable result records (moves, certificates, reports).
 
-    A record names its fields in ``__match_args__``, keeps them in
-    ``__slots__`` and sets them once, in its own ``__init__``, through
-    ``_set``; assigning or deleting a field afterwards raises
+    A record names its fields in ``__match_args__`` and keeps them in
+    ``__slots__``.  The base constructor takes them by position or by
+    keyword and sets each once through ``_set``; a record that checks its
+    fields or defaults some of them has its own ``__init__``, which sets
+    them the same way.  Assigning or deleting a field afterwards raises
     ``AttributeError``.  A record equals only a record of its own class with
     equal fields, hashes as the tuple of its fields, prints as
     ``Name(field=value, ...)`` and pickles through its constructor.
@@ -139,6 +143,19 @@ class _Record:
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__match_args__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(names)} fields, not {len(args)}")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__qualname__} is missing field {name!r}")
+            _set(self, name, kwargs.pop(name))
+        if kwargs:
+            raise TypeError(f"{type(self).__qualname__} got unexpected fields {sorted(kwargs)}")
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -326,22 +343,27 @@ class FiniteSpace:
     # -- structure --------------------------------------------------------
 
     @_cached
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Cover pairs ``(i, j)``, j covering i (i < j, nothing between),
-        sorted by index pairs.
+    def _upper_covers(self) -> list[list[int]]:
+        """Each point's upper covers, the points j covering it (i < j, nothing
+        between), as an ascending index list; no caller mutates one.
 
-        A face poset or subdivision comes with the cofacet lists of its face
-        index stored here; any other space reads its covers off the up-set
-        masks, once.
+        A face poset, subdivision or mapping cylinder comes with the lists it
+        was closed from stored here; any other space reads them off the
+        up-set masks, once.
         """
         up = self._up
         out = []
-        for i, u in enumerate(up):
+        for u in up:
             above = 0
             for j in _members(u):
                 above |= up[j]
-            out.extend((i, j) for j in _members(u & ~above))
-        return tuple(out)
+            out.append(list(_members(u & ~above)))
+        return out
+
+    @_cached
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Cover pairs ``(i, j)``, j covering i, sorted by index pairs."""
+        return tuple([(i, j) for i, above in enumerate(self._upper_covers()) for j in above])
 
     def hasse_edges(self) -> list[tuple[str, str]]:
         """Cover pairs ``(x, y)`` with x < y, sorted by index pairs."""

@@ -93,6 +93,21 @@ def test_expand_validates_face_and_apex():
         point.elementary_expand(("z", "a"), "a")  # apex inside the face
 
 
+def test_a_complex_equals_no_foreign_object():
+    assert FULL_TRIANGLE.__eq__(FULL_TRIANGLE.simplices) is NotImplemented
+    assert FULL_TRIANGLE != FULL_TRIANGLE._set and not FULL_TRIANGLE == "abc"
+
+
+@pytest.mark.parametrize("apex", ["a", "z"])
+def test_replay_refuses_a_hand_built_empty_face_at_its_move(apex):
+    # the parser refuses an empty face; a move built by hand reaches the
+    # verifier, which refuses it as an empty simplex whether or not the
+    # apex is already a vertex
+    moves = (SimplicialMove("add", ("b",), "a"), SimplicialMove("add", (), apex))
+    res = verify_simplicial_certificate(SimplicialMoveCertificate(from_facets([["a"]]), moves))
+    assert not res.ok and res.step == 1 and res.reason == "empty simplex"
+
+
 def test_certificate_replay_and_tampering():
     seq = []
     k = FULL_TRIANGLE

@@ -188,6 +188,9 @@ def test_mapping_cylinder_matches_its_definition(rng, n, m, kind, data):
     want = cylinder_oracle(f)
     assert cyl.labels == want.labels and cyl.masks() == want.masks()
     assert list(cyl.covers()) == covers_oracle(want)
+    # the cylinder's lists are new ones: the copies' stored lists are intact
+    for space in (f.dom, f.cod):
+        assert space._upper_covers() == FiniteSpace._upper_covers.__wrapped__(space)
 
 
 def test_cylinder_refusal_names_first_bad_point():

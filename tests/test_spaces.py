@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finspace import spaces
+from finspace.moves import SearchResult
 from finspace.spaces import FiniteSpace, from_covers, is_isomorphic
 
 from util import calls, heights_oracle, isomorphic_oracle, leq_matrix, nested_code, random_poset
@@ -98,6 +99,37 @@ def test_labeled_equality_ignores_index_order():
     assert a == b
     c = from_covers(["x", "y"], [("y", "x")])
     assert a != c
+
+
+def test_a_space_equals_no_foreign_object_and_prints_its_size():
+    a = chain(3)
+    assert a.__eq__(a.labels) is NotImplemented
+    assert a != a.labels and not a == a.masks()
+    assert repr(a) == "FiniteSpace(3 points)"
+
+
+def test_other_colour_multisets_refuse_before_the_forced_bijection():
+    # without the multiset guard both colours of b form one-point buckets,
+    # and the forced path would send both points of a to point 0
+    no_relations = ([0, 0], [0, 0])
+    assert spaces._first_isomorphism([0, 0], [0, 1], no_relations, no_relations) is None
+
+
+def test_the_record_base_takes_each_field_once_by_position_or_keyword():
+    # SearchResult has no constructor of its own
+    assert SearchResult(None, True, nodes=3) == SearchResult(None, conclusive=True, nodes=3)
+    refusals = [
+        (lambda: SearchResult(None, True, 3, 4), "SearchResult takes 3 fields, not 4"),
+        (lambda: SearchResult(None, True), "SearchResult is missing field 'nodes'"),
+        (lambda: SearchResult(None, True, 3, budget=9),
+         "SearchResult got unexpected fields ['budget']"),
+        (lambda: SearchResult(None, True, 3, nodes=3),
+         "SearchResult got unexpected fields ['nodes']"),
+    ]
+    for build, text in refusals:
+        with pytest.raises(TypeError) as refused:
+            build()
+        assert str(refused.value) == text
 
 
 def test_isomorphism_finds_relabelings():
