@@ -303,11 +303,12 @@ def parse_certificate(
         except ParseError as exc:
             raise ParseError(source, no, f"start: {exc}") from exc
     else:
-        block = []
-        while body and body[0][1].split()[0] in (
-            "elements:", "cover:", "vertices:", "facet:"
-        ):
-            block.append(body.pop(0))
+        heads = ("elements:", "cover:", "vertices:", "facet:")
+        end = next(
+            (k for k, (_, line) in enumerate(body) if line.split(None, 1)[0] not in heads),
+            len(body),
+        )
+        block, body = body[:end], body[end:]
         if not block:
             raise ParseError(source, no, "bare start: needs an inline space or complex")
         if block[0][1].split()[0] in ("elements:", "cover:"):

@@ -5,7 +5,9 @@ elimination whose pivot is an entry of least absolute value, fill-in cost
 breaking ties (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001); the
 diagonal left over becomes an invariant factor chain by pairwise gcd and lcm.
 Pivots come from a lazy heap, not a scan of the matrix, and one work count
-bounds all the boundary matrices of a ``homology`` call.  A
+bounds all the boundary matrices of a ``homology`` call.  A space's
+homology is that of the chains of its core, read off the beat-point strip's
+mask without building the core or its order complex.  A
 ``HomologyReport`` is a record on the ``_Record`` base of ``spaces``.
 """
 
@@ -13,10 +15,11 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from typing import Sequence
 
 from .complexes import SimplicialComplex
-from .functors import order_complex
-from .moves import core
+from .functors import _chains
+from .moves import _strip_in
 from .spaces import _Record, _set
 
 __all__ = [
@@ -74,20 +77,21 @@ class HomologyReport(_Record):
         return self.format()
 
 
-def _boundary(k: SimplicialComplex, d: int) -> tuple[dict[int, dict[int, int]], int, int]:
-    """Sparse boundary matrix from d-simplices to (d-1)-simplices.
+def _boundary(
+    faces: Sequence[tuple], cells: Sequence[tuple]
+) -> tuple[dict[int, dict[int, int]], int, int]:
+    """Sparse boundary matrix from the d-simplices ``cells`` to the
+    (d-1)-simplices ``faces``, each a sorted tuple of vertex keys, listed in
+    canonical order.
 
     Returns (rows, nrows, ncols) with rows[r][c] the signed incidence.
     """
-    lower = {s: i for i, s in enumerate(k.simplices_of_dim(d - 1))}
-    upper = k.simplices_of_dim(d)
+    lower = {s: i for i, s in enumerate(faces)}
     rows: dict[int, dict[int, int]] = {}
-    for c, s in enumerate(upper):
+    for c, s in enumerate(cells):
         for j in range(len(s)):
-            face = s[:j] + s[j + 1 :]
-            r = lower[face]
-            rows.setdefault(r, {})[c] = 1 if j % 2 == 0 else -1
-    return rows, len(lower), len(upper)
+            rows.setdefault(lower[s[:j] + s[j + 1 :]], {})[c] = 1 if j % 2 == 0 else -1
+    return rows, len(faces), len(cells)
 
 
 def smith_invariants(
@@ -190,22 +194,31 @@ def smith_invariants(
     return units + len(diagonal), [1] * units + diagonal
 
 
-def homology(k: SimplicialComplex, reduced: bool = False) -> HomologyReport:
-    """Integer homology of a nonempty complex, dimension by dimension."""
-    if len(k) == 0:
+def _homology(cells: list[list[tuple]], reduced: bool) -> HomologyReport:
+    """Homology from the simplices of each dimension, as sorted tuples in
+    canonical order; dimensions with no simplex get trivial groups."""
+    if not cells:
         raise ValueError("homology of the empty complex is not defined here")
-    dim = k.dim
-    counts = list(k.f_vector())
-    ranks = [0] * (dim + 2)
-    torsion: list[tuple[int, ...]] = [()] * (dim + 1)
+    ranks = [0] * (len(cells) + 1)
+    torsion: list[tuple[int, ...]] = [()] * len(cells)
     spent = [0]
-    for d in range(1, dim + 1):
-        ranks[d], factors = smith_invariants(_boundary(k, d)[0], spent)
+    for d in range(1, len(cells)):
+        if not cells[d]:  # nor any above: a simplex's faces are simplices
+            break
+        ranks[d], factors = smith_invariants(_boundary(cells[d - 1], cells[d])[0], spent)
         torsion[d - 1] = tuple(f for f in factors if f > 1)
-    betti = [counts[d] - ranks[d] - ranks[d + 1] for d in range(dim + 1)]
+    betti = [len(cells[d]) - ranks[d] - ranks[d + 1] for d in range(len(cells))]
     if reduced:
         betti[0] -= 1
     return HomologyReport(tuple(betti), tuple(torsion), reduced)
+
+
+def homology(k: SimplicialComplex, reduced: bool = False) -> HomologyReport:
+    """Integer homology of a nonempty complex, dimension by dimension."""
+    cells: list[list[tuple]] = [[] for _ in range(k.dim + 1)]
+    for s in k.simplices:
+        cells[len(s) - 1].append(tuple(sorted(s)))
+    return _homology(cells, reduced)
 
 
 def reduced_homology(k: SimplicialComplex) -> HomologyReport:
@@ -217,8 +230,17 @@ def homology_space(space, reduced: bool = False) -> HomologyReport:
 
     Beat point removals are collapses (Stong, Trans. AMS 123, 1966), and a
     collapse X ↘ Y induces a simplicial collapse K(X) ↘ K(Y) (Barmak and
-    Minian, arXiv:math/0611158), so both have the same homology; the report
-    is padded with trivial groups to the height(X) + 1 dimensions of K(X)."""
-    report = homology(order_complex(core(space)[0]), reduced=reduced)
-    pad = max(space.heights(), default=-1) + 1 - len(report.betti)
-    return HomologyReport(report.betti + (0,) * pad, report.torsion + ((),) * pad, reduced)
+    Minian, arXiv:math/0611158), so both have the same homology.  The core's
+    chains come straight from the mask of the points that survive the strip,
+    each as the sorted ranks of its labels, so they sort as K(core)'s
+    simplices do; the report has the height(X) + 1 dimensions of K(X)."""
+    alive = _strip_in(*space.masks(), (1 << space.n) - 1)[0]
+    rank = [0] * space.n
+    for r, i in enumerate(sorted(range(space.n), key=space.labels.__getitem__)):
+        rank[i] = r
+    cells: list[list[tuple]] = [[] for _ in range(max(space.heights(), default=-1) + 1)]
+    for c in _chains(space, alive):
+        cells[len(c) - 1].append(tuple(sorted([rank[i] for i in c])))
+    for simplices in cells:
+        simplices.sort()
+    return _homology(cells, reduced)

@@ -18,15 +18,17 @@ mapping cylinders.  ``is_isomorphic`` refines neither space when their
 cached fingerprints differ.  Isomorphism colours are refined once per space
 and cached with it, like its heights, signatures and covers, so comparing
 one space with many others refines each of them once; refinement stops as
-soon as the colours are all distinct or a round splits no class.  The one
+soon as the colours are all distinct or a round splits no class; a round
+packs each point's neighbour colour counts into one int per side.  The one
 isomorphism engine, ``_first_isomorphism``, also serves complexes, on vertex
-signatures and edge masks; it searches only when some colour is shared, and
-checks the one bijection all-distinct colours force.  The matrix constructor
-builds both masks in one row walk.  ``_Record`` is the base of every
-module's immutable result records: ``__slots__`` classes built by one
-constructor from their ``__match_args__``, unless they validate or default
-a field in their own ``__init__``, so importing the package generates no
-methods.
+signatures and edge masks; it checks the one bijection all-distinct colours
+force, and only when some colour is shared does ``_backtrack`` search, with
+no function call per placement.  The matrix constructor builds both masks in
+one row walk; labels are checked in one pass unless one is at fault.
+``_Record`` is the base of every module's immutable result records:
+``__slots__`` classes built by one constructor from their
+``__match_args__``, unless they validate or default a field in their own
+``__init__``, so importing the package generates no methods.
 """
 
 from __future__ import annotations
@@ -56,13 +58,23 @@ def _check_label(label: str) -> str:
 
 
 def _checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
-    """The labels as a tuple, each checked in turn; the first repeat is named."""
+    """The labels as a tuple, checked at once: all strings (``join`` takes
+    nothing else), all nonempty, no bad character anywhere in their join,
+    and no repeat in their set.  Only a fault sends them through
+    ``_check_label`` in turn, which names the first label at fault or the
+    first repeat."""
     labels = tuple(labels)
-    seen = set()
-    for l in labels:
-        if _check_label(l) in seen:
-            raise ValueError(f"duplicate label {l!r}")
-        seen.add(l)
+    try:
+        ok = not _LABEL_BAD_CHARS.search("".join(labels)) and all(labels)
+        ok = ok and len(set(labels)) == len(labels)
+    except TypeError:  # a label that is no string
+        ok = False
+    if not ok:
+        seen = set()
+        for l in labels:
+            if _check_label(l) in seen:
+                raise ValueError(f"duplicate label {l!r}")
+            seen.add(l)
     return labels
 
 
@@ -72,6 +84,16 @@ def _members(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mapped(mask: int, table: Sequence[int]) -> int:
+    """The OR of ``table[x]`` over the set bits x of ``mask``."""
+    got = 0
+    while mask:
+        low = mask & -mask
+        got |= table[low.bit_length() - 1]
+        mask ^= low
+    return got
 
 
 def _up_sets(down: Sequence[int]) -> list[int]:
@@ -86,10 +108,12 @@ def _up_sets(down: Sequence[int]) -> list[int]:
 def _check_order(down: Sequence[int], up: Sequence[int]) -> None:
     """Check that the irreflexive relation ``down``, with converse ``up``, is
     antisymmetric and transitive: down[j] ⊆ down[i] whenever j < i."""
-    if any(d & u for d, u in zip(down, up)):
-        raise ValueError("relation is not antisymmetric")
-    if any(down[j] & ~d for d in down for j in _members(d)):
-        raise ValueError("relation is not transitive")
+    for d, u in zip(down, up):
+        if d & u:
+            raise ValueError("relation is not antisymmetric")
+    for d in down:
+        if _mapped(d, down) & ~d:
+            raise ValueError("relation is not transitive")
 
 
 def _checked_up_sets(down: Sequence[int]) -> list[int]:
@@ -410,9 +434,15 @@ class FiniteSpace:
         refinement of ``signatures()``, and a key with a hash of every
         round's sorted signatures.
 
-        A round's signature of a point is (its colour, the sorted colours
-        strictly above it, the sorted colours strictly below it), and its
-        new colour is the rank of that signature among the distinct ones.
+        A round's signature of a point is (its colour, the colours strictly
+        above it, the colours strictly below it), each multiset of colours
+        packed into one int: with ``w = n.bit_length()`` bits per colour,
+        the count of colour c sits at bit ``c * w``.  A count is below n, so
+        it never carries into the next colour's bits, and two packed ints are
+        equal iff their multisets are: the packed signatures split the points
+        as the sorted colour tuples do, with one int per side to hash.  A
+        point's new colour is the rank of its signature among the distinct
+        ones; the first round ranks the fingerprint's sorted signatures.
         Refinement stops early once the colours are all distinct or a round
         splits no class.  A round's partition depends only on the previous
         partition and refines it, so from then on every round gives the same
@@ -426,25 +456,34 @@ class FiniteSpace:
         two non-isomorphic spaces to the engine, which checks every relation
         and finds no bijection.
         """
-        key = []
-
-        def ranked(sigs: Sequence) -> list[int]:
-            ordered = sorted(sigs)
-            key.append(hash(tuple(ordered)))
-            rank = {sig: r for r, sig in enumerate(dict.fromkeys(ordered))}
-            return [rank[sig] for sig in sigs]
-
-        col = ranked(self.signatures())
-        classes = max(col, default=-1) + 1
-        if classes < self.n:
-            nbrs = [([*_members(u)], [*_members(d)]) for u, d in zip(self._up, self._down)]
+        n = self.n
+        ordered = self.fingerprint()[1]
+        key = [hash(ordered)]
+        rank = {sig: r for r, sig in enumerate(dict.fromkeys(ordered))}
+        col = [rank[sig] for sig in self.signatures()]
+        classes = len(rank)
+        if classes < n:
+            w = n.bit_length()
+            nbrs = []  # the points strictly above, then below, each point
+            for m in self._up + self._down:
+                nbr = []
+                while m:
+                    low = m & -m
+                    nbr.append(low.bit_length() - 1)
+                    m ^= low
+                nbrs.append(nbr)
             for _ in range(2):
-                col = ranked([
-                    (c, tuple(sorted([col[j] for j in above])), tuple(sorted([col[j] for j in below])))
-                    for c, (above, below) in zip(col, nbrs)
-                ])
-                before, classes = classes, max(col) + 1
-                if classes in (before, self.n):
+                weight = [1 << c * w for c in col].__getitem__
+                sigs = [
+                    (c, sum(map(weight, above)), sum(map(weight, below)))
+                    for c, above, below in zip(col, nbrs, nbrs[n:])
+                ]
+                ordered = sorted(sigs)
+                key.append(hash(tuple(ordered)))
+                rank = {sig: r for r, sig in enumerate(dict.fromkeys(ordered))}
+                col = [rank[sig] for sig in sigs]
+                before, classes = classes, len(rank)
+                if classes in (before, n):
                     break
         return col, tuple(key)
 
@@ -573,40 +612,53 @@ def _first_isomorphism(
     candidate, so the backtracking could only return that bijection, and
     only if it keeps every relation and ``accept`` takes it.  So it is
     checked, not searched for: keeping ``masks[0]`` keeps its converse
-    ``masks[-1]`` too, and the answer is the backtracker's.
+    ``masks[-1]`` too, and the answer is the backtracker's.  Otherwise
+    ``_backtrack`` searches.
     """
     if sorted(col_a) != sorted(col_b):
         return None
-    n, r = len(col_a), len(masks_a)
     buckets: dict = {}
     for j, c in enumerate(col_b):
         buckets.setdefault(c, []).append(j)
-    if len(buckets) == n:  # discrete colours: one candidate per point
-        image = [buckets[c][0] for c in col_a]
-        bits, rel_b = [1 << j for j in image], masks_b[0]
-        for m, j in zip(masks_a[0], image):
-            got = 0
-            for x in _members(m):
-                got |= bits[x]
-            if got != rel_b[j]:
-                return None
-        return image if accept is None or accept(image) else None
-    order = sorted(range(n), key=lambda i: (len(buckets[col_a[i]]), i))
+    if len(buckets) < len(col_a):
+        return _backtrack(col_a, buckets, masks_a, masks_b, accept)
+    image = [buckets[c][0] for c in col_a]  # discrete colours: one candidate per point
+    bits, rel_b = [1 << j for j in image], masks_b[0]
+    for m, j in zip(masks_a[0], image):
+        if _mapped(m, bits) != rel_b[j]:
+            return None
+    return image if accept is None or accept(image) else None
 
-    # Relations to the points already placed, as one bitmask over search
-    # depth: bit r*d + t of rel_a[i] is set iff masks_a[t][i] holds order[d],
-    # and rel_b holds the same for the images placed so far in b.
-    def mark(rel: list[int], masks: Sequence, j: int, k: int) -> None:
-        # toggle depth k on the points that j relates to
-        for t, m in enumerate(reversed(masks)):
-            bit = 1 << r * k + t
-            for x in _members(m[j]):
-                rel[x] ^= bit
 
-    rel_a, rel_b = [0] * n, [0] * n
+def _backtrack(
+    col_a: Sequence, buckets: dict, masks_a: Sequence, masks_b: Sequence,
+    accept: Callable[[list[int]], bool] | None,
+) -> list[int] | None:
+    """``_first_isomorphism``'s search, given b's colour ``buckets`` (colour
+    -> ascending points), of which some hold more than one point.
+
+    Relations to the points already placed are one bitmask over search
+    depth: with r relations, bit r*d + t of ``rel_a[x]`` is set iff
+    ``masks_a[t][x]`` holds the point placed at depth d, and ``rel_b[y]``
+    holds the same for the images placed so far in b.  ``rel_a`` is read
+    off a's masks once; b's bits are toggled as images are placed and
+    unplaced.  A candidate for the point at depth k must match its bits
+    below depth k exactly.
+    """
+    n, r = len(col_a), len(masks_a)
+    # rarest bucket first; the sort is stable, so ties stay in index order
+    order = sorted(range(n), key=[len(buckets[c]) for c in col_a].__getitem__)
+    at = [0] * n  # the depth bit of each point of a
     for d, i in enumerate(order):
-        mark(rel_a, masks_a, i, d)
+        at[i] = 1 << r * d
+    rel_a = [0] * n
+    for t, masks in enumerate(masks_a):
+        for x, m in enumerate(masks):
+            rel_a[x] |= _mapped(m, at) << t
+    wants = [rel_a[i] & at[i] - 1 for i in order]
+    converse_b = masks_b[::-1]  # the x with y in masks_b[t][x] are masks_b[-1 - t][y]
 
+    rel_b = [0] * n
     image = [-1] * n
     used = [False] * n
     # Iterative backtracking: pos[k] is the next candidate to try for order[k].
@@ -619,25 +671,31 @@ def _first_isomorphism(
                 return image
             k -= 1
         i = order[k]
-        if image[i] >= 0:
-            used[image[i]] = False
-            mark(rel_b, masks_b, image[i], k)
+        j = image[i]
+        if j >= 0:  # unplace the last candidate; the next pass tries the next one
             image[i] = -1
-        want = rel_a[i] & (1 << r * k) - 1
-        opts = candidates[k]
-        while pos[k] < len(opts):
-            j = opts[pos[k]]
-            pos[k] += 1
-            if used[j] or rel_b[j] != want:
-                continue
-            image[i] = j
-            used[j] = True
-            mark(rel_b, masks_b, j, k)
-            k += 1
-            break
+            used[j] = False
         else:
-            pos[k] = 0
-            k -= 1
+            want, opts, p = wants[k], candidates[k], pos[k]
+            while p < len(opts) and (used[opts[p]] or rel_b[opts[p]] != want):
+                p += 1
+            if p == len(opts):
+                pos[k] = 0
+                k -= 1
+                continue
+            j = image[i] = opts[p]
+            pos[k] = p + 1
+            used[j] = True
+        bit = 1 << r * k  # toggle j's relations at depth k
+        for masks in converse_b:
+            m = masks[j]
+            while m:
+                low = m & -m
+                rel_b[low.bit_length() - 1] ^= bit
+                m ^= low
+            bit <<= 1
+        if used[j]:
+            k += 1
     return None
 
 

@@ -1,5 +1,6 @@
 """Property-based tests: punctured sets, the barycentric subdivision, the
-bitmask poset and its kernels against their numpy oracles, isomorphism
+bitmask poset and its kernels against their numpy oracles, the one-pass
+label checks against the per-label loop, isomorphism
 colour classes against two rounds of signature refinement, and the complex
 side (facets, free pairs, order complexes, homology through the core)
 against pairwise scans and the validating constructor, fence search
@@ -65,7 +66,7 @@ from finspace.moves import (
     is_weak_point,
     verify_space_certificate,
 )
-from finspace.spaces import FiniteSpace, _members, from_covers, is_isomorphic
+from finspace.spaces import FiniteSpace, _checked_labels, _members, from_covers, is_isomorphic
 
 from util import (
     all_chains_brute,
@@ -496,6 +497,11 @@ def test_restrictions_match_the_validating_constructor(rng, n, data):
     assert _same(FiniteSpace.from_masks(space.labels, space.masks()[0]), space)
 
 
+def _matrix_forms(leq: np.ndarray) -> list:
+    """The relation as a numpy array, a list of rows and a tuple of rows."""
+    return [leq, leq.tolist(), tuple(tuple(row) for row in leq.tolist())]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.randoms(use_true_random=False), st.integers(3, 9),
@@ -504,6 +510,7 @@ def test_restrictions_match_the_validating_constructor(rng, n, data):
 def test_broken_orders_are_rejected_with_the_oracle_message(rng, n, kind, data):
     space = random_poset(rng, n, 0.6)
     leq = leq_matrix(space)
+    assert {FiniteSpace(space.labels, m).masks() for m in _matrix_forms(leq)} == {space.masks()}
     lt = [(i, j) for i in range(n) for j in range(n) if i != j and leq[i, j]]
     if kind == "diagonal":
         i = data.draw(st.integers(0, n - 1))
@@ -520,12 +527,53 @@ def test_broken_orders_are_rejected_with_the_oracle_message(rng, n, kind, data):
         leq[i, k] = False
     with pytest.raises(ValueError) as want:
         check_order_oracle(leq)
+    assert str(want.value) == "relation is not " + {
+        "diagonal": "reflexive", "symmetric": "antisymmetric", "transitivity": "transitive"
+    }[kind]
     message = f"^{want.value}$"
-    with pytest.raises(ValueError, match=message):
-        FiniteSpace(space.labels, leq)
+    for m in _matrix_forms(leq):
+        with pytest.raises(ValueError, match=message):
+            FiniteSpace(space.labels, m)
     if kind != "diagonal":
         with pytest.raises(ValueError, match=message):
             FiniteSpace.from_masks(space.labels, _strict_down(leq))
+
+
+def _labels_oracle(labels) -> tuple:
+    """The labels checked one at a time, with the constructors' error texts."""
+    labels, seen = tuple(labels), set()
+    for label in labels:
+        if not isinstance(label, str) or not label:
+            raise ValueError("labels must be nonempty strings")
+        if any(ch.isspace() or ch in "{}#" for ch in label):
+            raise ValueError(f"label {label!r} contains whitespace or one of {{ }} #")
+        if label in seen:
+            raise ValueError(f"duplicate label {label!r}")
+        seen.add(label)
+    return labels
+
+
+_LABELS = st.one_of(
+    st.sampled_from(["a", "b", "ab", "", " ", "a b", "\t", "\u00a0", "\u2028", "{", "x}", "#c", "é"]),
+    st.text(max_size=3),
+    st.integers(),
+    st.none(),
+    st.binary(max_size=2),
+    st.lists(st.integers(), max_size=1),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_LABELS, max_size=6))
+def test_label_checks_accept_and_refuse_as_the_per_label_loop(labels):
+    try:
+        want = _labels_oracle(labels)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _checked_labels(labels)
+        assert str(got.value) == str(exc)
+    else:
+        assert _checked_labels(iter(labels)) == want
 
 
 def _with_top(space: FiniteSpace) -> FiniteSpace:
@@ -881,7 +929,8 @@ def _sparse_matrices(draw) -> dict[int, dict[int, int]]:
 def test_smith_invariants_match_the_two_phase_oracle(rng, boundary, data):
     if boundary:
         k = random_complex(rng, data.draw(st.integers(1, 7)), data.draw(st.integers(1, 6)), 40)
-        matrices = [_boundary(k, d)[0] for d in range(1, k.dim + 1)]
+        cells = [k.simplices_of_dim(d) for d in range(k.dim + 1)]
+        matrices = [_boundary(cells[d - 1], cells[d])[0] for d in range(1, k.dim + 1)]
     else:
         matrices = [data.draw(_sparse_matrices())]
     for rows in matrices:

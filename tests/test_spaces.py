@@ -7,7 +7,9 @@ from finspace import spaces
 from finspace.moves import SearchResult
 from finspace.spaces import FiniteSpace, from_covers, is_isomorphic
 
-from util import calls, heights_oracle, isomorphic_oracle, leq_matrix, nested_code, random_poset
+from util import (
+    calls, heights_oracle, isomorphic_oracle, leq_matrix, random_poset, refine_signatures_oracle,
+)
 
 
 def chain(n):
@@ -163,10 +165,9 @@ def _refinements(call) -> int:
     return calls(FiniteSpace._colours.__wrapped__.__code__, call)
 
 
-def _marks(call) -> int:
-    """How many times ``call()`` runs the engine's ``mark``, which every
-    search calls to set up and to place or unplace a point."""
-    return calls(nested_code(spaces._first_isomorphism, "mark"), call)
+def _searches(call) -> int:
+    """How many times ``call()`` runs the engine's backtracking search."""
+    return calls(spaces._backtrack.__code__, call)
 
 
 def _covers(text):
@@ -188,7 +189,7 @@ def test_discrete_colours_with_equal_keys_still_check_every_relation():
     a, b = NEAR_MISS_A, NEAR_MISS_B
     assert a._colours()[1] == b._colours()[1] and len(a._colours()[1]) == 1
     assert sorted(a._colours()[0]) == sorted(b._colours()[0]) == list(range(7))
-    assert _marks(lambda: is_isomorphic(a, b)) == 0
+    assert _searches(lambda: is_isomorphic(a, b)) == 0
     assert is_isomorphic(a, b) is None is isomorphic_oracle(a, b)
     assert is_isomorphic(b, a) is None is isomorphic_oracle(b, a)
 
@@ -201,14 +202,28 @@ def test_discrete_colours_force_the_oracles_bijection_without_search():
         [(f"q{perm[i]}", f"q{perm[j]}") for i, j in a.covers()],
     )
     found = []
-    assert _marks(lambda: found.append(is_isomorphic(a, relabeled))) == 0
+    assert _searches(lambda: found.append(is_isomorphic(a, relabeled))) == 0
     assert found[0] == isomorphic_oracle(a, relabeled) == {
         f"p{i}": f"q{perm[i]}" for i in range(a.n)
     }
     # a shared colour still searches, and finds the oracle's bijection
     square = from_covers(["a", "b", "c", "d"], _covers("a<c a<d b<c b<d"))
-    assert _marks(lambda: is_isomorphic(square, square)) > 0
+    assert _searches(lambda: is_isomorphic(square, square)) > 0
     assert is_isomorphic(square, square) == isomorphic_oracle(square, square)
+
+
+def test_packed_colour_counts_do_not_carry_into_the_next_colour():
+    # Four minima below three maxima each; the maxima lie above one (a1, a2,
+    # d), two (b1, b2, b3) or three (c) minima, and so get three colours.  x
+    # sits below colours {a, a, c}, y below {b, b, b}: with one bit per colour
+    # both would pack to 2 + 2 + 8 = 4 + 4 + 4, and x and y would merge.
+    space = from_covers(
+        ["x", "y", "z1", "z2", "a1", "a2", "b1", "b2", "b3", "c", "d"],
+        _covers("x<a1 x<a2 x<c y<b1 y<b2 y<b3 z1<b1 z1<b2 z1<c z2<b3 z2<c z2<d"),
+    )
+    col, sig = space._colours()[0], refine_signatures_oracle(space, 2)
+    assert col[0] != col[1]
+    assert all((col[i] == col[j]) == (sig[i] == sig[j]) for i in range(11) for j in range(i))
 
 
 def test_isomorphism_refines_each_space_once():

@@ -112,13 +112,6 @@ def replace(record, **changes):
     return type(record)(**{**fields, **changes})
 
 
-def nested_code(function, name: str):
-    """The code object of the function ``name`` defined inside ``function``."""
-    return next(
-        c for c in function.__code__.co_consts if getattr(c, "co_name", None) == name
-    )
-
-
 def leq_matrix(space: FiniteSpace) -> np.ndarray:
     """The order as a boolean matrix, ``m[i, j]`` iff point i <= j, read
     pair by pair through ``is_leq``."""
