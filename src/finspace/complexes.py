@@ -1,24 +1,25 @@
 """Abstract simplicial complexes with certified elementary collapses.
 
-Every simplex is materialized (not only facets), because face posets, free
-pair detection and move replay all need the full family.  An elementary
-collapse removes a free pair: a simplex S whose only proper coface is
-S + {a}, which is then necessarily maximal and one dimension higher.
-Free pairs, collapses (in search too), face posets and the facets of a
-complex built from outside read one face index, built once: each simplex's
-position in ``simplices`` and the ascending positions of its cofacets, the
-simplices one vertex larger that contain it.  Facets have no cofacet, S is
-free when it has exactly one, and the functors close those lists upward
-and downward into the face poset's masks.  A collapse hands its child the
-parent's canonical order without the pair, so search children are not
-sorted again.  The start complex of a translated weak-point
-removal is given its facets, the maximal chains, by the functors' walk up
-the covers; every other complex, order complexes included, reads them off
-the face index.  The constructor
-validates families from outside; ``from_facets``, ``cone`` and the moves
-check only what they add.  The certificate verifier replays on its own
-plain set of simplices, rescans it for the cofaces of every removed face,
-and validates one complex, the end of the replay.
+A complex stores one form of its simplices, all of them, not only facets:
+the canonical tuple ``simplices`` of vertex frozensets, ordered by size and
+then by sorted vertices, which ``_canonical`` sorts for every build but a
+collapse; its sorted vertices are its leading one-point simplices.  An
+elementary collapse removes a free pair: a simplex S whose only proper
+coface is S + {a}, which is then necessarily maximal and one dimension
+higher.  Membership, free pairs, collapses (in search too), face posets and
+the facets of a complex built from outside read one face index, built
+once: each simplex's position in ``simplices`` and the ascending positions
+of its cofacets, the simplices one vertex larger that contain it.  Facets
+have no cofacet, S is free when it has exactly one, and the functors close
+those lists upward and downward into the face poset's masks.  A collapse
+hands its child a slice of the parent's tuple without the pair, so search
+children are not sorted again.  The start complex of a translated
+weak-point removal is given its facets, the maximal chains, by the
+functors' walk up the covers; every other complex reads them off the face
+index.  The constructor validates families from outside; ``from_facets``,
+``cone`` and the moves check only what they add.  The certificate verifier
+replays on its own plain set of simplices, rescans it for the cofaces of
+every removed face, and validates one complex, the end of the replay.
 Each complex caches its isomorphism invariants, as a space does: vertex
 signatures, a fingerprint (f-vector and sorted signatures) that rules pairs
 out and buckets search states, and edge bitmasks for the engine of ``spaces``.
@@ -29,8 +30,8 @@ simplices, and keeps its vertex dict out of equality and printing.
 
 from __future__ import annotations
 
-from itertools import combinations, islice
-from typing import Iterable, Mapping
+from itertools import combinations, islice, takewhile
+from typing import Container, Iterable, Mapping
 
 from .moves import ReplayResult, SearchResult, _budgeted_search
 from .spaces import _cached, _check_label, _first_isomorphism, _Record, _set
@@ -57,14 +58,17 @@ def _simplex(vertices: Iterable[str]) -> frozenset[str]:
     return s
 
 
-def _key(s: frozenset[str]) -> tuple[int, tuple[str, ...]]:
-    return (len(s), tuple(sorted(s)))
+def _canonical(family: Iterable[frozenset[str]]) -> tuple[frozenset[str], ...]:
+    """Distinct simplices in canonical order: by size, then sorted vertices."""
+    simplices = sorted(family, key=sorted)
+    simplices.sort(key=len)  # stable, so each size keeps its vertex order
+    return tuple(simplices)
 
 
 class SimplicialComplex:
     """A finite abstract simplicial complex over string vertex labels."""
 
-    __slots__ = ("_set", "simplices", "vertices", "_memo")
+    __slots__ = ("simplices", "vertices", "_memo")
 
     def __init__(self, simplices: Iterable[Iterable[str]]):
         fam = frozenset(_simplex(s) for s in simplices)
@@ -75,24 +79,21 @@ class SimplicialComplex:
                         raise ValueError(
                             f"not closed under faces: {sorted(s)} present, {list(f)} missing"
                         )
-        self._fill(fam)
+        self._fill(_canonical(fam))
 
     @classmethod
-    def _trusted(cls, family: frozenset[frozenset[str]], *order) -> "SimplicialComplex":
-        """A complex from a face-closed family of valid simplices, unchecked;
-        ``order`` may give the family in canonical order and its sorted vertices."""
+    def _trusted(cls, simplices: tuple[frozenset[str], ...]) -> "SimplicialComplex":
+        """A complex that stores ``simplices``, a face-closed family of valid
+        simplices already in canonical order, as it is and unchecked."""
         k = cls.__new__(cls)
-        k._fill(family, *order)
+        k._fill(simplices)
         return k
 
-    def _fill(self, fam: frozenset[frozenset[str]], simplices=None, vertices=None) -> None:
-        self._set = fam
-        if simplices is None:
-            simplices = sorted(fam, key=sorted)  # the order of _key, in two stable sorts
-            simplices.sort(key=len)
-            vertices = sorted(frozenset().union(*fam))
-        self.simplices = tuple(simplices)
-        self.vertices = tuple(vertices)
+    def _fill(self, simplices: tuple[frozenset[str], ...]) -> None:
+        """Store the canonical simplex tuple, a complex's one stored form; its
+        leading one-point simplices are its vertices, as it is face-closed."""
+        self.simplices = simplices
+        self.vertices = tuple(v for (v,) in takewhile(lambda s: len(s) == 1, simplices))
         self._memo: dict = {}
 
     @_cached
@@ -110,20 +111,20 @@ class SimplicialComplex:
     # -- queries ---------------------------------------------------------
 
     def __contains__(self, s: Iterable[str]) -> bool:
-        return frozenset(s) in self._set
+        return frozenset(s) in self._faces()[0]
 
     def __len__(self) -> int:
-        return len(self._set)
+        return len(self.simplices)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._set == other._set
+        return self.simplices == other.simplices
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"SimplicialComplex({len(self.vertices)} vertices, {len(self._set)} simplices)"
+        return f"SimplicialComplex({len(self.vertices)} vertices, {len(self.simplices)} simplices)"
 
     @property
     def dim(self) -> int:
@@ -132,12 +133,12 @@ class SimplicialComplex:
 
     def f_vector(self) -> tuple[int, ...]:
         counts = [0] * (self.dim + 1)
-        for s in self._set:
+        for s in self.simplices:
             counts[len(s) - 1] += 1
         return tuple(counts)
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(s) - 1) for s in self._set)
+        return sum((-1) ** (len(s) - 1) for s in self.simplices)
 
     def simplices_of_dim(self, d: int) -> tuple[tuple[str, ...], ...]:
         return tuple(tuple(sorted(s)) for s in self.simplices if len(s) == d + 1)
@@ -156,7 +157,7 @@ class SimplicialComplex:
     def proper_cofaces(self, s: Iterable[str]) -> tuple[tuple[str, ...], ...]:
         """The simplices strictly containing s, in canonical order."""
         fs = frozenset(s)
-        if fs not in self._set:
+        if fs not in self:
             raise ValueError(f"{sorted(fs)} is not a simplex here")
         return tuple(tuple(sorted(t)) for t in self.simplices if fs < t)
 
@@ -182,7 +183,7 @@ class SimplicialComplex:
         self, face: Iterable[str], apex: str | None = None
     ) -> tuple["SimplicialComplex", "SimplicialMove"]:
         """Remove the free pair (face, face + {apex}); the child keeps the
-        parent's order without the pair, and loses a vertex when the face is one."""
+        parent's canonical tuple without the pair."""
         fs = frozenset(face)
         where, cofacets = self._faces()
         if fs not in where:
@@ -196,9 +197,8 @@ class SimplicialComplex:
         (found,) = simplices[j] - fs
         if apex is not None and apex != found:
             raise ValueError(f"coface vertex is {found!r}, not {apex!r}")
-        vertices = [v for v in self.vertices if v not in fs] if len(fs) == 1 else self.vertices
         rest = simplices[:i] + simplices[i + 1:j] + simplices[j + 1:]
-        smaller = SimplicialComplex._trusted(self._set - {fs, simplices[j]}, rest, vertices)
+        smaller = SimplicialComplex._trusted(rest)
         return smaller, SimplicialMove("remove", tuple(sorted(fs)), found)
 
     def elementary_expand(
@@ -210,10 +210,10 @@ class SimplicialComplex:
         if apex in fs:
             raise ValueError(f"apex {apex!r} lies in the face")
         top = fs | {apex}
-        problem = _expansion_problem(self._set, fs, top)
+        problem = _expansion_problem(self._faces()[0], fs, top)
         if problem is not None:
             raise ValueError(problem)
-        bigger = SimplicialComplex._trusted(self._set | {fs, top})
+        bigger = SimplicialComplex._trusted(_canonical([*self.simplices, fs, top]))
         return bigger, SimplicialMove("add", tuple(sorted(fs)), apex)
 
     # -- isomorphism invariants, computed once per complex ------------------
@@ -259,15 +259,15 @@ class SimplicialComplex:
 
 
 def _expansion_problem(
-    fam: frozenset[frozenset[str]], fs: frozenset[str], top: frozenset[str]
+    fam: Container[frozenset[str]], fs: frozenset[str], top: frozenset[str]
 ) -> str | None:
     """Why (fs, top) cannot be glued onto fam; None when it can.
 
     The requirement is that the complex meets the new closed simplex exactly
     in the cone over the boundary of fs, i.e. every proper face of top other
     than fs is already present and neither fs nor top is.  Both callers pass
-    a family closed under faces (a complex's own, or the verifier's replay,
-    which every move keeps closed), so top in fam would put fs in fam too,
+    a family closed under faces (a complex's face index, or the verifier's
+    replay, which every move keeps closed), so top in fam would put fs in fam too,
     and the check of fs covers top.  An empty fs, which only a hand-built
     move can bring, passes here and is refused by the verifier's simplex
     check right after.
@@ -290,7 +290,7 @@ def from_facets(facets: Iterable[Iterable[str]]) -> SimplicialComplex:
         for k in range(1, len(top) + 1):
             for sub in combinations(sorted(top), k):
                 fam.add(frozenset(sub))
-    return SimplicialComplex._trusted(frozenset(fam))
+    return SimplicialComplex._trusted(_canonical(fam))
 
 
 def cone(apex: str, base: SimplicialComplex) -> SimplicialComplex:
@@ -301,8 +301,8 @@ def cone(apex: str, base: SimplicialComplex) -> SimplicialComplex:
     _check_label(apex)
     if apex in base.vertices:
         raise ValueError(f"apex {apex!r} is already a vertex of the base")
-    tops = frozenset(s | {apex} for s in base._set)
-    return SimplicialComplex._trusted(base._set | tops | {frozenset({apex})})
+    tops = [s | {apex} for s in base.simplices]
+    return SimplicialComplex._trusted(_canonical([frozenset({apex}), *base.simplices, *tops]))
 
 
 # -- simplicial maps ------------------------------------------------------
@@ -383,7 +383,7 @@ def complex_isomorphic(
 
     def onto(image: list[int]) -> bool:
         image_of = named(image)
-        return {frozenset(map(image_of.get, s)) for s in a.simplices} == b._set
+        return {frozenset(map(image_of.get, s)) for s in a.simplices} == b._faces()[0].keys()
 
     image = _first_isomorphism(
         a._signatures(), b._signatures(), (a._edges(),), (b._edges(),), onto
@@ -433,7 +433,7 @@ def verify_simplicial_certificate(cert: SimplicialMoveCertificate) -> ReplayResu
 
     The replay runs on the verifier's own set of simplices; the one complex
     it validates is the end, ``ReplayResult.final``."""
-    fam = set(cert.start._set)
+    fam = set(cert.start.simplices)
     for k, move in enumerate(cert.moves):
         fs = frozenset(move.face)
         top = fs | {move.apex}

@@ -36,7 +36,7 @@ from .complexes import (
     SimplicialMap,
     SimplicialMove,
     SimplicialMoveCertificate,
-    _key,
+    _canonical,
     dotted_label,
     is_contiguous,
 )
@@ -142,7 +142,7 @@ def order_complex(space: FiniteSpace) -> SimplicialComplex:
     """
     labels = space.labels
     return SimplicialComplex._trusted(
-        frozenset(frozenset([labels[i] for i in c]) for c in _chains(space))
+        _canonical(frozenset([labels[i] for i in c]) for c in _chains(space))
     )
 
 
@@ -380,7 +380,7 @@ def translate_space_collapse(space: FiniteSpace, x: str) -> SimplicialMoveCertif
     moves = tuple(
         SimplicialMove("add", tuple(sorted(fs)), apex)
         for apex, faces in cones
-        for fs in sorted(faces, key=_key)
+        for fs in _canonical(faces)
     )
     smaller = space.delete(x)
     start = order_complex(smaller)

@@ -436,7 +436,7 @@ def test_homology_of_a_space_beyond_the_chain_cap(capsys, tmp_path):
 
 
 def test_homology_past_the_smith_work_limit_is_inconclusive(capsys, monkeypatch):
-    monkeypatch.setattr(sys.modules["finspace.homology"], "MAX_SMITH_WORK", 10)
+    monkeypatch.setattr("finspace.homology.MAX_SMITH_WORK", 10)
     assert main(["homology", "example:dunce"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

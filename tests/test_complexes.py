@@ -95,7 +95,7 @@ def test_expand_validates_face_and_apex():
 
 def test_a_complex_equals_no_foreign_object():
     assert FULL_TRIANGLE.__eq__(FULL_TRIANGLE.simplices) is NotImplemented
-    assert FULL_TRIANGLE != FULL_TRIANGLE._set and not FULL_TRIANGLE == "abc"
+    assert FULL_TRIANGLE != frozenset(FULL_TRIANGLE.simplices) and not FULL_TRIANGLE == "abc"
 
 
 @pytest.mark.parametrize("apex", ["a", "z"])
@@ -161,16 +161,16 @@ def test_replay_builds_one_complex_at_the_end(monkeypatch):
     built = []
     fill = SimplicialComplex._fill
 
-    def counted(self, fam):
-        built.append(fam)
-        fill(self, fam)
+    def counted(self, simplices):
+        built.append(simplices)
+        fill(self, simplices)
 
     monkeypatch.setattr(SimplicialComplex, "_fill", counted)
     for cert, direction in ((collapse, "remove"), (expansion, "add")):
         assert len(cert.moves) > 1 and {m.direction for m in cert.moves} == {direction}
         built.clear()
         res = verify_simplicial_certificate(cert)
-        assert res.ok and len(built) == 1 and built[0] is res.final._set
+        assert res.ok and len(built) == 1 and built[0] is res.final.simplices
 
 
 def test_collapse_sequence_search_full_triangle():

@@ -1,4 +1,5 @@
-import random
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -22,17 +23,25 @@ from finspace.fileio import (
     read_space,
 )
 from finspace.functors import bridge_space, translate_space_collapse
-from finspace.moves import collapse_search
+from finspace.maps import ContinuousMap
+from finspace.moves import collapse_search, core, weak_points
 from finspace.spaces import from_covers
 
-from util import closure_masks_oracle, random_complex, random_poset
+from util import (
+    closure_masks_oracle,
+    continuous_maps_oracle,
+    drawn_poset,
+    random_complex,
+    random_poset,
+)
 
 
-def test_space_round_trip():
-    rng = random.Random(5)
-    for _ in range(20):
-        x = random_poset(rng, rng.randint(1, 6))
-        assert parse_space(format_space(x)) == x
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 7), st.data())
+def test_space_round_trip(rng, n, data):
+    x = drawn_poset(rng, data, n)
+    back = parse_space(format_space(x))
+    assert back == x and back.labels == x.labels
 
 
 def test_space_parsing_details(tmp_path):
@@ -157,11 +166,11 @@ def test_from_covers_error_messages(labels, covers, message):
     assert str(e.value) == message
 
 
-def test_complex_round_trip():
-    rng = random.Random(6)
-    for _ in range(20):
-        k = random_complex(rng)
-        assert parse_complex(format_complex(k)) == k
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6), st.integers(1, 5))
+def test_complex_round_trip(rng, n_vertices, n_facets):
+    k = random_complex(rng, n_vertices, n_facets, max_simplices=30)
+    assert parse_complex(format_complex(k)) == k
 
 
 def test_complex_parse_errors(tmp_path):
@@ -268,40 +277,61 @@ def test_map_file_rejects_duplicate_assignment(tmp_path):
         read_map(str(m))
 
 
-def test_space_certificate_round_trip():
-    wallet = from_covers(
-        "t1 t2 x t4 m1 m2 m3 m4 c1 c2 c3".split(),
-        [
-            ("m1", "t1"), ("m2", "t1"), ("m1", "t2"), ("m3", "t2"),
-            ("m2", "x"), ("m4", "x"), ("m3", "t4"), ("m4", "t4"),
-            ("c1", "m1"), ("c2", "m1"), ("c1", "m2"), ("c2", "m2"),
-            ("c2", "m3"), ("c3", "m3"), ("c2", "m4"), ("c3", "m4"),
-        ],
-    )
-    cert = collapse_search(wallet).certificate
-    assert cert is not None
-    text = format_space_certificate(cert)
-    back = parse_certificate(text)
-    assert back.start == cert.start
-    assert back.moves == cert.moves
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 4), st.integers(2, 4), st.data())
+def test_map_file_round_trip(rng, n, m, data):
+    # a map written from its label map beside its two .poset files, the
+    # send lines in any order, reads back as the same map; a drawn poset on
+    # 2 or more points is never empty
+    dom, cod = drawn_poset(rng, data, n), drawn_poset(rng, data, m)
+    f = ContinuousMap(dom, cod, data.draw(st.sampled_from(continuous_maps_oracle(dom, cod))))
+    sends = [f"send: {x} {y}\n" for x, y in f.label_map().items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, space in (("d.poset", dom), ("c.poset", cod)):
+            with open(os.path.join(tmp, name), "w") as out:
+                out.write(format_space(space))
+        path = os.path.join(tmp, "f.map")
+        with open(path, "w") as out:
+            out.write("dom: d.poset\ncod: c.poset\n" + "".join(data.draw(st.permutations(sends))))
+        assert read_map(path) == f
 
 
-def test_simplicial_certificate_round_trip():
-    wallet = from_covers(
-        "t1 t2 x t4 m1 m2 m3 m4 c1 c2 c3".split(),
-        [
-            ("m1", "t1"), ("m2", "t1"), ("m1", "t2"), ("m3", "t2"),
-            ("m2", "x"), ("m4", "x"), ("m3", "t4"), ("m4", "t4"),
-            ("c1", "m1"), ("c2", "m1"), ("c1", "m2"), ("c2", "m2"),
-            ("c2", "m3"), ("c3", "m3"), ("c2", "m4"), ("c3", "m4"),
-        ],
-    )
-    cert = translate_space_collapse(wallet, "x")
-    text = format_simplicial_certificate(cert)
-    back = parse_certificate(text)
-    assert isinstance(back, SimplicialMoveCertificate)
-    assert back.start == cert.start
-    assert back.moves == cert.moves
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6), st.data())
+def test_space_certificate_round_trip(rng, n, data):
+    # removals of beat and weak points, and additions with attach sets
+    x = drawn_poset(rng, data, n)
+    bridge = bridge_space(x)
+    certs = [core(x)[1], bridge.expansion, bridge.collapse]
+    found = collapse_search(x, budget=200).certificate
+    certs += [found] if found is not None else []
+    for cert in certs:
+        back = parse_certificate(format_space_certificate(cert))
+        assert back.start == cert.start and back.moves == cert.moves
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.randoms(use_true_random=False), st.integers(1, 6), st.integers(1, 5),
+    st.integers(1, 6), st.data(),
+)
+def test_simplicial_certificate_round_trip(rng, n_vertices, n_facets, n, data):
+    # a run of free-pair collapses, and the expansions of a translated
+    # weak-point removal
+    k = random_complex(rng, n_vertices, n_facets, max_simplices=30)
+    c, moves = k, []
+    while c.free_pairs() and data.draw(st.booleans()):
+        c, move = c.elementary_collapse(*data.draw(st.sampled_from(c.free_pairs())))
+        moves.append(move)
+    certs = [SimplicialMoveCertificate(k, tuple(moves))]
+    x = drawn_poset(rng, data, n)
+    weak = weak_points(x)
+    if weak:
+        certs.append(translate_space_collapse(x, data.draw(st.sampled_from(weak))[0]))
+    for cert in certs:
+        back = parse_certificate(format_simplicial_certificate(cert))
+        assert isinstance(back, SimplicialMoveCertificate)
+        assert back.start == cert.start and back.moves == cert.moves
 
 
 def test_certificate_with_start_path(tmp_path):

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and the package
+binds no name over one of its modules.
 
 With no linter installed, this is the check: every name a module binds by
 ``import`` or ``from ... import`` (``__future__`` aside) is read as a name
@@ -6,6 +7,7 @@ somewhere in it, annotations included, or is exported in its ``__all__``.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,11 @@ def test_the_check_finds_an_unused_import_and_passes_a_used_or_exported_one():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_homology_module_is_not_shadowed_by_its_function(monkeypatch):
+    import finspace.homology as m
+
+    assert isinstance(m, types.ModuleType) and m.__name__ == "finspace.homology"
+    monkeypatch.setattr("finspace.homology.MAX_SMITH_WORK", 7)
+    assert m.MAX_SMITH_WORK == 7

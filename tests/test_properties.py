@@ -650,7 +650,7 @@ def test_facets_and_free_pairs_match_the_pairwise_scans(rng, n_vertices, n_facet
                 assert c.elementary_collapse(face)[1].apex == free[face]
                 translate_simplicial_collapse(c, face, free[face])
             else:
-                cofaces = sum(s < t for t in c._set)
+                cofaces = sum(s < t for t in c.simplices)
                 assert _error(c.elementary_collapse, face) == (
                     f"{list(face)} is not free: {cofaces} proper cofaces"
                 )
@@ -677,13 +677,16 @@ def _error(call, *args) -> str:
 
 
 def _built(build) -> tuple | str:
-    """A complex's simplices, vertices, facets and free pairs, or the text
-    of the ValueError that refused to build it."""
+    """A complex's simplices, vertices, facets, free pairs and size, whether
+    each simplex is in it and each simplex plus a fresh vertex is not, or the
+    text of the ValueError that refused to build it."""
     try:
         k = build()
     except ValueError as exc:
         return str(exc)
-    return k.simplices, k.vertices, k.facets(), k.free_pairs()
+    fresh = "".join(k.vertices) + "+"  # longer than any vertex
+    members = [s in k for s in k.simplices], [s | {fresh} in k for s in k.simplices]
+    return k.simplices, k.vertices, k.facets(), k.free_pairs(), len(k), members
 
 
 BAD_LABELS = ("x y", "", "x#", "{")
@@ -708,15 +711,15 @@ def test_library_builds_match_the_validating_constructor(rng, n_vertices, n_face
     assert _built(lambda: from_facets(facets)) == _built(lambda: SimplicialComplex(family))
 
     apex = data.draw(st.sampled_from(("z", *BAD_LABELS)))
-    family = [*k._set, {apex}, *(s | {apex} for s in k._set)]
+    family = [*k.simplices, {apex}, *(s | {apex} for s in k.simplices)]
     assert _built(lambda: cone(apex, k)) == _built(lambda: SimplicialComplex(family))
 
     for face, a in k.free_pairs():
         pair = {frozenset(face), frozenset(face) | {a}}
         smaller = k.elementary_collapse(face, a)[0]
-        assert _built(lambda: smaller) == _built(lambda: SimplicialComplex(k._set - pair))
+        assert _built(lambda: smaller) == _built(lambda: SimplicialComplex(set(k.simplices) - pair))
         bigger = smaller.elementary_expand(face, a)[0]
-        assert _built(lambda: bigger) == _built(lambda: SimplicialComplex(k._set))
+        assert _built(lambda: bigger) == _built(lambda: SimplicialComplex(k.simplices))
 
     # a whisker from a vertex v to a fresh vertex, its face or apex label w
     # possibly bad
@@ -725,8 +728,28 @@ def test_library_builds_match_the_validating_constructor(rng, n_vertices, n_face
     for face, a in [((w,), v)] + [(("z",), w)] * (w != "z"):
         pair = [face, (*face, a)]
         assert _built(lambda: k.elementary_expand(face, a)[0]) == _built(
-            lambda: SimplicialComplex([*k._set, *pair])
+            lambda: SimplicialComplex([*k.simplices, *pair])
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6), st.integers(1, 5))
+def test_two_builds_of_one_complex_are_equal_and_one_dropped_facet_tells(
+    rng, n_vertices, n_facets
+):
+    # from_facets on shuffled facets and the validating constructor on the
+    # shuffled closure store one canonical tuple
+    facets = [list(f) for f in random_complex(rng, n_vertices, n_facets, 20).facets()]
+    for f in facets:
+        rng.shuffle(f)
+    rng.shuffle(facets)
+    closure = [sub for f in facets for r in range(1, len(f) + 1) for sub in combinations(f, r)]
+    rng.shuffle(closure)
+    a, b = from_facets(facets), SimplicialComplex(closure)
+    assert a == b and len(a) == len(b) == len(set(map(frozenset, closure)))
+    assert all(s in a for s in b.simplices) and all(s in b for s in closure)
+    dropped = from_facets(facets[1:])
+    assert dropped != b and b != dropped and facets[0] not in dropped
 
 
 @settings(max_examples=150, deadline=None)

@@ -571,7 +571,7 @@ def _canonical(simplices) -> list[frozenset[str]]:
 
 def facets_oracle(k: SimplicialComplex) -> tuple[tuple[str, ...], ...]:
     """Maximal simplices in canonical order, each tested against every other."""
-    fam = _canonical(k._set)
+    fam = _canonical(k.simplices)
     return tuple(tuple(sorted(s)) for s in fam if not any(s < t for t in fam))
 
 
@@ -579,8 +579,8 @@ def free_pairs_oracle(k: SimplicialComplex) -> list[tuple[tuple[str, ...], str]]
     """(S, a) in canonical order with S + {a} the only proper coface of S,
     the cofaces found by testing every simplex."""
     out = []
-    for s in _canonical(k._set):
-        cof = [t for t in k._set if s < t]
+    for s in _canonical(k.simplices):
+        cof = [t for t in k.simplices if s < t]
         if len(cof) == 1:
             (apex,) = cof[0] - s
             out.append((tuple(sorted(s)), apex))
@@ -709,9 +709,9 @@ def isomorphic_oracle(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
     return {a.labels[i]: b.labels[image[i]] for i in range(a.n)}
 
 
-def vertex_signatures_oracle(simplices: set[frozenset[str]]) -> dict[str, tuple]:
+def vertex_signatures_oracle(simplices: tuple[frozenset[str], ...]) -> dict[str, tuple]:
     """Per vertex, its simplex counts by dimension, then the sorted counts of
-    its edge neighbours, read from the simplex set."""
+    its edge neighbours, read from the simplex tuple."""
     dim = max(map(len, simplices), default=0) - 1
     counts: dict[str, list[int]] = {v: [0] * (dim + 1) for s in simplices for v in s}
     for s in simplices:
@@ -733,8 +733,8 @@ def complex_isomorphic_oracle(
     """Vertex bijection carrying simplices onto simplices, or None."""
     if len(a.vertices) != len(b.vertices) or a.f_vector() != b.f_vector():
         return None
-    sig_a = vertex_signatures_oracle(a._set)
-    sig_b = vertex_signatures_oracle(b._set)
+    sig_a = vertex_signatures_oracle(a.simplices)
+    sig_b = vertex_signatures_oracle(b.simplices)
     if sorted(sig_a.values()) != sorted(sig_b.values()):
         return None
     buckets: dict[tuple, list[str]] = {}
@@ -751,7 +751,7 @@ def complex_isomorphic_oracle(
     k = 0
     while k >= 0:
         if k == len(order):
-            if {frozenset(image[v] for v in s) for s in a.simplices} == b._set:
+            if {frozenset(image[v] for v in s) for s in a.simplices} == set(b.simplices):
                 return dict(image)
             k -= 1
             continue
@@ -846,19 +846,19 @@ def verify_simplicial_oracle(cert: SimplicialMoveCertificate) -> ReplayResult:
     for k, move in enumerate(cert.moves):
         fs = frozenset(move.face)
         if move.direction == "remove":
-            if fs not in current:
+            if fs not in current.simplices:
                 return ReplayResult(False, k, f"{list(move.face)} is not a simplex")
-            cof = [t for t in current._set if fs < t]
+            cof = [t for t in current.simplices if fs < t]
             if len(cof) != 1 or cof[0] != fs | {move.apex}:
                 return ReplayResult(
                     False, k, f"{list(move.face)} is not free with apex {move.apex!r}"
                 )
-            current = SimplicialComplex(current._set - {fs, fs | {move.apex}})
+            current = SimplicialComplex(set(current.simplices) - {fs, fs | {move.apex}})
         else:
-            problem = _expansion_problem(current._set, fs, fs | {move.apex})
+            problem = _expansion_problem(set(current.simplices), fs, fs | {move.apex})
             if problem is not None:
                 return ReplayResult(False, k, problem)
-            current = SimplicialComplex(current._set | {fs, fs | {move.apex}})
+            current = SimplicialComplex(set(current.simplices) | {fs, fs | {move.apex}})
     return ReplayResult(True, None, "", current)
 
 
